@@ -51,7 +51,7 @@ class Degenerate(ValuationError):
 
 
 class NotConverged(ValuationError):
-    """Iterative grid solver stopped before meeting its tolerance."""
+    """Grid solver hit its iteration cap before its stopping set settled."""
 
 
 class InvalidThresholds(ValuationError):

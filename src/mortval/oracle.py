@@ -4,7 +4,8 @@ Three routes, each built on different machinery than the solvers:
 
 * :func:`psor_value` discretizes the obstacle problem
   min{L_H V - r V + c, f - V} = 0 in log-price coordinates and solves the
-  resulting linear complementarity problem by projected SOR.
+  resulting linear complementarity problem exactly, by Howard policy
+  iteration on nested grids (a finite number of tridiagonal solves).
 * :func:`threshold_policy_value` computes the exact expected discounted
   cashflow of a *given* two-threshold stopping policy from the power
   solutions h^{p1}, h^{-p2} of the pricing ODE (no optimization anywhere).
@@ -30,44 +31,37 @@ from .model import ModelParams, compute_exponents
 
 _BLOCK_PAIRS = 8192   # fixed Monte Carlo block size; results do not depend on scheduling
 _TIME_CHUNK = 256     # steps simulated per vectorized slab
+_COARSE_NODES = 126   # smallest level of the nested policy-iteration solve
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Log-uniform grid and iteration policy for the obstacle solver."""
+    """Log-uniform grid for the obstacle solver."""
 
     h_min: float
     h_max: float
     n_points: int = 2001
-    relaxation: float = 1.5
-    tol: float = 1e-9
-    max_sweeps: int = 200_000
 
     def __post_init__(self) -> None:
         if not (0.0 < self.h_min < self.h_max):
             raise InvalidParams(f"need 0 < h_min < h_max, got [{self.h_min}, {self.h_max}]")
         if self.n_points < 101:
             raise InvalidParams(f"n_points must be at least 101, got {self.n_points}")
-        if not (0.0 < self.relaxation < 2.0):
-            raise InvalidParams(f"relaxation must lie in (0, 2), got {self.relaxation}")
-        if not (self.tol > 0.0 and self.max_sweeps >= 1):
-            raise InvalidParams("tol must be positive and max_sweeps at least 1")
 
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Grid values of the discrete obstacle problem and its stopping set."""
+    """Grid values of the discrete obstacle problem and its stopping set.
+
+    ``sweeps`` counts the policy iterations (one tridiagonal solve each)
+    summed over all grid levels.
+    """
 
     grid: np.ndarray
     values: np.ndarray
     stopping: np.ndarray
     stop_intervals: tuple[tuple[float, float], ...]
     sweeps: int
-
-
-def optimal_relaxation(n_points: int) -> float:
-    """Near-optimal SOR factor for a tridiagonal stencil with n points."""
-    return 2.0 / (1.0 + math.sin(math.pi / n_points))
 
 
 def _log_grid(h_min: float, h_max: float, n: int, kinks: tuple[float, ...]) -> tuple[np.ndarray, float]:
@@ -88,51 +82,102 @@ def _log_grid(h_min: float, h_max: float, n: int, kinks: tuple[float, ...]) -> t
     return np.exp(x0 + dx * np.arange(n)), dx
 
 
+def _level_sizes(n: int) -> list[int]:
+    """Node counts from the coarsest level up to ``n``, spacing halved per level."""
+    sizes = [n]
+    while (sizes[-1] - 1) // 2 + 1 >= _COARSE_NODES:
+        sizes.append((sizes[-1] - 1) // 2 + 1)
+    return sizes[::-1]
+
+
+def _policy_solve(
+    stop: list[bool], f: list[float], q: list[float], lower: float, diag: float, upper: float, top: float,
+) -> list[float]:
+    """Thomas solve of one policy's tridiagonal system.
+
+    Stopped rows read V_i = f_i; the others read
+    diag V_i - lower V_{i-1} - upper V_{i+1} = q_i.  End nodes are fixed at
+    f_0 and ``top``.  Forward elimination leaves V_i = d_i + g_i V_{i+1}.
+    """
+    n = len(f)
+    g = [0.0] * n
+    d = [0.0] * n
+    gi, di = 0.0, f[0]
+    for i in range(1, n - 1):
+        if stop[i]:
+            gi, di = 0.0, f[i]
+        else:
+            den = diag - lower * gi
+            gi, di = upper / den, (q[i] + lower * di) / den
+        g[i] = gi
+        d[i] = di
+    v = top
+    for i in range(n - 2, 0, -1):
+        v = d[i] + g[i] * v
+        d[i] = v
+    d[0], d[-1] = f[0], top
+    return d
+
+
 def psor_value(params: ModelParams, cashflows: PerpetualCashflows, grid: GridSpec) -> OracleResult:
     """Solve the discrete obstacle problem for a minimizing stopper.
 
     Central differences of L_H - r in log price give a tridiagonal
-    M-matrix; complementarity (M V <= q, V <= f, componentwise slack
-    product zero) is solved by red-black projected SOR with the obstacle f
-    as the starting iterate.  Boundary nodes carry V = f at the bottom and
+    M-matrix A.  The linear complementarity problem V <= f, A V <= q,
+    min(f - V, q - A V) = 0 is solved exactly by Howard policy iteration:
+    each iteration solves the linear system of the current stopping set
+    (V = f on stopped rows, A V = q elsewhere), then every node takes the
+    row with the larger residual, stopping where V - f >= A V - q, until
+    the stopping set repeats.  The solve runs on nested grids: it starts
+    with no stopping at about 126 nodes over the same window and kinks,
+    halves the spacing up to ``n_points``, and starts each level from the
+    previous level's stopping set; levels too coarse for the drift are
+    skipped.  Boundary nodes carry V = f at the bottom and
     V = min(f, sup-coupon / r) at the top, matching the contracts' tail
     behaviour; accuracy near either end needs the window padded past the
     region of interest.
+
+    ``sweeps`` of the result is the total number of policy iterations.
+    Each level is capped at its node count, which an M-matrix never
+    reaches; hitting it raises ``NotConverged``.  (The name predates the
+    policy-iteration solve and is kept for callers.)
     """
-    h, dx = _log_grid(grid.h_min, grid.h_max, grid.n_points, cashflows.kinks)
-    r, sig2 = params.r, params.sigma**2
-    nu = r - params.delta - 0.5 * sig2
-
-    lower = 0.5 * sig2 / dx**2 - 0.5 * nu / dx   # weight of V_{i-1}
-    upper = 0.5 * sig2 / dx**2 + 0.5 * nu / dx   # weight of V_{i+1}
-    diag = sig2 / dx**2 + r
-    if lower <= 0.0 or upper <= 0.0:
-        raise InvalidParams(
-            f"grid too coarse for the drift (dx={dx:.3g}); increase n_points or shrink the window"
-        )
-
-    f = np.asarray(cashflows.payoff(h), dtype=float)
-    q = np.asarray(cashflows.coupon(h), dtype=float)
-    values = f.copy()
-    values[-1] = min(f[-1], float(q.max()) / r)
-
-    omega = grid.relaxation
-    n = grid.n_points
-    red = np.arange(1, n - 1, 2)
-    black = np.arange(2, n - 1, 2)
-
+    sig2 = params.sigma**2
+    nu = params.r - params.delta - 0.5 * sig2
+    prev = None
     sweeps = 0
-    for sweeps in range(1, grid.max_sweeps + 1):
-        change = 0.0
-        for group in (red, black):
-            gauss = (q[group] + lower * values[group - 1] + upper * values[group + 1]) / diag
-            updated = np.minimum(f[group], values[group] + omega * (gauss - values[group]))
-            change = max(change, float(np.max(np.abs(updated - values[group]))))
-            values[group] = updated
-        if change <= grid.tol:
-            break
-    else:
-        raise NotConverged(f"projected SOR did not meet tol={grid.tol} within {grid.max_sweeps} sweeps")
+    for n in _level_sizes(grid.n_points):
+        h, dx = _log_grid(grid.h_min, grid.h_max, n, cashflows.kinks)
+        lower = 0.5 * sig2 / dx**2 - 0.5 * nu / dx   # weight of V_{i-1}
+        upper = 0.5 * sig2 / dx**2 + 0.5 * nu / dx   # weight of V_{i+1}
+        diag = sig2 / dx**2 + params.r
+        if lower <= 0.0 or upper <= 0.0:
+            if n < grid.n_points:
+                continue
+            raise InvalidParams(
+                f"grid too coarse for the drift (dx={dx:.3g}); increase n_points or shrink the window"
+            )
+
+        f = np.asarray(cashflows.payoff(h), dtype=float)
+        q = np.asarray(cashflows.coupon(h), dtype=float)
+        top = min(float(f[-1]), float(q.max()) / params.r)
+        if prev is None:
+            stop = np.zeros(n, dtype=bool)
+        else:
+            h_prev, stop_prev = prev
+            stop = np.interp(np.log(h), np.log(h_prev), stop_prev.astype(float)) >= 0.5
+        f_list, q_list = f.tolist(), q.tolist()
+        for _ in range(n):
+            values = np.array(_policy_solve(stop.tolist(), f_list, q_list, lower, diag, upper, top))
+            sweeps += 1
+            av = diag * values[1:-1] - lower * values[:-2] - upper * values[2:]
+            improved = values[1:-1] - f[1:-1] >= av - q[1:-1]
+            if np.array_equal(improved, stop[1:-1]):
+                break
+            stop[1:-1] = improved
+        else:
+            raise NotConverged(f"policy iteration did not settle within {n} iterations on {n} nodes")
+        prev = (h, stop)
 
     stopping = (f - values) <= 1e-12 * (1.0 + np.abs(f))
     intervals = []

@@ -10,11 +10,11 @@ payment-adjusted rows is pinned at 9.98 and 14.28, not at the published
 h3 = p2/(1+p2) ((m B0/alpha)(1/r - 1/m) + 1), which is linear in m. The
 published mid-rate value repeats the low-rate row's h3 and would need
 m = 0.0326; the published high-rate value would need m = 0.0598. The
-projected-SOR grid oracle, which does not use the closed form, ends the
-stopping band at 9.984 and 14.257 on the 2001-node acceptance grids
-(within one cell of the identity), and on 8001 nodes puts the high-rate
-edge between the nodes 14.273 and 14.289. Criterion 6 checks this band
-edge for every payment-adjusted row with a band.
+grid oracle, which does not use the closed form, ends the stopping band
+at 9.984 and 14.257 on the 2001-node acceptance grids (within one cell
+of the identity), and on 8001 nodes puts the high-rate edge between the
+nodes 14.273 and 14.289. Criterion 6 checks this band edge for every
+payment-adjusted row with a band.
 """
 
 import time
@@ -43,7 +43,6 @@ from mortval import (
     threshold_policy_value,
 )
 from mortval.options import solve_contract, solve_no_prepay
-from mortval.oracle import optimal_relaxation
 from mortval.solution import Action
 
 from conftest import (
@@ -210,8 +209,7 @@ def test_criterion_6_oracle_triangle():
         solved = solve_contract(params, spec)
         cashflows = perpetual_cashflows(spec, params)
 
-        grid = GridSpec(h_min=grid_span[0], h_max=grid_span[1], n_points=2001,
-                        relaxation=optimal_relaxation(2001), tol=1e-9)
+        grid = GridSpec(h_min=grid_span[0], h_max=grid_span[1], n_points=2001)
         result = psor_value(params, cashflows, grid)
         mask = (result.grid >= window[0]) & (result.grid <= window[1])
         gap = float(np.max(np.abs(result.values[mask] - solved.value(result.grid[mask]))))

@@ -8,7 +8,7 @@ from mortval import (
     InvalidHorizon,
     InvalidParams,
     InvalidThresholds,
-    NotConverged,
+    ModelParams,
     PerpetualCashflows,
     mc_cashflow_value,
     perpetual_cashflows,
@@ -19,7 +19,7 @@ from mortval import (
     solve_frm,
     threshold_policy_value,
 )
-from mortval.oracle import optimal_relaxation
+from mortval.options import solve_contract
 
 from conftest import B0, M0, R0
 
@@ -36,8 +36,7 @@ def identity(x):
 class TestPsor:
     def test_frm_agreement_and_boundary_bracketing(self, params_low_benefit, frm_cashflows):
         solved = solve_frm(params_low_benefit, M0)
-        grid = GridSpec(h_min=0.02, h_max=4.5, n_points=1001,
-                        relaxation=optimal_relaxation(1001), tol=1e-10)
+        grid = GridSpec(h_min=0.02, h_max=4.5, n_points=1001)
         result = psor_value(params_low_benefit, frm_cashflows, grid)
         window = (result.grid >= 0.1) & (result.grid <= 3.0)
         gap = np.max(np.abs(result.values[window] - solved.value(result.grid[window])))
@@ -53,8 +52,7 @@ class TestPsor:
         solved = solve_frm(params_low_benefit, M0)
         errors = {}
         for n in (1001, 4001):
-            grid = GridSpec(h_min=0.02, h_max=4.5, n_points=n,
-                            relaxation=optimal_relaxation(n), tol=1e-10)
+            grid = GridSpec(h_min=0.02, h_max=4.5, n_points=n)
             result = psor_value(params_low_benefit, frm_cashflows, grid)
             window = (result.grid >= 0.1) & (result.grid <= 3.0)
             errors[n] = np.max(np.abs(result.values[window] - solved.value(result.grid[window])))
@@ -68,7 +66,7 @@ class TestPsor:
             prepay_amount=frm_cashflows.prepay_amount,
             kinks=frm_cashflows.kinks,
         )
-        grid = GridSpec(h_min=0.05, h_max=5.0, n_points=501, relaxation=optimal_relaxation(501))
+        grid = GridSpec(h_min=0.05, h_max=5.0, n_points=501)
         result = psor_value(params_low_benefit, cf, grid)
         payoff = np.asarray(cf.payoff(result.grid), dtype=float)
         assert np.all(result.values <= payoff + 1e-12)
@@ -83,30 +81,79 @@ class TestPsor:
         cf = PerpetualCashflows(coupon=frm_cashflows.coupon, payoff=identity,
                                 prepay_amount=identity, kinks=())
         solved = solve_frm_no_prepay(params_low_benefit, M0)
-        grid = GridSpec(h_min=0.02, h_max=30.0, n_points=2001,
-                        relaxation=optimal_relaxation(2001), tol=1e-10)
+        grid = GridSpec(h_min=0.02, h_max=30.0, n_points=2001)
         result = psor_value(params_low_benefit, cf, grid)
         window = (result.grid >= 0.1) & (result.grid <= 3.0)
         gap = np.max(np.abs(result.values[window] - solved.value(result.grid[window])))
         assert gap <= 1e-3
 
     def test_kink_lands_on_node(self, params_low_benefit, frm_cashflows):
-        grid = GridSpec(h_min=0.02, h_max=4.5, n_points=501, relaxation=optimal_relaxation(501))
+        grid = GridSpec(h_min=0.02, h_max=4.5, n_points=501)
         result = psor_value(params_low_benefit, frm_cashflows, grid)
         assert np.min(np.abs(result.grid - B0)) < 1e-12 * B0
 
-    def test_unconverged_raises(self, params_low_benefit, frm_cashflows):
-        grid = GridSpec(h_min=0.02, h_max=4.5, n_points=501, relaxation=1.0, tol=1e-12, max_sweeps=3)
-        with pytest.raises(NotConverged):
-            psor_value(params_low_benefit, frm_cashflows, grid)
+    @pytest.mark.parametrize("spec, h_max", [
+        (ContractSpec(kind=ContractKind.FRM, m=M0), 4.5),
+        (ContractSpec(kind=ContractKind.APRM, m=0.06, alpha=0.05), 171.0),
+    ], ids=["frm low-benefit", "aprm high-rate"])
+    def test_values_solve_the_discrete_lcp(self, params_low_benefit, spec, h_max):
+        params = params_low_benefit
+        cf = perpetual_cashflows(spec, params)
+        grid = GridSpec(h_min=0.02, h_max=h_max, n_points=2001)
+        result = psor_value(params, cf, grid)
+        assert result.sweeps <= grid.n_points
+
+        # rebuild the central-difference stencil of L_H - r from the nodes
+        h, v = result.grid, result.values
+        dx = np.log(h[1] / h[0])
+        sig2 = params.sigma**2
+        nu = params.r - params.delta - 0.5 * sig2
+        lower = 0.5 * sig2 / dx**2 - 0.5 * nu / dx
+        upper = 0.5 * sig2 / dx**2 + 0.5 * nu / dx
+        diag = sig2 / dx**2 + params.r
+        f = np.asarray(cf.payoff(h), dtype=float)[1:-1]
+        q = np.asarray(cf.coupon(h), dtype=float)[1:-1]
+        av = diag * v[1:-1] - lower * v[:-2] - upper * v[2:]
+
+        # complementarity at every interior node, both slacks in value units
+        stop_slack = f - v[1:-1]
+        continue_slack = (q - av) / diag
+        tol = 1e-10 * (1.0 + np.abs(f))
+        assert np.all(stop_slack >= -tol)
+        assert np.all(continue_slack >= -tol)
+        assert np.all(np.abs(np.minimum(stop_slack, continue_slack)) <= tol)
+
+    # Draws of the benchmark's grid workload on which projected SOR did not
+    # converge within 20 000 sweeps (parameters rounded as printed).
+    @pytest.mark.parametrize("r, delta, sigma, b0, spec", [
+        (0.01551, 0.05548, 0.07529, 0.8946, ContractSpec(kind=ContractKind.ABM, m=0.04896)),
+        (0.02398, 0.06747, 0.11123, 0.6864, ContractSpec(kind=ContractKind.ABM, m=0.05118)),
+        (0.01281, 0.04118, 0.07716, 0.7055, ContractSpec(kind=ContractKind.APRM, m=0.02322, alpha=0.402)),
+        (0.01945, 0.06464, 0.13385, 0.8198, ContractSpec(kind=ContractKind.APRM, m=0.03997, alpha=0.272)),
+    ], ids=["abm-a", "abm-b", "aprm-a", "aprm-b"])
+    def test_former_sor_failures_solve(self, r, delta, sigma, b0, spec):
+        params = ModelParams(r=r, delta=delta, sigma=sigma, b0=b0)
+        solved = solve_contract(params, spec)
+        bounds = solved.boundaries
+        # window rule of ``mortval oracle-check``
+        if "h3" in bounds:
+            h_max = 0.5 * (bounds["h2"] + bounds["h3"])
+            window_top = min(3.0, 0.99 * h_max)
+        elif "h2" in bounds:
+            h_max, window_top = max(3.0, 2.0 * bounds["h2"]), 3.0
+        else:
+            h_max, window_top = 12.0, 3.0
+        grid = GridSpec(h_min=2e-3, h_max=h_max, n_points=2001)
+        result = psor_value(params, perpetual_cashflows(spec, params), grid)
+        window = (result.grid >= 0.05) & (result.grid <= window_top)
+        gap = np.max(np.abs(result.values[window] - solved.value(result.grid[window])))
+        assert gap <= 1e-3
 
     def test_grid_validation(self):
         with pytest.raises(InvalidParams):
             GridSpec(h_min=0.0, h_max=1.0)
         with pytest.raises(InvalidParams):
             GridSpec(h_min=0.1, h_max=1.0, n_points=50)
-        with pytest.raises(InvalidParams):
-            GridSpec(h_min=0.1, h_max=1.0, relaxation=2.0)
 
 
 class TestThresholdPolicy:
