@@ -16,6 +16,7 @@ from .contracts import (
     abm_state,
     aprm_state,
     frm_schedule,
+    no_prepay_cashflows,
     perpetual_cashflows,
 )
 from .errors import (
@@ -40,9 +41,9 @@ from .foreclosure import (
     frm_value_with_foreclosure,
     max_rate,
 )
-from .frm import solve_frm, solve_frm_no_default, solve_frm_no_prepay
+from .frm import solve_frm, solve_frm_no_prepay
 from .model import Exponents, ModelParams, characteristic_residual, compute_exponents
-from .options import default_option_value, prepay_option_value
+from .options import default_option_value, prepay_option_value, solve_contract, solve_no_prepay
 from .oracle import GridSpec, McResult, OracleResult, mc_cashflow_value, psor_value, threshold_policy_value
 from .rootfind import RootConfig, find_root_bracketed, grow_bracket
 from .solution import Action, Region, SolvedContract
@@ -90,6 +91,7 @@ __all__ = [
     "grow_bracket",
     "max_rate",
     "mc_cashflow_value",
+    "no_prepay_cashflows",
     "perpetual_cashflows",
     "prepay_option_value",
     "psor_value",
@@ -97,9 +99,10 @@ __all__ = [
     "solve_abm_no_prepay",
     "solve_aprm",
     "solve_aprm_no_prepay",
+    "solve_contract",
     "solve_frm",
-    "solve_frm_no_default",
     "solve_frm_no_prepay",
+    "solve_no_prepay",
     "threshold_policy_value",
 ]
 

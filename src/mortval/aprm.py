@@ -104,10 +104,7 @@ def _beta2(params: ModelParams, m: float, ex: Exponents) -> float:
     )
 
 
-def aprm_regime(params: ModelParams, m: float) -> AprmRegime:
-    """Classify the rate regime and compute alpha* where it exists."""
-    require_positive_spread(m, params)
-    ex = compute_exponents(params)
+def _classify(params: ModelParams, m: float, ex: Exponents) -> AprmRegime:
     m_star = ex.p1 * params.delta / (ex.p1 - 1.0)
     if m <= params.delta:
         alpha_star = _alpha_star(params, m, _beta1(params, m, ex), ex)
@@ -116,6 +113,12 @@ def aprm_regime(params: ModelParams, m: float) -> AprmRegime:
         alpha_star = _alpha_star(params, m, _beta2(params, m, ex), ex)
         return AprmRegime(RateRegime.MID_RATE, m_star, alpha_star)
     return AprmRegime(RateRegime.HIGH_RATE, m_star, None)
+
+
+def aprm_regime(params: ModelParams, m: float) -> AprmRegime:
+    """Classify the rate regime and compute alpha* where it exists."""
+    require_positive_spread(m, params)
+    return _classify(params, m, compute_exponents(params))
 
 
 def solve_aprm_no_prepay(params: ModelParams, m: float) -> SolvedContract:
@@ -129,7 +132,10 @@ def solve_aprm_no_prepay(params: ModelParams, m: float) -> SolvedContract:
     match at 1 through the exponent identity.
     """
     require_positive_spread(m, params)
-    ex = compute_exponents(params)
+    return _held_forever(params, m, compute_exponents(params))
+
+
+def _held_forever(params: ModelParams, m: float, ex: Exponents) -> SolvedContract:
     p1, p2 = ex.p1, ex.p2
     load = m * params.b0 / params.delta
 
@@ -170,8 +176,8 @@ def solve_aprm(params: ModelParams, m: float, alpha: float) -> SolvedContract:
     require_positive_spread(m, params)
     if not (0.0 <= alpha < 1.0):
         raise InvalidSpec(f"sharing fraction must lie in [0, 1), got {alpha}")
-    regime = aprm_regime(params, m)
     ex = compute_exponents(params)
+    regime = _classify(params, m, ex)
     p1, p2 = ex.p1, ex.p2
     r, delta, b0 = params.r, params.delta, params.b0
     load = m * b0 / delta
@@ -183,14 +189,8 @@ def solve_aprm(params: ModelParams, m: float, alpha: float) -> SolvedContract:
 
     if regime.alpha_star is not None and alpha >= regime.alpha_star:
         if regime.regime is RateRegime.LOW_RATE:
-            # Never stop; identical to the held-forever value.
-            k1 = -(1.0 + p2) / (p1 * (p1 + p2)) * load
-            kt2 = -(p1 - 1.0) / (p2 * (p1 + p2)) * load
-            regions = (
-                Region(0.0, 1.0, Action.CONTINUE, c_p1=k1, k1=load),
-                Region(1.0, INF, Action.CONTINUE, c_p2=kt2, k0=m * b0 / r),
-            )
-            return SolvedContract(regions=regions, boundaries={}, exponents=ex)
+            # Never stop: the contract is worth its held-forever value.
+            return _held_forever(params, m, ex)
         # Mid rate, alpha >= alpha*: only the low-state boundary remains.
         ratio = 1.0 - delta / m
         h1 = (p1 * ratio) ** (1.0 / (p1 - 1.0))

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -19,10 +18,10 @@ from .aprm import aprm_regime
 from .contracts import (
     ContractKind,
     ContractSpec,
-    PerpetualCashflows,
     abm_state,
     aprm_state,
     frm_schedule,
+    no_prepay_cashflows,
     perpetual_cashflows,
 )
 from .errors import ValuationError
@@ -35,6 +34,7 @@ from .foreclosure import (
 from .model import ModelParams
 from .options import prepay_option_value, solve_contract, solve_no_prepay
 from .oracle import GridSpec, mc_cashflow_value, psor_value, threshold_policy_value
+from .solution import SolvedContract
 
 _SIG_DIGITS = 12
 
@@ -266,8 +266,7 @@ def _cmd_sweep(ns) -> int:
     names, one = _sweep_series(ns, params)
     xs = np.linspace(ns.x_min, ns.x_max, ns.steps + 1)
 
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        rows = list(pool.map(one, xs))
+    rows = [one(x) for x in xs]
 
     def fmt(v):
         return "" if v == "" else f"{float(v):.{_SIG_DIGITS}g}"
@@ -289,6 +288,21 @@ def _cmd_alpha_star(ns) -> int:
     return 0
 
 
+def grid_window(solved: SolvedContract) -> tuple[float, float]:
+    """Top grid node, and top of the window from 0.05 that ``oracle-check`` compares on."""
+    bounds = solved.boundaries
+    if "h3" in bounds:
+        # Top node inside the prepayment band, where the boundary data are
+        # exact in both branches of min(f, sup-coupon/r).
+        h_max = 0.5 * (bounds["h2"] + bounds["h3"])
+        return h_max, min(3.0, 0.99 * h_max)
+    if "h2" in bounds:
+        return max(3.0, 2.0 * bounds["h2"]), 3.0  # inside the top prepay region
+    # No stopping set above: the top condition is only asymptotic, and its
+    # error reaches the window like (3 / h_max)^{p1}; pad until that is 1e-3.
+    return max(12.0, 3.0 * 1e3 ** (1.0 / solved.exponents.p1)), 3.0
+
+
 def _cmd_oracle_check(ns) -> int:
     _require(ns, ["contract", "r", "delta", "sigma", "b0", "m"])
     params = _params_from(ns)
@@ -296,36 +310,18 @@ def _cmd_oracle_check(ns) -> int:
     solved = solve_contract(params, spec)
     cashflows = perpetual_cashflows(spec, params)
 
-    bounds = solved.boundaries
-    if "h3" in bounds:
-        # Top node inside the prepayment band, where the boundary data are
-        # exact in both branches of min(f, sup-coupon/r).
-        h_max = 0.5 * (bounds["h2"] + bounds["h3"])
-        window_top = min(3.0, 0.99 * h_max)
-    elif "h2" in bounds:
-        h_max = max(3.0, 2.0 * bounds["h2"])  # inside the top prepay region
-        window_top = 3.0
-    else:
-        # No stopping set above: the top condition is only asymptotic, so
-        # pad well past the reporting window (errors decay like h^{p1}).
-        h_max = 12.0
-        window_top = 3.0
+    h_max, window_top = grid_window(solved)
     grid_result = psor_value(params, cashflows, GridSpec(h_min=2e-3, h_max=h_max, n_points=ns.n_points))
     window = (grid_result.grid >= 0.05) & (grid_result.grid <= window_top)
     grid_gap = float(np.max(np.abs(grid_result.values[window] - solved.value(grid_result.grid[window]))))
 
+    bounds = solved.boundaries
     policy = (bounds.get("h1"), bounds.get("h2"))
     policy_gap = abs(threshold_policy_value(params, cashflows, policy, ns.h) - solved.value(ns.h))
 
     nopp = solve_no_prepay(params, spec)
-    if spec.kind is ContractKind.FRM:
-        flat = cashflows.coupon
-        nopp_cf = PerpetualCashflows(coupon=flat, payoff=lambda x: np.asarray(x, dtype=float),
-                                     prepay_amount=lambda x: np.asarray(x, dtype=float), kinks=())
-        mc = mc_cashflow_value(params, nopp_cf, (nopp.boundaries["h1"], None), ns.h,
-                               ns.n_paths, ns.horizon, ns.seed)
-    else:
-        mc = mc_cashflow_value(params, cashflows, None, ns.h, ns.n_paths, ns.horizon, ns.seed)
+    mc = mc_cashflow_value(params, no_prepay_cashflows(spec, params), (nopp.boundaries.get("h1"), None),
+                           ns.h, ns.n_paths, ns.horizon, ns.seed)
     mc_gap = abs(mc.estimate - nopp.value(ns.h))
     mc_tol = max(3.0 * mc.std_error, 5e-4) + mc.tail_bound
 

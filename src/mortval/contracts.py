@@ -116,6 +116,17 @@ def perpetual_cashflows(spec: ContractSpec, params: ModelParams) -> PerpetualCas
     return PerpetualCashflows(coupon=coupon, payoff=payoff, prepay_amount=prepay, kinks=kinks)
 
 
+def no_prepay_cashflows(spec: ContractSpec, params: ModelParams) -> PerpetualCashflows:
+    """Cashflows of ``spec`` without prepayment: its coupon, and a stop hands over h."""
+    full = perpetual_cashflows(spec, params)
+
+    def house(h):
+        return np.asarray(h, dtype=float)
+
+    kinks = () if spec.kind is ContractKind.FRM else full.kinks  # only the coupon can kink
+    return PerpetualCashflows(coupon=full.coupon, payoff=house, prepay_amount=house, kinks=kinks)
+
+
 def _check_schedule_args(m: float, T: float, t: float) -> None:
     if not (m > 0.0):
         raise InvalidSpec(f"mortgage rate must be positive, got {m}")

@@ -21,22 +21,27 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .abm import solve_abm
-from .aprm import solve_aprm
-from .contracts import ContractKind, require_positive_spread
+# ``solve_abm`` and ``solve_aprm`` are unused here but stay bound: the
+# tracer in perfbench/tracing.py wraps them through this module's namespace.
+from .abm import solve_abm  # noqa: F401
+from .aprm import solve_aprm  # noqa: F401
+from .contracts import ContractKind, ContractSpec, require_positive_spread
 from .errors import Degenerate, InvalidPhi, InvalidSpec, NoBracket
 from .frm import solve_frm
 from .model import ModelParams
+from .options import solve_contract
 from .rootfind import find_root_bracketed
 from .solution import Action, SolvedContract
 
 
-def _solve_target(params: ModelParams, kind: ContractKind, m: float, alpha: float) -> SolvedContract:
-    if kind is ContractKind.ABM:
-        return solve_abm(params, m)
-    if kind is ContractKind.APRM:
-        return solve_aprm(params, m, alpha)
-    raise InvalidSpec(f"comparison target must be ABM or APRM, got {kind}")
+def _solve(params: ModelParams, kind: ContractKind, m: float, alpha: float) -> SolvedContract:
+    """``kind`` at rate ``m``; the sharing fraction applies to the APRM only."""
+    return solve_contract(params, ContractSpec(kind, m, alpha if kind is ContractKind.APRM else 0.0))
+
+
+def _require_target(kind: ContractKind) -> None:
+    if kind is ContractKind.FRM:
+        raise InvalidSpec(f"comparison target must be ABM or APRM, got {kind}")
 
 
 def _loss_weight(h, h1: float, h2: float, p1: float, p2: float):
@@ -89,7 +94,8 @@ def equivalent_foreclosure_cost(
         raise Degenerate(
             f"no foreclosure cost can equate values at h={h} >= prepayment boundary {h2}"
         )
-    gap = solved_frm.value(h) - _solve_target(params, target, m_common, alpha).value(h)
+    _require_target(target)
+    gap = solved_frm.value(h) - _solve(params, target, m_common, alpha).value(h)
     phi = gap / weight
     return EquivalentCost(phi=phi, in_range=0.0 <= phi < 1.0)
 
@@ -111,11 +117,12 @@ def endogenous_spread(
     """
     require_positive_spread(m_f, params)
     want = frm_value_with_foreclosure(params, m_f, phi, h)
+    _require_target(target)
 
     lo = params.r * (1.0 + 1e-6)
     hi = max_rate(params, target, alpha)
-    v_lo = _solve_target(params, target, lo, alpha).value(h)
-    v_hi = _solve_target(params, target, hi, alpha).value(h)
+    v_lo = _solve(params, target, lo, alpha).value(h)
+    v_hi = _solve(params, target, hi, alpha).value(h)
     if not v_lo < v_hi:
         raise NoBracket(
             f"target value is not increasing in the rate across ({lo}, {hi}): {v_lo} vs {v_hi}"
@@ -126,7 +133,7 @@ def endogenous_spread(
         )
 
     def gap(m: float) -> float:
-        return _solve_target(params, target, m, alpha).value(h) - want
+        return _solve(params, target, m, alpha).value(h) - want
 
     m_target = find_root_bracketed(gap, lo, hi)
     return 1e4 * (m_target - m_f)
@@ -146,11 +153,7 @@ def max_rate(params: ModelParams, kind: ContractKind, alpha: float = 0.0) -> flo
     the cap returned.
     """
     def continues(m: float) -> bool:
-        if kind is ContractKind.FRM:
-            solved = solve_frm(params, m)
-        else:
-            solved = _solve_target(params, kind, m, alpha)
-        return solved.region_at(1.0).action is Action.CONTINUE
+        return _solve(params, kind, m, alpha).region_at(1.0).action is Action.CONTINUE
 
     lo = params.r * (1.0 + 1e-9)
     if not continues(lo):
@@ -162,7 +165,7 @@ def max_rate(params: ModelParams, kind: ContractKind, alpha: float = 0.0) -> flo
         if hi >= RATE_CAP:
             if continues(RATE_CAP):
                 return RATE_CAP
-            lo, hi = lo, RATE_CAP
+            hi = RATE_CAP
             break
     for _ in range(100):
         mid = 0.5 * (lo + hi)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .contracts import require_positive_spread
 from .model import ModelParams, compute_exponents
-from .rootfind import RootConfig, find_root_bracketed
+from .rootfind import find_root_bracketed
 from .solution import Action, Region, SolvedContract
 
 INF = float("inf")
@@ -78,18 +78,6 @@ def solve_frm(params: ModelParams, m: float) -> SolvedContract:
         Region(h2, INF, Action.PREPAY, k0=b0),
     )
     return SolvedContract(regions=regions, boundaries={"h1": h1, "h2": h2}, exponents=ex)
-
-
-def solve_frm_no_default(params: ModelParams, m: float) -> SolvedContract:
-    """FRM value when the borrower can only prepay.
-
-    With m > r the running payment stream is worth more than the balance,
-    so immediate prepayment is optimal and the value is B0 everywhere.
-    """
-    require_positive_spread(m, params)
-    ex = compute_exponents(params)
-    regions = (Region(0.0, INF, Action.PREPAY, k0=params.b0),)
-    return SolvedContract(regions=regions, boundaries={}, exponents=ex)
 
 
 def solve_frm_no_prepay(params: ModelParams, m: float) -> SolvedContract:

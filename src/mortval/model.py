@@ -64,11 +64,6 @@ class Exponents:
     p1: float
     p2: float
 
-    @property
-    def identity_residual_factor(self) -> float:
-        """(1+p2)/p2 * (p1-1)/p1, equal to delta/r for exact roots."""
-        return (1.0 + self.p2) / self.p2 * (self.p1 - 1.0) / self.p1
-
 
 def compute_exponents(params: ModelParams) -> Exponents:
     """Solve the characteristic quadratic for (p1, p2).

@@ -45,7 +45,7 @@ def default_option_value(params: ModelParams, spec: ContractSpec, h):
     so removing default changes nothing and the cost is exactly zero.
     """
     if spec.kind is ContractKind.FRM:
-        return params.b0 - solve_frm(params, spec.m).value(h)
+        return params.b0 - solve_contract(params, spec).value(h)
     arr = np.zeros_like(np.asarray(h, dtype=float))
     return float(arr) if arr.ndim == 0 else arr
 

@@ -27,13 +27,13 @@ from mortval import (
     ContractSpec,
     GridSpec,
     ModelParams,
-    PerpetualCashflows,
     aprm_regime,
     compute_exponents,
     default_option_value,
     endogenous_spread,
     max_rate,
     mc_cashflow_value,
+    no_prepay_cashflows,
     perpetual_cashflows,
     prepay_option_value,
     psor_value,
@@ -197,10 +197,6 @@ ORACLE_ROWS = [
 ]
 
 
-def _identity(x):
-    return np.asarray(x, dtype=float)
-
-
 def test_criterion_6_oracle_triangle():
     start = time.perf_counter()
     failures = []
@@ -234,26 +230,19 @@ def test_criterion_6_oracle_triangle():
 
     # Monte Carlo no-prepay cross-checks (deduplicated across rows: the
     # held-forever value does not depend on the sharing fraction).
-    mc_cases = []
-    frm_cf = perpetual_cashflows(ContractSpec(kind=ContractKind.FRM, m=M0), P45)
-    frm_nopp_cf = PerpetualCashflows(coupon=frm_cf.coupon, payoff=_identity,
-                                     prepay_amount=_identity, kinks=())
-    frm_nopp = solve_no_prepay(P45, ContractSpec(kind=ContractKind.FRM, m=M0))
-    mc_cases.append(("frm", P45, frm_nopp_cf, (frm_nopp.boundaries["h1"], None), frm_nopp, 200.0))
-    for label, params, m, horizon in (
-        ("abm low-benefit", P45, M0, 200.0),
-        ("abm tiny-benefit", P30, M0, 300.0),
-        ("aprm m=0.0326", P45, M0, 200.0),
-        ("aprm m=0.047", P45, 0.047, 200.0),
-        ("aprm m=0.06", P45, 0.06, 200.0),
-    ):
-        kind = ContractKind.ABM if label.startswith("abm") else ContractKind.APRM
-        spec = ContractSpec(kind=kind, m=m, alpha=0.05 if kind is ContractKind.APRM else 0.0)
-        mc_cases.append((label, params, perpetual_cashflows(spec, params), None,
-                         solve_no_prepay(params, spec), horizon))
-
-    for label, params, cashflows, policy, closed, horizon in mc_cases:
-        mc = mc_cashflow_value(params, cashflows, policy, 1.0, MC_PATHS, horizon, MC_SEED)
+    frm, abm, aprm = ContractKind.FRM, ContractKind.ABM, ContractKind.APRM
+    mc_cases = (
+        ("frm", P45, ContractSpec(kind=frm, m=M0), 200.0),
+        ("abm low-benefit", P45, ContractSpec(kind=abm, m=M0), 200.0),
+        ("abm tiny-benefit", P30, ContractSpec(kind=abm, m=M0), 300.0),
+        ("aprm m=0.0326", P45, ContractSpec(kind=aprm, m=M0, alpha=0.05), 200.0),
+        ("aprm m=0.047", P45, ContractSpec(kind=aprm, m=0.047, alpha=0.05), 200.0),
+        ("aprm m=0.06", P45, ContractSpec(kind=aprm, m=0.06, alpha=0.05), 200.0),
+    )
+    for label, params, spec, horizon in mc_cases:
+        closed = solve_no_prepay(params, spec)
+        policy = (closed.boundaries.get("h1"), None)  # the FRM can still default
+        mc = mc_cashflow_value(params, no_prepay_cashflows(spec, params), policy, 1.0, MC_PATHS, horizon, MC_SEED)
         tol = max(3.0 * mc.std_error, 5e-4)
         gap = abs(mc.estimate - closed.value(1.0))
         if gap > tol:

@@ -13,6 +13,7 @@ from mortval import (
     solve_aprm,
     solve_aprm_no_prepay,
 )
+from mortval import aprm
 from mortval.aprm import RateRegime
 from mortval.solution import Action
 
@@ -85,6 +86,10 @@ class TestLowRate:
         solved = solve_aprm(params_low_benefit, M0, 0.08)
         assert solved.boundaries == {}
         assert all(r.action is Action.CONTINUE for r in solved.regions)
+
+    def test_never_stopping_is_the_held_forever_contract(self, params_low_benefit):
+        solved = solve_aprm(params_low_benefit, M0, 0.08)
+        assert solved.regions == solve_aprm_no_prepay(params_low_benefit, M0).regions
 
     def test_constants_negative(self, params_low_benefit):
         solved = solve_aprm(params_low_benefit, M0, 0.05)
@@ -254,3 +259,18 @@ class TestNoPrepay:
         check_pasting(solved, tol=1e-12)
         check_monotone_concave(solved)
         assert solved.value(1e12) == pytest.approx(M0 * B0 / R0, rel=1e-5)
+
+
+# one per regime: low band, low never-stop, mid band, mid frozen, high
+@pytest.mark.parametrize("m, alpha", [(M0, 0.05), (M0, 0.08), (M_MID, 0.05), (M_MID, 0.6), (0.06, 0.05)])
+def test_exponents_computed_once_per_solve(params_low_benefit, monkeypatch, m, alpha):
+    calls = []
+
+    def counted(params):
+        calls.append(params)
+        return compute(params)
+
+    compute = aprm.compute_exponents
+    monkeypatch.setattr(aprm, "compute_exponents", counted)
+    solve_aprm(params_low_benefit, m, alpha)
+    assert len(calls) == 1

@@ -1,8 +1,18 @@
 import json
 
+import numpy as np
 import pytest
 
-from mortval.cli import main
+from mortval import (
+    ContractKind,
+    ContractSpec,
+    GridSpec,
+    ModelParams,
+    perpetual_cashflows,
+    psor_value,
+    solve_contract,
+)
+from mortval.cli import grid_window, main
 
 BASE = ["--r", "0.017825", "--delta", "0.045", "--sigma", "0.1125", "--b0", "0.9", "--m", "0.0326"]
 
@@ -184,3 +194,17 @@ class TestOracleCheck:
         assert code == 0, out
         assert out.count("ok") >= 3
         assert "truncation bound" in out
+
+    def test_grid_window_without_stopping_above_par(self):
+        # A payment-adjusted draw that only stops below par and has p1 = 1.78:
+        # with the top node fixed at 12 the asymptotic top condition put the
+        # grid 5.5e-3 off the closed form inside the window.
+        params = ModelParams(r=0.02839, delta=0.02635, sigma=0.18797, b0=0.869)
+        spec = ContractSpec(kind=ContractKind.APRM, m=0.04736, alpha=0.357)
+        solved = solve_contract(params, spec)
+        assert "h2" not in solved.boundaries
+        h_max, window_top = grid_window(solved)
+        assert h_max > 12.0 and window_top == 3.0
+        result = psor_value(params, perpetual_cashflows(spec, params), GridSpec(h_min=2e-3, h_max=h_max))
+        window = (result.grid >= 0.05) & (result.grid <= window_top)
+        assert np.max(np.abs(result.values[window] - solved.value(result.grid[window]))) <= 1e-3

@@ -11,6 +11,7 @@ from mortval import (
     abm_state,
     aprm_state,
     frm_schedule,
+    no_prepay_cashflows,
     perpetual_cashflows,
 )
 
@@ -84,6 +85,20 @@ class TestPerpetualCashflows:
         assert np.all(abm.prepay_amount(h) <= frm.prepay_amount(h) + 1e-15)
         low = h[h <= 1.0]
         assert np.all(aprm.coupon(low) <= frm.coupon(low) + 1e-15)
+
+
+    @pytest.mark.parametrize(
+        "kind,alpha",
+        [(ContractKind.FRM, 0.0), (ContractKind.ABM, 0.0), (ContractKind.APRM, 0.05)],
+    )
+    def test_no_prepay_keeps_coupon_and_hands_over_house(self, params, kind, alpha):
+        h = np.geomspace(1e-3, 1e3, 101)
+        full = perpetual_cashflows(spec(kind, alpha=alpha), params)
+        nopp = no_prepay_cashflows(spec(kind, alpha=alpha), params)
+        assert np.array_equal(nopp.coupon(h), full.coupon(h))
+        assert np.array_equal(nopp.payoff(h), h)
+        assert np.array_equal(nopp.prepay_amount(h), h)
+        assert nopp.kinks == (() if kind is ContractKind.FRM else full.kinks)
 
 
 class TestFrmSchedule:

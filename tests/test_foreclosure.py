@@ -5,6 +5,7 @@ from mortval import (
     ContractKind,
     Degenerate,
     InvalidPhi,
+    InvalidSpec,
     NoBracket,
     endogenous_spread,
     equivalent_foreclosure_cost,
@@ -155,3 +156,18 @@ class TestMaxRate:
         # origination at any rate (its prepay band sits strictly above 1),
         # so the search reports the cap.
         assert max_rate(params_low_benefit, ContractKind.APRM, 0.05) == RATE_CAP
+
+
+class TestTargets:
+    def test_fixed_rate_target_rejected(self, params_low_benefit):
+        with pytest.raises(InvalidSpec):
+            endogenous_spread(params_low_benefit, M0, 0.35, ContractKind.FRM)
+        with pytest.raises(InvalidSpec):
+            equivalent_foreclosure_cost(params_low_benefit, M0, ContractKind.FRM, 0.0, 1.0)
+
+    def test_balance_adjusted_target_ignores_sharing(self, params_low_benefit):
+        p, abm = params_low_benefit, ContractKind.ABM
+        assert endogenous_spread(p, M0, 0.35, abm, 0.5) == endogenous_spread(p, M0, 0.35, abm, 0.0)
+        assert (equivalent_foreclosure_cost(p, M0, abm, 0.5, 1.0)
+                == equivalent_foreclosure_cost(p, M0, abm, 0.0, 1.0))
+        assert max_rate(p, abm, 0.5) == max_rate(p, abm, 0.0)

@@ -7,7 +7,6 @@ from mortval import (
     NegativeSpread,
     perpetual_cashflows,
     solve_frm,
-    solve_frm_no_default,
     solve_frm_no_prepay,
     threshold_policy_value,
 )
@@ -138,15 +137,6 @@ def test_deterministic_bits(params_low_benefit):
     a = solve_frm(params_low_benefit, M0)
     b = solve_frm(params_low_benefit, M0)
     assert a.boundaries == b.boundaries and a.regions == b.regions
-
-
-class TestNoDefault:
-    def test_constant_balance_everywhere(self, params_low_benefit):
-        solved = solve_frm_no_default(params_low_benefit, M0)
-        for h in (1e-6, 0.3, 1.0, 1e6):
-            assert solved.value(h) == B0
-        assert [r.action for r in solved.regions] == [Action.PREPAY]
-        assert solved.boundaries == {}
 
 
 class TestNoPrepay:

@@ -19,6 +19,7 @@ from mortval import (
     solve_frm,
     threshold_policy_value,
 )
+from mortval.cli import grid_window
 from mortval.options import solve_contract
 
 from conftest import B0, M0, R0
@@ -134,15 +135,7 @@ class TestPsor:
     def test_former_sor_failures_solve(self, r, delta, sigma, b0, spec):
         params = ModelParams(r=r, delta=delta, sigma=sigma, b0=b0)
         solved = solve_contract(params, spec)
-        bounds = solved.boundaries
-        # window rule of ``mortval oracle-check``
-        if "h3" in bounds:
-            h_max = 0.5 * (bounds["h2"] + bounds["h3"])
-            window_top = min(3.0, 0.99 * h_max)
-        elif "h2" in bounds:
-            h_max, window_top = max(3.0, 2.0 * bounds["h2"]), 3.0
-        else:
-            h_max, window_top = 12.0, 3.0
+        h_max, window_top = grid_window(solved)
         grid = GridSpec(h_min=2e-3, h_max=h_max, n_points=2001)
         result = psor_value(params, perpetual_cashflows(spec, params), grid)
         window = (result.grid >= 0.05) & (result.grid <= window_top)
