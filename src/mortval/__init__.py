@@ -45,7 +45,7 @@ from .frm import solve_frm, solve_frm_no_prepay
 from .model import Exponents, ModelParams, characteristic_residual, compute_exponents
 from .options import default_option_value, prepay_option_value, solve_contract, solve_no_prepay
 from .oracle import GridSpec, McResult, OracleResult, mc_cashflow_value, psor_value, threshold_policy_value
-from .rootfind import RootConfig, find_root_bracketed, grow_bracket
+from .rootfind import find_root_bracketed, grow_bracket
 from .solution import Action, Region, SolvedContract
 
 __all__ = [
@@ -73,7 +73,6 @@ __all__ = [
     "PerpetualCashflows",
     "RateRegime",
     "Region",
-    "RootConfig",
     "SolvedContract",
     "UnsupportedRegime",
     "ValuationError",

@@ -33,6 +33,12 @@ from .solution import Action, Region, SolvedContract
 INF = float("inf")
 
 
+def _top_pasting(m: float, b0: float, r: float, h2: float, p1: float, p2: float) -> tuple[float, float]:
+    """h^{p1} and h^{-p2} coefficients on (B0, h2), pasted to the prepayment payoff at h2."""
+    scale = m * b0 * (1.0 / r - 1.0 / m) / (p1 + p2)
+    return -p2 * scale * h2**-p1, -p1 * scale * h2**p2
+
+
 def solve_abm(params: ModelParams, m: float) -> SolvedContract:
     """Value function and optimal prepayment boundaries of the ABM."""
     require_positive_spread(m, params)
@@ -42,9 +48,7 @@ def solve_abm(params: ModelParams, m: float) -> SolvedContract:
 
     if m <= delta:
         h2 = b0 * ((1.0 / r - (1.0 - 1.0 / p1) / delta) / (1.0 / r - 1.0 / m)) ** (1.0 / p2)
-        scale = m * b0 * (1.0 / r - 1.0 / m) / (p1 + p2)
-        ct1 = -p2 * scale * h2**-p1
-        ct2 = -p1 * scale * h2**p2
+        ct1, ct2 = _top_pasting(m, b0, r, h2, p1, p2)
         c1 = ct1 - m * b0 ** (1.0 - p1) / (p1 + p2) * ((1.0 + p2) / delta - p2 / r)
         regions = (
             Region(0.0, b0, Action.CONTINUE, c_p1=c1, k1=m / delta),
@@ -71,7 +75,7 @@ def solve_abm(params: ModelParams, m: float) -> SolvedContract:
     if m > p1 * delta / (p1 - 1.0):
         y_hi = ((p2 / (1.0 + p2) * inv_gap_rm) / ((p1 - 1.0) / (p1 * delta) - 1.0 / m)) ** (1.0 / p1)
     else:
-        _, y_hi = grow_bracket(g, y_lo, 2.0, factor=2.0, cap=1e6 * b0)
+        _, y_hi = grow_bracket(g, y_lo, 2.0, cap=1e6 * b0)
     if not (g(y_lo) < 0.0 <= g(y_hi)):
         raise NoBracket(
             f"lower-boundary equation has unexpected signs: g({y_lo})={g(y_lo)}, g({y_hi})={g(y_hi)}"
@@ -80,9 +84,7 @@ def solve_abm(params: ModelParams, m: float) -> SolvedContract:
     x_hat = x_of_y(y_hat)
     h1, h2 = b0 * x_hat, b0 * y_hat
 
-    scale = m * b0 * inv_gap_rm / (p1 + p2)
-    ct1 = -p2 * scale * h2**-p1
-    ct2 = -p1 * scale * h2**p2
+    ct1, ct2 = _top_pasting(m, b0, r, h2, p1, p2)
     gap = m / delta - 1.0
     c1 = -(1.0 + p2) / (p1 + p2) * gap * h1 ** (1.0 - p1)
     c2 = -(p1 - 1.0) / (p1 + p2) * gap * h1 ** (1.0 + p2)

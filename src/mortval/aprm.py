@@ -149,6 +149,22 @@ def _held_forever(params: ModelParams, m: float, ex: Exponents) -> SolvedContrac
     return SolvedContract(regions=regions, boundaries={}, exponents=ex)
 
 
+def _low_pasting(load: float, ratio: float, h1: float, p1: float, p2: float) -> tuple[float, float]:
+    """h^{p1} and h^{-p2} coefficients on (h1, 1), pasted to the low-state prepayment at h1."""
+    return (
+        -(1.0 + p2) / (p1 + p2) * load * ratio * h1 ** (1.0 - p1),
+        -(p1 - 1.0) / (p1 + p2) * load * ratio * h1 ** (1.0 + p2),
+    )
+
+
+def _band_pasting(alpha: float, h2: float, h3: float, p1: float, p2: float) -> tuple[float, float]:
+    """h^{p1} and h^{-p2} coefficients on (1, h2), pasted to the band payoff at h2."""
+    return (
+        -(1.0 + p2) / (p1 + p2) * alpha * h2**-p1 * (h3 - h2),
+        alpha / (p1 + p2) * h2**p2 * ((p1 - 1.0) * h2 - p1 * (1.0 + p2) / p2 * h3),
+    )
+
+
 def _solve_aprm_zero_alpha(params: ModelParams, m: float, ex: Exponents) -> SolvedContract:
     # With no sharing penalty the APRM problem is the ABM problem with unit
     # balance, scaled by B0: coupon m B0 min(1,h), payoff B0 min(1,h).
@@ -194,8 +210,7 @@ def solve_aprm(params: ModelParams, m: float, alpha: float) -> SolvedContract:
         # Mid rate, alpha >= alpha*: only the low-state boundary remains.
         ratio = 1.0 - delta / m
         h1 = (p1 * ratio) ** (1.0 / (p1 - 1.0))
-        k1 = -(1.0 + p2) / (p1 + p2) * load * ratio * h1 ** (1.0 - p1)
-        k2 = -(p1 - 1.0) / (p1 + p2) * load * ratio * h1 ** (1.0 + p2)
+        k1, k2 = _low_pasting(load, ratio, h1, p1, p2)
         kt2 = k2 - (p1 - 1.0) / (p2 * (p1 + p2)) * load
         regions = (
             Region(0.0, h1, Action.PREPAY, k1=b0),
@@ -223,8 +238,7 @@ def solve_aprm(params: ModelParams, m: float, alpha: float) -> SolvedContract:
             )
         h2 = find_root_bracketed(chi, lo, hi)
 
-        ct1 = -(1.0 + p2) / (p1 + p2) * alpha * h2**-p1 * (h3 - h2)
-        ct2 = alpha / (p1 + p2) * h2**p2 * ((p1 - 1.0) * h2 - p1 * (1.0 + p2) / p2 * h3)
+        ct1, ct2 = _band_pasting(alpha, h2, h3, p1, p2)
         c1 = ct1 - (1.0 + p2) / (p1 * (p1 + p2)) * load
         regions = (
             Region(0.0, 1.0, Action.CONTINUE, c_p1=c1, k1=load),
@@ -271,10 +285,8 @@ def solve_aprm(params: ModelParams, m: float, alpha: float) -> SolvedContract:
     h2 = find_root_bracketed(chi, lo, hi)
     h1 = (p1 * ratio / (1.0 + penalty_scale * p1 * h2**-p1 * (h3 - h2))) ** (1.0 / (p1 - 1.0))
 
-    c1 = -(1.0 + p2) / (p1 + p2) * load * ratio * h1 ** (1.0 - p1)
-    c2 = -(p1 - 1.0) / (p1 + p2) * load * ratio * h1 ** (1.0 + p2)
-    ct1 = -(1.0 + p2) / (p1 + p2) * alpha * h2**-p1 * (h3 - h2)
-    ct2 = alpha / (p1 + p2) * h2**p2 * ((p1 - 1.0) * h2 - p1 * (1.0 + p2) / p2 * h3)
+    c1, c2 = _low_pasting(load, ratio, h1, p1, p2)
+    ct1, ct2 = _band_pasting(alpha, h2, h3, p1, p2)
 
     regions = (
         Region(0.0, h1, Action.PREPAY, k1=b0),

@@ -188,61 +188,50 @@ def _cmd_solve(ns) -> int:
 
 
 def _sweep_series(ns, params):
+    """Column names, and the row at one x: the flag values with ``--x`` set to x."""
     kinds = [ContractKind(k.strip()) for k in (ns.contract or "frm,abm,aprm").split(",")]
+    targets = [k for k in kinds if k is not ContractKind.FRM] or [ContractKind.ABM, ContractKind.APRM]
+    base = {"h": ns.h, "m": ns.m, "alpha": ns.alpha, "phi": ns.phi}
 
-    def spec_for(kind, m=None, alpha=None):
-        a = (ns.alpha if alpha is None else alpha) if kind is ContractKind.APRM else 0.0
-        return ContractSpec(kind=kind, m=ns.m if m is None else m, alpha=a)
+    def spec_for(kind, pt):
+        return ContractSpec(kind=kind, m=pt["m"], alpha=pt["alpha"] if kind is ContractKind.APRM else 0.0)
 
-    quantity = ns.quantity
-    if quantity == "value":
-        def one(x):
-            out = []
-            for kind in kinds:
-                h, m, alpha = ns.h, ns.m, ns.alpha
-                if ns.x == "h":
-                    h = x
-                elif ns.x == "m":
-                    m = x
-                elif ns.x == "alpha":
-                    alpha = x
-                if kind is ContractKind.FRM and ns.phi is not None:
-                    out.append(frm_value_with_foreclosure(params, m, ns.phi, h))
-                else:
-                    out.append(solve_contract(params, spec_for(kind, m=m, alpha=alpha)).value(h))
-            return out
-        return [k.value for k in kinds], one
-    if quantity == "relpp":
-        def one(x):
-            out = []
-            for kind in kinds:
-                h = x if ns.x == "h" else ns.h
-                alpha = x if ns.x == "alpha" else ns.alpha
-                spec = spec_for(kind, alpha=alpha)
-                v = solve_contract(params, spec).value(h)
-                out.append(100.0 * prepay_option_value(params, spec, h) / v)
-            return out
-        return [k.value for k in kinds], one
-    if quantity == "equiv-phi":
-        targets = [k for k in kinds if k is not ContractKind.FRM] or [ContractKind.ABM, ContractKind.APRM]
-        def one(x):
-            h = x if ns.x == "h" else ns.h
-            return [equivalent_foreclosure_cost(params, ns.m, t, ns.alpha, h).phi for t in targets]
-        return [t.value for t in targets], one
-    if quantity == "spread":
-        targets = [k for k in kinds if k is not ContractKind.FRM] or [ContractKind.ABM, ContractKind.APRM]
-        def one(x):
-            phi = x if ns.x == "phi" else ns.phi
-            return [endogenous_spread(params, ns.m, phi, t, ns.alpha, h=ns.h) for t in targets]
-        return [t.value for t in targets], one
-    # boundaries: first requested contract only
-    kind = kinds[0]
-    def one(x):
-        m = x if ns.x == "m" else ns.m
-        alpha = x if ns.x == "alpha" else ns.alpha
-        solved = solve_contract(params, spec_for(kind, m=m, alpha=alpha))
+    def value(pt):
+        out = []
+        for kind in kinds:
+            if kind is ContractKind.FRM and pt["phi"] is not None:
+                out.append(frm_value_with_foreclosure(params, pt["m"], pt["phi"], pt["h"]))
+            else:
+                out.append(solve_contract(params, spec_for(kind, pt)).value(pt["h"]))
+        return out
+
+    def relpp(pt):
+        out = []
+        for kind in kinds:
+            spec = spec_for(kind, pt)
+            v = solve_contract(params, spec).value(pt["h"])
+            out.append(100.0 * prepay_option_value(params, spec, pt["h"]) / v)
+        return out
+
+    def equiv_phi(pt):
+        return [equivalent_foreclosure_cost(params, pt["m"], t, pt["alpha"], pt["h"]).phi for t in targets]
+
+    def spread(pt):
+        return [endogenous_spread(params, pt["m"], pt["phi"], t, pt["alpha"], h=pt["h"]) for t in targets]
+
+    def boundaries(pt):
+        # first requested contract only
+        solved = solve_contract(params, spec_for(kinds[0], pt))
         return [solved.boundaries.get(name, "") for name in ("h1", "h2", "h3")]
-    return ["h1", "h2", "h3"], one
+
+    names, row = {
+        "value": ([k.value for k in kinds], value),
+        "relpp": ([k.value for k in kinds], relpp),
+        "equiv-phi": ([t.value for t in targets], equiv_phi),
+        "spread": ([t.value for t in targets], spread),
+        "boundaries": (["h1", "h2", "h3"], boundaries),
+    }[ns.quantity]
+    return names, lambda x: row({**base, ns.x: x})
 
 
 _SWEEP_AXES = {

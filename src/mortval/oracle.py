@@ -10,7 +10,10 @@ Three routes, each built on different machinery than the solvers:
   cashflow of a *given* two-threshold stopping policy from the power
   solutions h^{p1}, h^{-p2} of the pricing ODE (no optimization anywhere).
 * :func:`mc_cashflow_value` simulates exact GBM increments on a weekly
-  grid and averages discounted cashflows with antithetic pairing.
+  grid and averages discounted cashflows with antithetic pairing.  One
+  simulator serves the held-forever integral and threshold policies: it
+  advances every live path through a chunk of weeks at once and finds
+  each path's exit step within the chunk.
 """
 
 from __future__ import annotations
@@ -343,7 +346,11 @@ def mc_cashflow_value(
     Exact GBM transition sampling on a weekly step, antithetic pairing,
     fixed-size path blocks with per-block derived seeds: estimates are
     reproducible bit-for-bit from ``seed`` and independent of how blocks
-    might be scheduled.
+    might be scheduled.  Each block draws its normals 256 weeks at a time
+    and simulates those weeks for all live paths together.  A policy run
+    draws the same normals as a run without one, and a band that no path
+    leaves, with a zero payoff, reproduces the policy-free estimate bit for
+    bit.  Once every path of a block has exited, the block stops drawing.
     """
     if n_paths < 10_000:
         raise InvalidParams(f"n_paths must be at least 10_000, got {n_paths}")
@@ -387,11 +394,9 @@ def mc_cashflow_value(
     for b in range(n_blocks):
         bp = min(_BLOCK_PAIRS, n_pairs - filled)
         rng = np.random.default_rng(children[b])
-        if policy is None:
-            vals = _simulate_integral(rng, cashflows, bp, n_steps, h, drift, vol, step_disc, dt)
-        else:
-            vals = _simulate_policy(rng, cashflows, policy, bp, n_steps, h, drift, vol, step_disc, dt)
-        pair_values[filled : filled + bp] = vals
+        pair_values[filled : filled + bp] = _simulate(
+            rng, cashflows, policy, bp, n_steps, h, drift, vol, step_disc, dt
+        )
         filled += bp
 
     estimate = float(np.mean(pair_values))
@@ -405,79 +410,79 @@ def mc_cashflow_value(
     )
 
 
-def _simulate_integral(rng, cashflows, bp, n_steps, h, drift, vol, step_disc, dt):
-    """Discounted coupon integral over the full horizon, antithetic pairs."""
-    log0 = math.log(h)
-    log_p = np.full(bp, log0)
-    log_m = np.full(bp, log0)
-    acc_p = np.zeros(bp)
-    acc_m = np.zeros(bp)
+def _simulate(rng, cashflows, policy, bp, n_steps, h, drift, vol, step_disc, dt):
+    """Pair values of ``bp`` antithetic pairs, simulated in time chunks.
+
+    Each chunk draws one (bp, nc) slab of normals that both sides share,
+    and each side sums its live paths' discounted coupons over the chunk's
+    steps.  A path ends at its first monitored step at or beyond a policy
+    threshold, or at the horizon: its coupons after that step are dropped,
+    the trapezoid rule halves the weight of its first and last coupon, and
+    under a policy it receives the payoff discounted to that step.  Ended
+    paths leave the later chunks, and the simulation stops once none is
+    left on either side.
+    """
+    lo, hi = -math.inf, math.inf
+    if policy is not None:
+        lo = lo if policy[0] is None else policy[0]
+        hi = hi if policy[1] is None else policy[1]
     g0 = float(cashflows.coupon(h))
+
+    def close(acc, disc_end, g_end, h_end):
+        # acc sums the discounted coupons of steps 1..end; the trapezoid
+        # rule takes half of step 0's and of the end step's.
+        vals = dt * (acc + g0 - 0.5 * (g0 + disc_end * g_end))
+        if policy is not None:
+            vals += disc_end * np.asarray(cashflows.payoff(h_end), dtype=float)
+        return vals
+
+    values = np.zeros((2, bp))
+    rows = [np.arange(bp), np.arange(bp)]   # pair index of each live path
+    logs = [np.full(bp, math.log(h)), np.full(bp, math.log(h))]
+    accs = [np.zeros(bp), np.zeros(bp)]
+
+    def advance(s, sign, z, disc):
+        """Move side ``s`` through one chunk; close and drop the paths that end in it."""
+        live = rows[s]
+        price = logs[s][:, None] + np.cumsum(
+            drift + sign * vol * (z if live.size == bp else z[live]), axis=1
+        )
+        logs[s] = price[:, -1].copy()
+        np.exp(price, out=price)
+        if policy is None:
+            accs[s] += np.asarray(cashflows.coupon(price), dtype=float) @ disc
+            return
+        # The rows that leave the band are found from their extremes, so the
+        # only (rows, nc) slabs besides z are the prices and then the
+        # coupons, as in the integral above.
+        nc = len(disc)
+        ended = np.flatnonzero((price.min(axis=1) <= lo) | (price.max(axis=1) >= hi))
+        leaving = price[ended]
+        k = ((leaving <= lo) | (leaving >= hi)).argmax(axis=1)   # first step at or beyond a threshold
+        h_end = leaving[np.arange(ended.size), k]
+        del leaving
+        g = np.asarray(cashflows.coupon(price), dtype=float)
+        del price
+        g[ended] *= np.arange(nc) <= k[:, None]   # no coupons after the exit
+        accs[s] += g @ disc
+        if ended.size:
+            values[s, live[ended]] = close(accs[s][ended], disc[k], g[ended, k], h_end)
+            rows[s], logs[s], accs[s] = (np.delete(a, ended) for a in (live, logs[s], accs[s]))
+
     done = 0
     disc_prev = 1.0
-    while done < n_steps:
+    while done < n_steps and (rows[0].size or rows[1].size):
         nc = min(_TIME_CHUNK, n_steps - done)
         z = rng.standard_normal((bp, nc))
         disc = disc_prev * step_disc ** np.arange(1, nc + 1)
-        for sign, logs, acc in ((1.0, log_p, acc_p), (-1.0, log_m, acc_m)):
-            paths = logs[:, None] + np.cumsum(drift + sign * vol * z, axis=1)
-            acc += np.asarray(cashflows.coupon(np.exp(paths)), dtype=float) @ disc
-            logs[:] = paths[:, -1]
+        for s, sign in enumerate((1.0, -1.0)):
+            if rows[s].size:
+                advance(s, sign, z, disc)
         disc_prev = disc[-1]
         done += nc
-    vals = []
-    for logs, acc in ((log_p, acc_p), (log_m, acc_m)):
-        g_last = disc_prev * np.asarray(cashflows.coupon(np.exp(logs)), dtype=float)
-        vals.append(dt * (acc + g0 - 0.5 * (g0 + g_last)))
-    return 0.5 * (vals[0] + vals[1])
-
-
-def _simulate_policy(rng, cashflows, policy, bp, n_steps, h, drift, vol, step_disc, dt):
-    """Coupons to the first monitored band exit, payoff there or at horizon."""
-    lower, upper = policy
-    lo = -np.inf if lower is None else lower
-    hi = np.inf if upper is None else upper
-    log0 = math.log(h)
-    g0 = float(cashflows.coupon(h))
-
-    state = []
-    for _ in range(2):
-        state.append({
-            "log": np.full(bp, log0),
-            "acc": np.zeros(bp),
-            "g_prev": np.full(bp, g0),
-            "active": np.ones(bp, dtype=bool),
-            "value": np.zeros(bp),
-        })
-
-    disc = 1.0
-    for _ in range(n_steps):
-        if not (state[0]["active"].any() or state[1]["active"].any()):
-            break
-        z = rng.standard_normal(bp)
-        disc *= step_disc
-        for sign, st in ((1.0, state[0]), (-1.0, state[1])):
-            act = st["active"]
-            if not act.any():
-                continue
-            st["log"][act] += drift + sign * vol * z[act]
-            price = np.exp(st["log"][act])
-            g_new = disc * np.asarray(cashflows.coupon(price), dtype=float)
-            st["acc"][act] += 0.5 * dt * (st["g_prev"][act] + g_new)
-            st["g_prev"][act] = g_new
-            exited = (price <= lo) | (price >= hi)
-            if exited.any():
-                idx = np.flatnonzero(act)[exited]
-                st["value"][idx] = st["acc"][idx] + disc * np.asarray(
-                    cashflows.payoff(price[exited]), dtype=float
-                )
-                st["active"][idx] = False
-
-    for st in state:
-        act = st["active"]
-        if act.any():
-            price = np.exp(st["log"][act])
-            st["value"][act] = st["acc"][act] + disc * np.asarray(
-                cashflows.payoff(price), dtype=float
-            )
-    return 0.5 * (state[0]["value"] + state[1]["value"])
+    for s in range(2):
+        if rows[s].size:
+            price = np.exp(logs[s])
+            g_end = np.asarray(cashflows.coupon(price), dtype=float)
+            values[s, rows[s]] = close(accs[s], disc_prev, g_end, price)
+    return 0.5 * (values[0] + values[1])

@@ -9,53 +9,32 @@ boundary equations have steep power-law behaviour near a bracket endpoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
-from .errors import InvalidParams, MaxIterExceeded, NoBracket
+from .errors import MaxIterExceeded, NoBracket
 
 _EPS = 2.220446049250313e-16  # float64 machine epsilon
 
-
-@dataclass(frozen=True)
-class RootConfig:
-    """Tolerance policy for bracketed root finding.
-
-    ``rel_tol`` is applied to the residual relative to the bracket's value
-    span |f(lo) - f(hi)|; ``abs_tol`` is an absolute residual floor.
-    """
-
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-14
-    max_iter: int = 200
-
-    def __post_init__(self) -> None:
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0 and self.max_iter >= 1):
-            raise InvalidParams(
-                f"RootConfig requires rel_tol > 0, abs_tol > 0, max_iter >= 1; "
-                f"got rel_tol={self.rel_tol}, abs_tol={self.abs_tol}, max_iter={self.max_iter}"
-            )
+# Residual tolerance relative to the bracket's value span |f(lo) - f(hi)|,
+# the absolute residual floor, and the iteration cap.  They are read at
+# call time.
+_REL_TOL = 1e-12
+_ABS_TOL = 1e-14
+_MAX_ITER = 200
 
 
-def find_root_bracketed(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    cfg: RootConfig | None = None,
-) -> float:
+def find_root_bracketed(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Return a root of ``f`` inside [lo, hi].
 
     Requires f(lo) * f(hi) <= 0.  The iteration stops once the residual
-    satisfies |f(x)| <= max(abs_tol, rel_tol * |f(lo) - f(hi)|) *and* the
-    bracket is within rel_tol of the iterate, or the bracket has collapsed
+    satisfies |f(x)| <= max(_ABS_TOL, _REL_TOL * |f(lo) - f(hi)|) *and* the
+    bracket is within _REL_TOL of the iterate, or the bracket has collapsed
     to floating-point resolution.  Demanding both guards against functions
     that span many orders of magnitude across the bracket, where the
     residual criterion alone is met far from the root.  The sequence of
     iterates is fully determined by the inputs, so identical calls return
     bit-identical results.
     """
-    if cfg is None:
-        cfg = RootConfig()
     if not lo < hi:
         raise NoBracket(f"need lo < hi, got [{lo}, {hi}]")
 
@@ -68,21 +47,21 @@ def find_root_bracketed(
     if fa * fb > 0.0:
         raise NoBracket(f"f has the same sign at both ends: f({lo})={fa}, f({hi})={fb}")
 
-    f_tol = max(cfg.abs_tol, cfg.rel_tol * abs(fa - fb))
+    f_tol = max(_ABS_TOL, _REL_TOL * abs(fa - fb))
 
     # Classic Brent bookkeeping: b is the current best iterate, c the
     # previous one with f(b) * f(c) <= 0, and [b, c] brackets the root.
     c, fc = a, fa
     d = e = b - a
 
-    for _ in range(cfg.max_iter):
+    for _ in range(_MAX_ITER):
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
 
         tol = 2.0 * _EPS * abs(b) + 0.5 * _EPS
         m = 0.5 * (c - b)
-        x_converged = abs(m) <= cfg.rel_tol * max(abs(b), 1.0)
+        x_converged = abs(m) <= _REL_TOL * max(abs(b), 1.0)
         if (abs(fb) <= f_tol and x_converged) or fb == 0.0 or abs(m) <= tol:
             return b
 
@@ -115,17 +94,16 @@ def find_root_bracketed(
             c, fc = a, fa
             d = e = b - a
 
-    raise MaxIterExceeded(f"no convergence within {cfg.max_iter} iterations")
+    raise MaxIterExceeded(f"no convergence within {_MAX_ITER} iterations")
 
 
 def grow_bracket(
     f: Callable[[float], float],
     lo: float,
     hi: float,
-    factor: float = 2.0,
     cap: float = float("inf"),
 ) -> tuple[float, float]:
-    """Expand ``hi`` geometrically until [lo, hi] brackets a sign change.
+    """Double ``hi`` until [lo, hi] brackets a sign change.
 
     The lower end stays fixed.  Raises ``NoBracket`` once ``hi`` would
     exceed ``cap`` without the sign of f flipping.
@@ -137,4 +115,4 @@ def grow_bracket(
             return lo, hi
         if hi >= cap:
             raise NoBracket(f"no sign change of f on [{lo}, {cap}]")
-        hi = min(hi * factor, cap)
+        hi = min(hi * 2.0, cap)

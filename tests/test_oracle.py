@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -234,3 +236,41 @@ class TestMonteCarlo:
         result = mc_cashflow_value(params_low_benefit, frm_cashflows, (0.5, 1.5), 2.0, 10_000, 200.0, 5)
         assert result.estimate == pytest.approx(B0)
         assert result.std_error == 0.0
+
+    def test_band_never_left_is_the_integral(self, params_low_benefit):
+        # One simulator serves both: with a band no path reaches and a zero
+        # payoff, the policy run does the integral's arithmetic bit for bit.
+        abm = perpetual_cashflows(ContractSpec(kind=ContractKind.ABM, m=M0), params_low_benefit)
+        cf = PerpetualCashflows(
+            coupon=abm.coupon, payoff=lambda h: np.zeros_like(np.asarray(h, dtype=float)),
+            prepay_amount=identity, kinks=abm.kinks,
+        )
+        plain = mc_cashflow_value(params_low_benefit, cf, None, 1.0, 10_000, 200.0, 11)
+        banded = mc_cashflow_value(params_low_benefit, cf, (1e-9, 1e9), 1.0, 10_000, 200.0, 11)
+        assert plain.std_error > 0.0
+        assert banded.estimate == plain.estimate and banded.std_error == plain.std_error
+
+    def test_exit_bookkeeping_on_a_near_deterministic_path(self):
+        # log H_t = mu t + sigma W_t with sigma = 1e-6.  The lower threshold
+        # sits half a week past step 300 of the deterministic path, 2.9e-4
+        # in log price from either monitoring date, while sigma W stays
+        # below 6 sigma sqrt(6) = 1.5e-5, so every path exits at step 301,
+        # in the second time chunk.  Antithetic pairs cancel the first-order
+        # effect of W; what remains is ~(1.5e-5)^2 / 2 relative, plus
+        # rounding, so 1e-9 separates the bookkeeping from any off-by-one:
+        # an exit a step early or late moves the value by 1.4e-4, a full
+        # instead of half trapezoid weight on the exit coupon by 2.9e-4.
+        params = ModelParams(r=0.02, delta=0.05, sigma=1e-6, b0=B0)
+        dt = 1.0 / 52.0
+        mu = params.r - params.delta - 0.5 * params.sigma**2
+        lower = math.exp(mu * 300.5 * dt)
+        cf = PerpetualCashflows(coupon=lambda h: 0.04 * np.asarray(h, dtype=float),
+                                payoff=identity, prepay_amount=identity, kinks=())
+        result = mc_cashflow_value(params, cf, (lower, None), 1.0, 10_000, 200.0, 3)
+
+        k = 301
+        t = dt * np.arange(k + 1)
+        disc_coupons = np.exp(-params.r * t) * 0.04 * np.exp(mu * t)
+        trapezoid = dt * (disc_coupons.sum() - 0.5 * (disc_coupons[0] + disc_coupons[-1]))
+        expected = trapezoid + math.exp(-params.r * t[-1]) * math.exp(mu * t[-1])
+        assert result.estimate == pytest.approx(expected, rel=1e-9, abs=0.0)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mortval import InvalidParams, MaxIterExceeded, NoBracket, RootConfig, find_root_bracketed, grow_bracket
+from mortval import MaxIterExceeded, NoBracket, find_root_bracketed, grow_bracket
+from mortval import rootfind
 
 # Independent oracle for the cos fixed point: plain fixed-point iteration
 # (cos is a contraction on [0, 1]), frozen to well below 1e-10.
@@ -47,18 +48,10 @@ def test_no_bracket_raises():
         find_root_bracketed(lambda x: x, 2.0, 1.0)
 
 
-def test_max_iter_exceeded():
+def test_max_iter_exceeded(monkeypatch):
+    monkeypatch.setattr(rootfind, "_MAX_ITER", 1)
     with pytest.raises(MaxIterExceeded):
-        find_root_bracketed(lambda x: math.cos(x) - x, 0.0, 1.0, RootConfig(max_iter=1))
-
-
-def test_config_validation():
-    with pytest.raises(InvalidParams):
-        RootConfig(rel_tol=0.0)
-    with pytest.raises(InvalidParams):
-        RootConfig(abs_tol=-1.0)
-    with pytest.raises(InvalidParams):
-        RootConfig(max_iter=0)
+        find_root_bracketed(lambda x: math.cos(x) - x, 0.0, 1.0)
 
 
 def test_determinism_bit_identical():
@@ -79,14 +72,13 @@ def test_determinism_bit_identical():
     pad_hi=st.floats(0.1, 10.0),
 )
 def test_monotone_residual_bound(root, slope, cubic, pad_lo, pad_hi):
-    """For monotone f with a sign change, the residual meets the config bound."""
+    """For monotone f with a sign change, the residual meets the tolerance bound."""
     def f(x):
         return slope * (x - root) + cubic * (x - root) ** 3
 
     lo, hi = root - pad_lo, root + pad_hi
-    cfg = RootConfig()
-    x_star = find_root_bracketed(f, lo, hi, cfg)
-    assert abs(f(x_star)) <= max(cfg.abs_tol, cfg.rel_tol * abs(f(lo) - f(hi)))
+    x_star = find_root_bracketed(f, lo, hi)
+    assert abs(f(x_star)) <= max(rootfind._ABS_TOL, rootfind._REL_TOL * abs(f(lo) - f(hi)))
 
 
 def test_grow_bracket_expands_to_sign_change():
