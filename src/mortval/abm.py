@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from .contracts import require_positive_spread
 from .errors import NoBracket
-from .model import ModelParams, compute_exponents
+from .model import Exponents, ModelParams, compute_exponents
 from .rootfind import find_root_bracketed, grow_bracket
 from .solution import Action, Region, SolvedContract
 
@@ -37,6 +37,28 @@ def _top_pasting(m: float, b0: float, r: float, h2: float, p1: float, p2: float)
     """h^{p1} and h^{-p2} coefficients on (B0, h2), pasted to the prepayment payoff at h2."""
     scale = m * b0 * (1.0 / r - 1.0 / m) / (p1 + p2)
     return -p2 * scale * h2**-p1, -p1 * scale * h2**p2
+
+
+def _low_pasting(load: float, ratio: float, h1: float, p1: float, p2: float) -> tuple[float, float]:
+    """h^{p1} and h^{-p2} coefficients above h1, pasted to the prepayment at h1 where the
+    coupon's particular solution is steeper than the payoff by ``load * ratio``."""
+    return (
+        -(1.0 + p2) / (p1 + p2) * load * ratio * h1 ** (1.0 - p1),
+        -(p1 - 1.0) / (p1 + p2) * load * ratio * h1 ** (1.0 + p2),
+    )
+
+
+def _held_forever(s: float, k: float, params: ModelParams, ex: Exponents) -> SolvedContract:
+    """A coupon s min(k, h) held forever; value and slope paste at the kink k."""
+    p1, p2 = ex.p1, ex.p2
+    slope = s / params.delta
+    c1 = -(1.0 + p2) / (p1 * (p1 + p2)) * slope * k ** (1.0 - p1)
+    c2 = -(p1 - 1.0) / (p2 * (p1 + p2)) * slope * k ** (1.0 + p2)
+    regions = (
+        Region(0.0, k, Action.CONTINUE, c_p1=c1, k1=slope),
+        Region(k, INF, Action.CONTINUE, c_p2=c2, k0=s * k / params.r),
+    )
+    return SolvedContract(regions=regions, boundaries={}, exponents=ex)
 
 
 def solve_abm(params: ModelParams, m: float) -> SolvedContract:
@@ -85,9 +107,7 @@ def solve_abm(params: ModelParams, m: float) -> SolvedContract:
     h1, h2 = b0 * x_hat, b0 * y_hat
 
     ct1, ct2 = _top_pasting(m, b0, r, h2, p1, p2)
-    gap = m / delta - 1.0
-    c1 = -(1.0 + p2) / (p1 + p2) * gap * h1 ** (1.0 - p1)
-    c2 = -(p1 - 1.0) / (p1 + p2) * gap * h1 ** (1.0 + p2)
+    c1, c2 = _low_pasting(1.0, m / delta - 1.0, h1, p1, p2)
 
     regions = (
         Region(0.0, h1, Action.PREPAY, k1=1.0),
@@ -111,15 +131,4 @@ def solve_abm_no_prepay(params: ModelParams, m: float) -> SolvedContract:
     B = -((p1-1)/(p2 (p1+p2))) (m/delta) B0^{1+p2}, both negative.
     """
     require_positive_spread(m, params)
-    ex = compute_exponents(params)
-    p1, p2 = ex.p1, ex.p2
-    b0, delta = params.b0, params.delta
-
-    a = -(1.0 + p2) / (p1 * (p1 + p2)) * (m / delta) * b0 ** (1.0 - p1)
-    b = -(p1 - 1.0) / (p2 * (p1 + p2)) * (m / delta) * b0 ** (1.0 + p2)
-
-    regions = (
-        Region(0.0, b0, Action.CONTINUE, c_p1=a, k1=m / delta),
-        Region(b0, INF, Action.CONTINUE, c_p2=b, k0=m * b0 / params.r),
-    )
-    return SolvedContract(regions=regions, boundaries={}, exponents=ex)
+    return _held_forever(m, params.b0, params, compute_exponents(params))

@@ -132,29 +132,7 @@ def solve_aprm_no_prepay(params: ModelParams, m: float) -> SolvedContract:
     match at 1 through the exponent identity.
     """
     require_positive_spread(m, params)
-    return _held_forever(params, m, compute_exponents(params))
-
-
-def _held_forever(params: ModelParams, m: float, ex: Exponents) -> SolvedContract:
-    p1, p2 = ex.p1, ex.p2
-    load = m * params.b0 / params.delta
-
-    c1 = -(1.0 + p2) / (p1 * (p1 + p2)) * load
-    c2 = -(p1 - 1.0) / (p2 * (p1 + p2)) * load
-
-    regions = (
-        Region(0.0, 1.0, Action.CONTINUE, c_p1=c1, k1=load),
-        Region(1.0, INF, Action.CONTINUE, c_p2=c2, k0=m * params.b0 / params.r),
-    )
-    return SolvedContract(regions=regions, boundaries={}, exponents=ex)
-
-
-def _low_pasting(load: float, ratio: float, h1: float, p1: float, p2: float) -> tuple[float, float]:
-    """h^{p1} and h^{-p2} coefficients on (h1, 1), pasted to the low-state prepayment at h1."""
-    return (
-        -(1.0 + p2) / (p1 + p2) * load * ratio * h1 ** (1.0 - p1),
-        -(p1 - 1.0) / (p1 + p2) * load * ratio * h1 ** (1.0 + p2),
-    )
+    return _abm._held_forever(m * params.b0, 1.0, params, compute_exponents(params))
 
 
 def _band_pasting(alpha: float, h2: float, h3: float, p1: float, p2: float) -> tuple[float, float]:
@@ -206,11 +184,11 @@ def solve_aprm(params: ModelParams, m: float, alpha: float) -> SolvedContract:
     if regime.alpha_star is not None and alpha >= regime.alpha_star:
         if regime.regime is RateRegime.LOW_RATE:
             # Never stop: the contract is worth its held-forever value.
-            return _held_forever(params, m, ex)
+            return _abm._held_forever(m * b0, 1.0, params, ex)
         # Mid rate, alpha >= alpha*: only the low-state boundary remains.
         ratio = 1.0 - delta / m
         h1 = (p1 * ratio) ** (1.0 / (p1 - 1.0))
-        k1, k2 = _low_pasting(load, ratio, h1, p1, p2)
+        k1, k2 = _abm._low_pasting(load, ratio, h1, p1, p2)
         kt2 = k2 - (p1 - 1.0) / (p2 * (p1 + p2)) * load
         regions = (
             Region(0.0, h1, Action.PREPAY, k1=b0),
@@ -285,7 +263,7 @@ def solve_aprm(params: ModelParams, m: float, alpha: float) -> SolvedContract:
     h2 = find_root_bracketed(chi, lo, hi)
     h1 = (p1 * ratio / (1.0 + penalty_scale * p1 * h2**-p1 * (h3 - h2))) ** (1.0 / (p1 - 1.0))
 
-    c1, c2 = _low_pasting(load, ratio, h1, p1, p2)
+    c1, c2 = _abm._low_pasting(load, ratio, h1, p1, p2)
     ct1, ct2 = _band_pasting(alpha, h2, h3, p1, p2)
 
     regions = (

@@ -33,8 +33,7 @@ from .foreclosure import (
 )
 from .model import ModelParams
 from .options import prepay_option_value, solve_contract, solve_no_prepay
-from .oracle import GridSpec, mc_cashflow_value, psor_value, threshold_policy_value
-from .solution import SolvedContract
+from .oracle import GridSpec, grid_window, mc_cashflow_value, psor_value, threshold_policy_value
 
 _SIG_DIGITS = 12
 
@@ -83,7 +82,7 @@ def _common_flags(sub, with_contract=True) -> None:
     sub.add_argument("--alpha", type=float, help="capital-gain sharing fraction (APRM)")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(prog="mortval", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -128,24 +127,41 @@ def _build_parser() -> argparse.ArgumentParser:
     sched.add_argument("--alpha", type=float)
     sched.add_argument("--config", help="JSON file with defaults for any flag")
 
-    return parser
+    return parser, subs.choices
 
 
 _DEFAULTS = {"alpha": 0.0, "h": 1.0, "format": "json", "n_points": 2001,
              "n_paths": 20000, "horizon": 200.0, "seed": 20200709, "steps": 50}
 
 
-def _merge_config(ns: argparse.Namespace) -> argparse.Namespace:
-    """Overlay explicit flags on config-file values on built-in defaults."""
+# JSON types a config value may take, by the type of its flag.
+_CONFIG_TYPES = {float: (int, float), int: (int,), None: (str,)}
+
+
+def _config_value(action: argparse.Action, value):
+    """A config-file value checked and converted like the flag ``action``."""
+    if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[action.type]):
+        raise ValuationError(f"config value {value!r} has the wrong type for {action.dest}")
+    if action.type is not None:
+        value = action.type(value)
+    if action.choices is not None and value not in action.choices:
+        raise ValuationError(f"config value {value!r} for {action.dest} is not one of {list(action.choices)}")
+    return value
+
+
+def _merge_config(ns: argparse.Namespace, actions: list[argparse.Action]) -> argparse.Namespace:
+    """Overlay explicit flags on config-file values on built-in defaults; other config keys are ignored."""
     config = {}
     if getattr(ns, "config", None):
         with open(ns.config) as fh:
             config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValuationError(f"config file must hold a JSON object, got {type(config).__name__}")
+    by_dest = {action.dest: action for action in actions}
     for key, value in vars(ns).items():
         if value is None:
             alt = config.get(key, config.get(key.replace("_", "-")))
-            if alt is None:
-                alt = _DEFAULTS.get(key)
+            alt = _DEFAULTS.get(key) if alt is None else _config_value(by_dest[key], alt)
             setattr(ns, key, alt)
     return ns
 
@@ -277,21 +293,6 @@ def _cmd_alpha_star(ns) -> int:
     return 0
 
 
-def grid_window(solved: SolvedContract) -> tuple[float, float]:
-    """Top grid node, and top of the window from 0.05 that ``oracle-check`` compares on."""
-    bounds = solved.boundaries
-    if "h3" in bounds:
-        # Top node inside the prepayment band, where the boundary data are
-        # exact in both branches of min(f, sup-coupon/r).
-        h_max = 0.5 * (bounds["h2"] + bounds["h3"])
-        return h_max, min(3.0, 0.99 * h_max)
-    if "h2" in bounds:
-        return max(3.0, 2.0 * bounds["h2"]), 3.0  # inside the top prepay region
-    # No stopping set above: the top condition is only asymptotic, and its
-    # error reaches the window like (3 / h_max)^{p1}; pad until that is 1e-3.
-    return max(12.0, 3.0 * 1e3 ** (1.0 / solved.exponents.p1)), 3.0
-
-
 def _cmd_oracle_check(ns) -> int:
     _require(ns, ["contract", "r", "delta", "sigma", "b0", "m"])
     params = _params_from(ns)
@@ -366,10 +367,10 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     ns = parser.parse_args(argv)
     try:
-        ns = _merge_config(ns)
+        ns = _merge_config(ns, commands[ns.command]._actions)
         return _COMMANDS[ns.command](ns)
     except ValuationError as exc:
         return _fail(exc)

@@ -19,6 +19,7 @@ with chi(1) < 1 this brackets the unique root in
 
 from __future__ import annotations
 
+from .abm import _top_pasting
 from .contracts import require_positive_spread
 from .model import ModelParams, compute_exponents
 from .rootfind import find_root_bracketed
@@ -68,9 +69,7 @@ def solve_frm(params: ModelParams, m: float) -> SolvedContract:
     h2 = b0 * y_hat
 
     # Pasting at h2; smooth pasting at h1 then holds to root tolerance.
-    scale = m * b0 * (1.0 / r - 1.0 / m) / (p1 + p2)
-    c1 = -p2 * scale * h2**-p1
-    c2 = -p1 * scale * h2**p2
+    c1, c2 = _top_pasting(m, b0, r, h2, p1, p2)
 
     regions = (
         Region(0.0, h1, Action.DEFAULT, k1=1.0),

@@ -31,6 +31,7 @@ from .errors import (
     NotConverged,
 )
 from .model import ModelParams, compute_exponents
+from .solution import SolvedContract
 
 _BLOCK_PAIRS = 8192   # fixed Monte Carlo block size; results do not depend on scheduling
 _TIME_CHUNK = 256     # steps simulated per vectorized slab
@@ -200,6 +201,22 @@ def psor_value(params: ModelParams, cashflows: PerpetualCashflows, grid: GridSpe
     )
 
 
+def grid_window(solved: SolvedContract) -> tuple[float, float]:
+    """Top node of a :func:`psor_value` grid for checking ``solved``, and the
+    top of the window from 0.05 on which ``mortval oracle-check`` compares them."""
+    bounds = solved.boundaries
+    if "h3" in bounds:
+        # Top node inside the prepayment band, where the boundary data are
+        # exact in both branches of min(f, sup-coupon/r).
+        h_max = 0.5 * (bounds["h2"] + bounds["h3"])
+        return h_max, min(3.0, 0.99 * h_max)
+    if "h2" in bounds:
+        return max(3.0, 2.0 * bounds["h2"]), 3.0  # inside the top prepay region
+    # No stopping set above: the top condition is only asymptotic, and its
+    # error reaches the window like (3 / h_max)^{p1}; pad until that is 1e-3.
+    return max(12.0, 3.0 * 1e3 ** (1.0 / solved.exponents.p1)), 3.0
+
+
 def _linear_pieces(
     cashflows: PerpetualCashflows, edges: list[float]
 ) -> list[tuple[float, float]]:
@@ -222,6 +239,13 @@ def _linear_pieces(
     return pieces
 
 
+def _check_thresholds(lower: float | None, upper: float | None) -> None:
+    if lower is not None and lower <= 0.0:
+        raise InvalidThresholds(f"lower threshold must be positive, got {lower}")
+    if lower is not None and upper is not None and not lower < upper:
+        raise InvalidThresholds(f"need lower < upper, got ({lower}, {upper})")
+
+
 def threshold_policy_value(
     params: ModelParams,
     cashflows: PerpetualCashflows,
@@ -240,10 +264,7 @@ def threshold_policy_value(
     cross-check.
     """
     lower, upper = thresholds
-    if lower is not None and lower <= 0.0:
-        raise InvalidThresholds(f"lower threshold must be positive, got {lower}")
-    if lower is not None and upper is not None and not lower < upper:
-        raise InvalidThresholds(f"need lower < upper, got ({lower}, {upper})")
+    _check_thresholds(lower, upper)
     if not h > 0.0:
         raise InvalidThresholds(f"evaluation price must be positive, got {h}")
 
@@ -361,11 +382,7 @@ def mc_cashflow_value(
     if policy is not None and policy == (None, None):
         policy = None
     if policy is not None:
-        lower, upper = policy
-        if lower is not None and lower <= 0.0:
-            raise InvalidThresholds(f"lower threshold must be positive, got {lower}")
-        if lower is not None and upper is not None and not lower < upper:
-            raise InvalidThresholds(f"need lower < upper, got ({lower}, {upper})")
+        _check_thresholds(*policy)
 
     dt = 1.0 / 52.0
     n_steps = int(round(horizon * 52.0))

@@ -13,13 +13,13 @@ V = h on a default region, V = B0 + alpha (h-1) on a prepayment band).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
 import numpy as np
 
-from .errors import UnsupportedRegime
+from .errors import InvalidParams, UnsupportedRegime
 from .model import Exponents
 
 
@@ -55,34 +55,29 @@ class Region:
     k1: float = 0.0
 
     def value(self, h, exponents: Exponents):
-        h = np.asarray(h, dtype=float)
-        v = self.k0 + self.k1 * h
-        # Power terms are skipped when their coefficient is zero so that
-        # affine stopping regions evaluate safely for arbitrarily large h.
-        if self.c_p1 != 0.0:
-            v = v + _power_term(self.c_p1, h, exponents.p1)
-        if self.c_p2 != 0.0:
-            v = v + _power_term(self.c_p2, h, -exponents.p2)
-        return v
+        return self._power_sum(h, exponents, 0)
 
     def derivative(self, h, exponents: Exponents):
-        h = np.asarray(h, dtype=float)
-        d = np.full_like(h, self.k1)
-        if self.c_p1 != 0.0:
-            d = d + _power_term(self.c_p1 * exponents.p1, h, exponents.p1 - 1.0)
-        if self.c_p2 != 0.0:
-            d = d - _power_term(self.c_p2 * exponents.p2, h, -exponents.p2 - 1.0)
-        return d
+        return self._power_sum(h, exponents, 1)
 
     def second_derivative(self, h, exponents: Exponents):
+        return self._power_sum(h, exponents, 2)
+
+    def _power_sum(self, h, exponents: Exponents, order: int):
+        """Derivative of the given order (0, 1 or 2) of this piece at ``h``."""
         h = np.asarray(h, dtype=float)
-        p1, p2 = exponents.p1, exponents.p2
-        s = np.zeros_like(h)
-        if self.c_p1 != 0.0:
-            s = s + _power_term(self.c_p1 * p1 * (p1 - 1.0), h, p1 - 2.0)
-        if self.c_p2 != 0.0:
-            s = s + _power_term(self.c_p2 * p2 * (p2 + 1.0), h, -p2 - 2.0)
-        return s
+        if order == 0:
+            out = self.k0 + self.k1 * h
+        else:
+            out = np.full_like(h, self.k1 if order == 1 else 0.0)
+        for coeff, p in ((self.c_p1, exponents.p1), (self.c_p2, -exponents.p2)):
+            # Power terms are skipped when their coefficient is zero so that
+            # affine stopping regions evaluate safely for arbitrarily large h.
+            if coeff != 0.0:
+                for j in range(order):
+                    coeff *= p - j   # falling factorial p (p-1) ...
+                out = out + _power_term(coeff, h, p - order)
+        return out
 
 
 @dataclass(frozen=True)
@@ -98,12 +93,19 @@ class SolvedContract:
     regions: tuple[Region, ...]
     boundaries: Mapping[str, float]
     exponents: Exponents
+    _cuts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         regs = self.regions
         assert regs[0].lo == 0.0 and regs[-1].hi == np.inf
+        # Prices up to each cut belong to the region left of it: the cut is the
+        # edge, or one float below it where the stopping side is on the right.
+        cuts = []
         for left, right in zip(regs, regs[1:]):
             assert left.hi == right.lo and left.lo < left.hi
+            right_owns = left.action is Action.CONTINUE and right.action is not Action.CONTINUE
+            cuts.append(math.nextafter(left.hi, -math.inf) if right_owns else left.hi)
+        object.__setattr__(self, "_cuts", np.array(cuts))
         for reg in regs:
             if not all(map(math.isfinite, (reg.c_p1, reg.c_p2, reg.k0, reg.k1))):
                 # Boundary exponent products past float range (p ln h beyond
@@ -114,40 +116,28 @@ class SolvedContract:
                     f"({reg.lo}, {reg.hi})"
                 )
 
-    def _edges(self) -> tuple[np.ndarray, np.ndarray]:
-        edges = np.array([reg.hi for reg in self.regions[:-1]])
-        owner_left = np.array(
-            [
-                self.regions[i].action is not Action.CONTINUE
-                or self.regions[i + 1].action is Action.CONTINUE
-                for i in range(len(edges))
-            ]
-        )
-        return edges, owner_left
-
     def region_index(self, h):
         """Index of the region owning each price in ``h``."""
-        h_arr = np.asarray(h, dtype=float)
-        edges, owner_left = self._edges()
-        idx = np.searchsorted(edges, h_arr, side="right")
-        for j, edge in enumerate(edges):
-            if owner_left[j]:
-                idx = np.where(h_arr == edge, j, idx)
-        return int(idx) if np.isscalar(h) or h_arr.ndim == 0 else idx
+        idx = np.searchsorted(self._cuts, h)
+        return int(idx) if np.ndim(idx) == 0 else idx
 
     def region_at(self, h: float) -> Region:
         return self.regions[self.region_index(float(h))]
 
     def _apply(self, h, fn: str):
-        h_arr = np.atleast_1d(np.asarray(h, dtype=float))
-        idx = np.asarray(self.region_index(h_arr))
+        h_arr = np.asarray(h, dtype=float)
+        ok = (h_arr > 0.0) & (h_arr < np.inf)
+        if not ok.all():
+            raise InvalidParams(f"house price must be positive and finite, got {h_arr[~ok].flat[0]}")
+        if h_arr.ndim == 0:
+            h = float(h_arr)
+            return float(getattr(self.regions[self.region_index(h)], fn)(h, self.exponents))
+        idx = self.region_index(h_arr)
         out = np.empty_like(h_arr)
         for i, reg in enumerate(self.regions):
             mask = idx == i
             if mask.any():
                 out[mask] = getattr(reg, fn)(h_arr[mask], self.exponents)
-        if np.isscalar(h) or np.asarray(h).ndim == 0:
-            return float(out[0])
         return out
 
     def value(self, h):

@@ -12,7 +12,8 @@ from mortval import (
     psor_value,
     solve_contract,
 )
-from mortval.cli import grid_window, main
+from mortval.cli import main
+from mortval.oracle import grid_window
 
 BASE = ["--r", "0.017825", "--delta", "0.045", "--sigma", "0.1125", "--b0", "0.9", "--m", "0.0326"]
 
@@ -84,10 +85,48 @@ class TestSolve:
         assert code == 0
         assert payload["foreclosure_value_at_h"] < payload["value_at_h"]
 
+    @pytest.mark.parametrize("h", ["-1", "0", "inf", "nan"])
+    def test_price_must_be_positive_and_finite(self, capsys, h):
+        code, out, err = run(capsys, ["solve", "--contract", "abm", "--h", h, *BASE])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "InvalidParams"
+
     def test_twelve_significant_digits(self, capsys):
         _, out, _ = run(capsys, ["solve", "--contract", "frm", *BASE])
         h1 = json.loads(out)["boundaries"]["h1"]
         assert len(repr(h1).replace("0.", "")) <= 12
+
+
+class TestConfig:
+    SWEEP = {"r": 0.017825, "delta": 0.045, "sigma": 0.1125, "b0": 0.9, "m": 0.0326,
+             "quantity": "value", "x": "h", "x-min": 0.5, "x-max": 1.5, "steps": 2}
+
+    @pytest.mark.parametrize("config", [
+        [1, 2],
+        {**SWEEP, "r": "0.017825"},
+        {**SWEEP, "steps": 2.5},
+        {**SWEEP, "steps": True},
+        {**SWEEP, "quantity": "bogus"},
+    ])
+    def test_bad_values_exit_2(self, capsys, tmp_path, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run(capsys, ["sweep", "--config", str(path)])
+        assert code == 2 and out == ""
+        assert "error" in json.loads(err)
+
+    def test_integers_for_float_flags_and_unknown_keys(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**self.SWEEP, "x-max": 2, "note": [1, 2]}))
+        code, out, _ = run(capsys, ["sweep", "--config", str(path)])
+        assert code == 0
+        assert [line.split("\t")[0] for line in out.splitlines()[1:]] == ["0.5", "1.25", "2"]
+
+    def test_flag_overrides_a_bad_config_value(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**self.SWEEP, "quantity": "bogus"}))
+        code, _, _ = run(capsys, ["sweep", "--config", str(path), "--quantity", "value"])
+        assert code == 0
 
 
 class TestSweep:
@@ -138,6 +177,14 @@ class TestSweep:
         assert lines[0] == "x\th1\th2\th3"
         assert all(len(line.split("\t")) == 4 for line in lines[1:])
         assert all(line.split("\t")[3] == "" for line in lines[1:])  # two-boundary contract
+
+    def test_zero_price_exits_2(self, capsys):
+        code, _, err = run(capsys, [
+            "sweep", "--quantity", "relpp", "--x", "h",
+            "--x-min", "0", "--x-max", "1", "--steps", "2", *BASE,
+        ])
+        assert code == 2
+        assert json.loads(err)["error"] == "InvalidParams"
 
     def test_invalid_range_exits_2(self, capsys):
         code, _, err = run(capsys, [

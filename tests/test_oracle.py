@@ -21,7 +21,7 @@ from mortval import (
     solve_frm,
     threshold_policy_value,
 )
-from mortval.cli import grid_window
+from mortval.oracle import grid_window
 from mortval.options import solve_contract
 
 from conftest import B0, M0, R0
