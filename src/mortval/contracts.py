@@ -58,6 +58,11 @@ class ContractSpec:
             raise InvalidSpec(f"alpha is only meaningful for APRM, got {self.alpha} for {self.kind.value}")
 
 
+def contract_spec(kind: ContractKind, m: float, alpha: float) -> ContractSpec:
+    """``kind`` at rate ``m``; the sharing fraction applies to the APRM only."""
+    return ContractSpec(kind, m, alpha if kind is ContractKind.APRM else 0.0)
+
+
 def require_positive_spread(m: float, params: ModelParams) -> None:
     if not (m > params.r):
         raise NegativeSpread(f"mortgage rate {m} must exceed the risk-free rate {params.r}")

@@ -25,18 +25,17 @@ import numpy as np
 # tracer in perfbench/tracing.py wraps them through this module's namespace.
 from .abm import solve_abm  # noqa: F401
 from .aprm import solve_aprm  # noqa: F401
-from .contracts import ContractKind, ContractSpec, require_positive_spread
+from .contracts import ContractKind, contract_spec, require_positive_spread
 from .errors import Degenerate, InvalidPhi, InvalidSpec, NoBracket
 from .frm import solve_frm
 from .model import ModelParams
 from .options import solve_contract
 from .rootfind import find_root_bracketed
-from .solution import Action, SolvedContract
+from .solution import Action, SolvedContract, checked_prices
 
 
 def _solve(params: ModelParams, kind: ContractKind, m: float, alpha: float) -> SolvedContract:
-    """``kind`` at rate ``m``; the sharing fraction applies to the APRM only."""
-    return solve_contract(params, ContractSpec(kind, m, alpha if kind is ContractKind.APRM else 0.0))
+    return solve_contract(params, contract_spec(kind, m, alpha))
 
 
 def _require_target(kind: ContractKind) -> None:
@@ -89,7 +88,7 @@ def equivalent_foreclosure_cost(
     solved_frm = solve_frm(params, m_common)
     h1, h2 = solved_frm.boundaries["h1"], solved_frm.boundaries["h2"]
     ex = solved_frm.exponents
-    weight = float(_loss_weight(h, h1, h2, ex.p1, ex.p2))
+    weight = float(_loss_weight(checked_prices(h), h1, h2, ex.p1, ex.p2))
     if weight == 0.0:
         raise Degenerate(
             f"no foreclosure cost can equate values at h={h} >= prepayment boundary {h2}"

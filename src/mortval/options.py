@@ -15,7 +15,7 @@ from .aprm import solve_aprm, solve_aprm_no_prepay
 from .contracts import ContractKind, ContractSpec
 from .frm import solve_frm, solve_frm_no_prepay
 from .model import ModelParams
-from .solution import SolvedContract
+from .solution import SolvedContract, checked_prices
 
 
 def solve_contract(params: ModelParams, spec: ContractSpec) -> SolvedContract:
@@ -42,11 +42,13 @@ def default_option_value(params: ModelParams, spec: ContractSpec, h):
     For the FRM the no-default value is B0 (immediate prepayment), so the
     cost is B0 - V(h).  The balance adjustments of the ABM and APRM keep
     the termination payment equal to the prepayment amount in every state,
-    so removing default changes nothing and the cost is exactly zero.
+    so removing default changes nothing and the cost is exactly zero.  A
+    price that is not positive and finite raises ``InvalidParams`` for
+    every kind.
     """
     if spec.kind is ContractKind.FRM:
         return params.b0 - solve_contract(params, spec).value(h)
-    arr = np.zeros_like(np.asarray(h, dtype=float))
+    arr = np.zeros_like(checked_prices(h))
     return float(arr) if arr.ndim == 0 else arr
 
 

@@ -42,6 +42,15 @@ def _power_term(coeff: float, h: np.ndarray, exponent: float) -> np.ndarray:
     return math.copysign(1.0, coeff) * magnitude
 
 
+def checked_prices(h) -> np.ndarray:
+    """``h`` as a float array, once every price in it is positive and finite."""
+    h_arr = np.asarray(h, dtype=float)
+    ok = (h_arr > 0.0) & (h_arr < np.inf)
+    if not ok.all():
+        raise InvalidParams(f"house price must be positive and finite, got {h_arr[~ok].flat[0]}")
+    return h_arr
+
+
 @dataclass(frozen=True)
 class Region:
     """One piece of a solved value function on the interval (lo, hi)."""
@@ -125,10 +134,7 @@ class SolvedContract:
         return self.regions[self.region_index(float(h))]
 
     def _apply(self, h, fn: str):
-        h_arr = np.asarray(h, dtype=float)
-        ok = (h_arr > 0.0) & (h_arr < np.inf)
-        if not ok.all():
-            raise InvalidParams(f"house price must be positive and finite, got {h_arr[~ok].flat[0]}")
+        h_arr = checked_prices(h)
         if h_arr.ndim == 0:
             h = float(h_arr)
             return float(getattr(self.regions[self.region_index(h)], fn)(h, self.exponents))

@@ -12,7 +12,7 @@ from mortval import (
     psor_value,
     solve_contract,
 )
-from mortval.cli import main
+from mortval.cli import _COMMANDS, _FLAGS, main
 from mortval.oracle import grid_window
 
 BASE = ["--r", "0.017825", "--delta", "0.045", "--sigma", "0.1125", "--b0", "0.9", "--m", "0.0326"]
@@ -22,6 +22,31 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# A complete command line for each command: every flag it requires, and no more.
+FULL = {
+    "solve": ["--contract", "frm", *BASE],
+    "sweep": [*BASE, "--quantity", "value", "--x", "h", "--x-min", "0.5", "--x-max", "1.5"],
+    "alpha-star": BASE,
+    "oracle-check": ["--contract", "frm", *BASE],
+    "schedule": ["--kind", "frm", "--m", "0.0326", "--b0", "0.9", "--T", "30", "--t", "0"],
+}
+
+
+class TestTables:
+    @pytest.mark.parametrize("command,dest", [(c, d) for c, entry in _COMMANDS.items() for d in entry[3]])
+    def test_dropping_a_required_flag_names_it(self, capsys, command, dest):
+        argv = list(FULL[command])
+        at = argv.index("--" + dest.replace("_", "-"))
+        del argv[at:at + 2]
+        code, out, err = run(capsys, [command, *argv])
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "ValuationError", "detail": f"missing required flags: --{dest}"}
+
+    def test_every_flag_is_used(self):
+        used = {dest for entry in _COMMANDS.values() for dest in entry[2]}
+        assert set(_FLAGS) == used | {"config"}
 
 
 class TestSolve:
@@ -186,6 +211,15 @@ class TestSweep:
         assert code == 2
         assert json.loads(err)["error"] == "InvalidParams"
 
+    @pytest.mark.filterwarnings("error")
+    def test_zero_price_equiv_phi_exits_2(self, capsys):
+        code, out, err = run(capsys, [
+            "sweep", "--quantity", "equiv-phi", "--x", "h",
+            "--x-min", "0", "--x-max", "1", "--steps", "2", *BASE,
+        ])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "InvalidParams"
+
     def test_invalid_range_exits_2(self, capsys):
         code, _, err = run(capsys, [
             "sweep", "--quantity", "value", "--x", "h",
@@ -202,6 +236,12 @@ class TestAlphaStar:
         payload = json.loads(out)
         assert payload["alpha_star"] == pytest.approx(0.0766, abs=0.001)
         assert payload["regime"] == "low_rate"
+
+    def test_takes_no_alpha(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["alpha-star", *BASE, "--alpha", "0.1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --alpha 0.1" in capsys.readouterr().err
 
     def test_high_rate_reports_null(self, capsys):
         code, out, _ = run(capsys, ["alpha-star", *BASE[:-1], "0.06"])
@@ -225,6 +265,10 @@ class TestSchedule:
         assert code == 0
         payload = json.loads(out)
         assert payload["prepay_amount"] - payload["balance"] == pytest.approx(0.02)
+
+    def test_price_defaults_to_one(self, capsys):
+        argv = ["schedule", "--kind", "abm", "--m", "0.0326", "--b0", "0.9", "--T", "30", "--t", "10"]
+        assert run(capsys, argv) == run(capsys, [*argv, "--h", "1"])
 
     def test_bad_time_exits_2(self, capsys):
         code, _, err = run(capsys, ["schedule", "--kind", "frm", "--m", "0.0326", "--b0", "0.9", "--T", "30", "--t", "31"])

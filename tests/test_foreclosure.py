@@ -4,6 +4,7 @@ import pytest
 from mortval import (
     ContractKind,
     Degenerate,
+    InvalidParams,
     InvalidPhi,
     InvalidSpec,
     NoBracket,
@@ -83,6 +84,12 @@ class TestEquivalentCost:
         h2 = solve_frm(params_low_benefit, M0).boundaries["h2"]
         with pytest.raises(Degenerate):
             equivalent_foreclosure_cost(params_low_benefit, M0, ContractKind.ABM, 0.0, h2 * 1.1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("h", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_price_raises_without_warning(self, params_low_benefit, h):
+        with pytest.raises(InvalidParams):
+            equivalent_foreclosure_cost(params_low_benefit, M0, ContractKind.ABM, 0.0, h)
 
     def test_out_of_range_flagged_not_clamped(self, params_high_benefit):
         # Just below the prepayment boundary the phi-coefficient vanishes

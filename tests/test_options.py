@@ -4,6 +4,7 @@ import pytest
 from mortval import (
     ContractKind,
     ContractSpec,
+    InvalidParams,
     default_option_value,
     perpetual_cashflows,
     prepay_option_value,
@@ -34,6 +35,12 @@ class TestDefaultOption:
     def test_adjusted_contracts_have_none(self, params_low_benefit, kind, alpha):
         h = np.geomspace(0.01, 50, 100)
         assert np.all(default_option_value(params_low_benefit, spec(kind, alpha), h) == 0.0)
+
+    @pytest.mark.parametrize("h", [-1.0, [1.0, np.nan]], ids=["scalar", "array"])
+    @pytest.mark.parametrize("kind,alpha", [(ContractKind.FRM, 0.0), (ContractKind.ABM, 0.0), (ContractKind.APRM, 0.05)])
+    def test_bad_price_raises_for_every_kind(self, params_low_benefit, kind, alpha, h):
+        with pytest.raises(InvalidParams):
+            default_option_value(params_low_benefit, spec(kind, alpha), h)
 
     @pytest.mark.parametrize("kind,alpha", [(ContractKind.ABM, 0.0), (ContractKind.APRM, 0.05)])
     def test_termination_payment_equals_prepay_amount(self, params_low_benefit, kind, alpha):
