@@ -274,6 +274,11 @@ _COMMANDS = {
 }
 
 
+def _flag(dest: str) -> str:
+    """The command-line spelling of the flag ``dest``."""
+    return "--" + dest.replace("_", "-")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mortval", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
@@ -281,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(name, help=help_text)
         for dest in (*flags, "config"):
             type_, choices, _, flag_help = _FLAGS[dest]
-            sub.add_argument("--" + dest.replace("_", "-"), type=type_, choices=choices, help=flag_help)
+            sub.add_argument(_flag(dest), type=type_, choices=choices, help=flag_help)
     return parser
 
 
@@ -293,11 +298,11 @@ def _config_value(dest: str, value):
     """A config-file value checked and converted like the flag ``dest``."""
     type_, choices, _, _ = _FLAGS[dest]
     if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[type_]):
-        raise ValuationError(f"config value {value!r} has the wrong type for {dest}")
+        raise ValuationError(f"config value {value!r} has the wrong type for {_flag(dest)}")
     if type_ is not None:
         value = type_(value)
     if choices is not None and value not in choices:
-        raise ValuationError(f"config value {value!r} for {dest} is not one of {choices}")
+        raise ValuationError(f"config value {value!r} for {_flag(dest)} is not one of {choices}")
     return value
 
 
@@ -316,7 +321,7 @@ def _merge_config(ns: argparse.Namespace, flags, required) -> None:
             setattr(ns, dest, _FLAGS[dest][2] if value is None else _config_value(dest, value))
     missing = [dest for dest in required if getattr(ns, dest) is None]
     if missing:
-        raise ValuationError(f"missing required flags: {', '.join('--' + dest for dest in missing)}")
+        raise ValuationError(f"missing required flags: {', '.join(_flag(dest) for dest in missing)}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -38,11 +38,12 @@ class TestTables:
     @pytest.mark.parametrize("command,dest", [(c, d) for c, entry in _COMMANDS.items() for d in entry[3]])
     def test_dropping_a_required_flag_names_it(self, capsys, command, dest):
         argv = list(FULL[command])
-        at = argv.index("--" + dest.replace("_", "-"))
+        flag = "--" + dest.replace("_", "-")
+        at = argv.index(flag)
         del argv[at:at + 2]
         code, out, err = run(capsys, [command, *argv])
         assert code == 2 and out == ""
-        assert json.loads(err) == {"error": "ValuationError", "detail": f"missing required flags: --{dest}"}
+        assert json.loads(err) == {"error": "ValuationError", "detail": f"missing required flags: {flag}"}
 
     def test_every_flag_is_used(self):
         used = {dest for entry in _COMMANDS.values() for dest in entry[2]}
@@ -139,6 +140,17 @@ class TestConfig:
         code, out, err = run(capsys, ["sweep", "--config", str(path)])
         assert code == 2 and out == ""
         assert "error" in json.loads(err)
+
+    @pytest.mark.parametrize("key,value,detail", [
+        ("x-min", "a", "config value 'a' has the wrong type for --x-min"),
+        ("quantity", "bogus", "config value 'bogus' for --quantity is not one of "),
+    ])
+    def test_errors_spell_the_flag(self, capsys, tmp_path, key, value, detail):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**self.SWEEP, key: value}))
+        code, _, err = run(capsys, ["sweep", "--config", str(path)])
+        assert code == 2
+        assert json.loads(err)["detail"].startswith(detail)
 
     def test_integers_for_float_flags_and_unknown_keys(self, capsys, tmp_path):
         path = tmp_path / "config.json"
@@ -285,6 +297,14 @@ class TestOracleCheck:
         assert code == 0, out
         assert out.count("ok") >= 3
         assert "truncation bound" in out
+
+    def test_abm_mc_tolerance_has_no_truncation_term(self, capsys):
+        # The held-forever integral truncates nothing, so the Monte Carlo
+        # tolerance is max(3 SE, 5e-4) alone.
+        code, out, _ = run(capsys, ["oracle-check", "--contract", "abm", *BASE, "--n-points", "501"])
+        assert code == 0, out
+        assert "mc truncation bound: 0.000e+00" in out
+        assert "(tol 5.000e-04) ok" in out
 
     def test_grid_window_without_stopping_above_par(self):
         # A payment-adjusted draw that only stops below par and has p1 = 1.78:

@@ -22,9 +22,9 @@ from mortval import (
     threshold_policy_value,
 )
 from mortval.oracle import grid_window
-from mortval.options import solve_contract
+from mortval.options import solve_contract, solve_no_prepay
 
-from conftest import B0, M0, R0
+from conftest import B0, M0, R0, SIGMA0
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +198,16 @@ class TestThresholdPolicy:
             threshold_policy_value(params_low_benefit, frm_cashflows, (-1.0, 2.0), 1.0)
 
 
+# The five held-forever integrals of the acceptance oracle triangle.
+HELD_FOREVER_CASES = [
+    ("abm low-benefit", 0.045, ContractSpec(kind=ContractKind.ABM, m=M0), 200.0),
+    ("abm tiny-benefit", 0.03, ContractSpec(kind=ContractKind.ABM, m=M0), 300.0),
+    ("aprm m=0.0326", 0.045, ContractSpec(kind=ContractKind.APRM, m=M0, alpha=0.05), 200.0),
+    ("aprm m=0.047", 0.045, ContractSpec(kind=ContractKind.APRM, m=0.047, alpha=0.05), 200.0),
+    ("aprm m=0.06", 0.045, ContractSpec(kind=ContractKind.APRM, m=0.06, alpha=0.05), 200.0),
+]
+
+
 class TestMonteCarlo:
     def test_constant_coupon_discounts_to_annuity(self, params_low_benefit):
         coupon = 0.03
@@ -206,15 +216,45 @@ class TestMonteCarlo:
             payoff=identity, prepay_amount=identity, kinks=(),
         )
         result = mc_cashflow_value(params_low_benefit, cf, None, 1.0, 10_000, 200.0, 99)
-        # deterministic integrand: zero variance, gap equals the documented
-        # truncation bound
+        # deterministic integrand: zero variance, and nothing truncated
+        assert result.tail_bound == 0.0
         assert result.std_error <= 1e-12
-        assert abs(result.estimate - coupon / R0) <= result.tail_bound + 3.0 * result.std_error + 1e-10
+        assert result.estimate == pytest.approx(coupon / R0, rel=1e-12, abs=0.0)
+
+    def test_linear_coupon_integrates_to_h_over_delta(self, params_low_benefit):
+        # E[H_t] = h e^{(r - delta) t}, so the integral of c(h) = h is h / delta:
+        # a value no closed-form solver computes.
+        h = 1.3
+        cf = PerpetualCashflows(coupon=identity, payoff=identity, prepay_amount=identity, kinks=())
+        result = mc_cashflow_value(params_low_benefit, cf, None, h, 20_000, 200.0, 17)
+        assert result.std_error > 0.0
+        assert abs(result.estimate - h / params_low_benefit.delta) <= 3.0 * result.std_error
 
     def test_same_seed_same_bits(self, params_low_benefit, frm_cashflows):
         a = mc_cashflow_value(params_low_benefit, frm_cashflows, (0.5, 1.5), 1.0, 10_000, 200.0, 42)
         b = mc_cashflow_value(params_low_benefit, frm_cashflows, (0.5, 1.5), 1.0, 10_000, 200.0, 42)
         assert a.estimate == b.estimate and a.std_error == b.std_error
+
+    def test_same_seed_same_bits_held_forever(self, params_low_benefit):
+        # The ABM coupon varies with the price, so the estimate depends on the draws.
+        cf = perpetual_cashflows(ContractSpec(kind=ContractKind.ABM, m=M0), params_low_benefit)
+        a = mc_cashflow_value(params_low_benefit, cf, None, 1.0, 20_000, 200.0, 42)
+        b = mc_cashflow_value(params_low_benefit, cf, None, 1.0, 20_000, 200.0, 42)
+        c = mc_cashflow_value(params_low_benefit, cf, None, 1.0, 20_000, 200.0, 43)
+        assert a.estimate == b.estimate and a.std_error == b.std_error
+        assert c.estimate != a.estimate
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("delta,spec,horizon", [c[1:] for c in HELD_FOREVER_CASES],
+                             ids=[c[0] for c in HELD_FOREVER_CASES])
+    def test_held_forever_gate_is_its_floor(self, delta, spec, horizon, seed):
+        # At the acceptance path count the gate max(3 SE, 5e-4) is its fixed
+        # floor, and the gap sits well inside it.
+        params = ModelParams(r=R0, delta=delta, sigma=SIGMA0, b0=B0)
+        closed = solve_no_prepay(params, spec).value(1.0)
+        result = mc_cashflow_value(params, perpetual_cashflows(spec, params), None, 1.0, 20_000, horizon, seed)
+        assert 3.0 * result.std_error < 5e-4
+        assert abs(result.estimate - closed) <= 0.7 * 5e-4
 
     def test_optimal_policy_not_below_solver_value(self, params_low_benefit, frm_cashflows):
         solved = solve_frm(params_low_benefit, M0)
@@ -237,9 +277,10 @@ class TestMonteCarlo:
         assert result.estimate == pytest.approx(B0)
         assert result.std_error == 0.0
 
-    def test_band_never_left_is_the_integral(self, params_low_benefit):
-        # One simulator serves both: with a band no path reaches and a zero
-        # payoff, the policy run does the integral's arithmetic bit for bit.
+    def test_band_never_left_agrees_with_the_integral(self, params_low_benefit):
+        # With a band no path reaches and a zero payoff, the weekly policy
+        # simulator estimates the held-forever integral up to its truncation
+        # bound; the two estimators share no draws.
         abm = perpetual_cashflows(ContractSpec(kind=ContractKind.ABM, m=M0), params_low_benefit)
         cf = PerpetualCashflows(
             coupon=abm.coupon, payoff=lambda h: np.zeros_like(np.asarray(h, dtype=float)),
@@ -247,8 +288,9 @@ class TestMonteCarlo:
         )
         plain = mc_cashflow_value(params_low_benefit, cf, None, 1.0, 10_000, 200.0, 11)
         banded = mc_cashflow_value(params_low_benefit, cf, (1e-9, 1e9), 1.0, 10_000, 200.0, 11)
-        assert plain.std_error > 0.0
-        assert banded.estimate == plain.estimate and banded.std_error == plain.std_error
+        assert plain.std_error > 0.0 and banded.std_error > 0.0
+        tol = 3.0 * math.hypot(plain.std_error, banded.std_error) + banded.tail_bound
+        assert abs(banded.estimate - plain.estimate) <= tol
 
     def test_exit_bookkeeping_on_a_near_deterministic_path(self):
         # log H_t = mu t + sigma W_t with sigma = 1e-6.  The lower threshold
