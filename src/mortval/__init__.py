@@ -28,6 +28,7 @@ from .errors import (
     InvalidThresholds,
     InvalidTime,
     MaxIterExceeded,
+    NanResidual,
     NegativeSpread,
     NoBracket,
     NotConverged,
@@ -66,6 +67,7 @@ __all__ = [
     "MaxIterExceeded",
     "McResult",
     "ModelParams",
+    "NanResidual",
     "NegativeSpread",
     "NoBracket",
     "NotConverged",

@@ -34,6 +34,10 @@ class NoBracket(ValuationError):
     """Root finding requested on an interval without a sign change."""
 
 
+class NanResidual(ValuationError):
+    """A root search met a NaN of its function inside the bracket."""
+
+
 class MaxIterExceeded(ValuationError):
     """Iteration budget exhausted before reaching the requested tolerance."""
 

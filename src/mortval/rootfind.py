@@ -9,9 +9,10 @@ boundary equations have steep power-law behaviour near a bracket endpoint.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
-from .errors import MaxIterExceeded, NoBracket
+from .errors import MaxIterExceeded, NanResidual, NoBracket
 
 _EPS = 2.220446049250313e-16  # float64 machine epsilon
 
@@ -33,13 +34,16 @@ def find_root_bracketed(f: Callable[[float], float], lo: float, hi: float) -> fl
     that span many orders of magnitude across the bracket, where the
     residual criterion alone is met far from the root.  The sequence of
     iterates is fully determined by the inputs, so identical calls return
-    bit-identical results.
+    bit-identical results.  A NaN of f at either end raises ``NoBracket``,
+    and one at an iterate ``NanResidual``.
     """
     if not lo < hi:
         raise NoBracket(f"need lo < hi, got [{lo}, {hi}]")
 
     a, b = lo, hi
     fa, fb = f(a), f(b)
+    if math.isnan(fa) or math.isnan(fb):
+        raise NoBracket(f"f is NaN at an end: f({lo})={fa}, f({hi})={fb}")
     if fa == 0.0:
         return a
     if fb == 0.0:
@@ -48,24 +52,31 @@ def find_root_bracketed(f: Callable[[float], float], lo: float, hi: float) -> fl
         raise NoBracket(f"f has the same sign at both ends: f({lo})={fa}, f({hi})={fb}")
 
     f_tol = max(_ABS_TOL, _REL_TOL * abs(fa - fb))
+    rel_tol = _REL_TOL
+    two_eps, half_eps = 2.0 * _EPS, 0.5 * _EPS
 
     # Classic Brent bookkeeping: b is the current best iterate, c the
     # previous one with f(b) * f(c) <= 0, and [b, c] brackets the root.
+    # afa, afb and afc track |fa|, |fb| and |fc|, each taken once.
     c, fc = a, fa
+    afa, afb = abs(fa), abs(fb)
+    afc = afa
     d = e = b - a
 
     for _ in range(_MAX_ITER):
-        if abs(fc) < abs(fb):
+        if afc < afb:
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
+            afa, afb, afc = afb, afc, afb
 
-        tol = 2.0 * _EPS * abs(b) + 0.5 * _EPS
+        ab = abs(b)
+        tol = two_eps * ab + half_eps
         m = 0.5 * (c - b)
-        x_converged = abs(m) <= _REL_TOL * max(abs(b), 1.0)
-        if (abs(fb) <= f_tol and x_converged) or fb == 0.0 or abs(m) <= tol:
+        am = abs(m)
+        if am <= tol or fb == 0.0 or (afb <= f_tol and am <= rel_tol * max(ab, 1.0)):
             return b
 
-        if abs(e) < tol or abs(fa) <= abs(fb):
+        if abs(e) < tol or afa <= afb:
             d = e = m  # fall back to bisection
         else:
             s = fb / fa
@@ -87,11 +98,14 @@ def find_root_bracketed(f: Callable[[float], float], lo: float, hi: float) -> fl
             else:
                 d = e = m
 
-        a, fa = b, fb
+        a, fa, afa = b, fb, afb
         b += d if abs(d) > tol else (tol if m > 0.0 else -tol)
         fb = f(b)
+        if fb != fb:  # NaN
+            raise NanResidual(f"f is NaN at {b} inside [{lo}, {hi}]")
+        afb = abs(fb)
         if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
+            c, fc, afc = a, fa, afa
             d = e = b - a
 
     raise MaxIterExceeded(f"no convergence within {_MAX_ITER} iterations")

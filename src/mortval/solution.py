@@ -13,9 +13,10 @@ V = h on a default region, V = B0 + alpha (h-1) on a prepayment band).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -29,7 +30,7 @@ class Action(str, Enum):
     PREPAY = "prepay"
 
 
-def _power_term(coeff: float, h: np.ndarray, exponent: float) -> np.ndarray:
+def _power_term(coeff: float, h, exponent: float):
     """coeff * h**exponent evaluated in log space.
 
     Large characteristic exponents can push h**p past float range while
@@ -37,9 +38,7 @@ def _power_term(coeff: float, h: np.ndarray, exponent: float) -> np.ndarray:
     combining the factors in the exponent keeps the term finite whenever
     the term itself is.
     """
-    with np.errstate(divide="ignore"):
-        magnitude = np.exp(math.log(abs(coeff)) + exponent * np.log(h))
-    return math.copysign(1.0, coeff) * magnitude
+    return math.copysign(1.0, coeff) * np.exp(math.log(abs(coeff)) + exponent * np.log(h))
 
 
 def checked_prices(h) -> np.ndarray:
@@ -51,8 +50,14 @@ def checked_prices(h) -> np.ndarray:
     return h_arr
 
 
-@dataclass(frozen=True)
-class Region:
+def checked_price(h: float) -> float:
+    """``h`` itself, once it is a positive and finite price."""
+    if not 0.0 < h < math.inf:
+        raise InvalidParams(f"house price must be positive and finite, got {h}")
+    return h
+
+
+class Region(NamedTuple):
     """One piece of a solved value function on the interval (lo, hi)."""
 
     lo: float
@@ -73,10 +78,19 @@ class Region:
         return self._power_sum(h, exponents, 2)
 
     def _power_sum(self, h, exponents: Exponents, order: int):
-        """Derivative of the given order (0, 1 or 2) of this piece at ``h``."""
-        h = np.asarray(h, dtype=float)
+        """Derivative of the given order (0, 1 or 2) of this piece at ``h``.
+
+        A Python float ``h`` must be a positive price.  It is evaluated
+        without arrays but with the same operations and numpy ufuncs, so
+        the result is the number the array path gives.
+        """
+        scalar = type(h) is float
+        if not scalar:
+            h = np.asarray(h, dtype=float)
         if order == 0:
             out = self.k0 + self.k1 * h
+        elif scalar:
+            out = self.k1 if order == 1 else 0.0
         else:
             out = np.full_like(h, self.k1 if order == 1 else 0.0)
         for coeff, p in ((self.c_p1, exponents.p1), (self.c_p2, -exponents.p2)):
@@ -85,7 +99,11 @@ class Region:
             if coeff != 0.0:
                 for j in range(order):
                     coeff *= p - j   # falling factorial p (p-1) ...
-                out = out + _power_term(coeff, h, p - order)
+                if scalar:
+                    out = out + _power_term(coeff, h, p - order)
+                else:
+                    with np.errstate(divide="ignore"):  # an array may hold h = 0
+                        out = out + _power_term(coeff, h, p - order)
         return out
 
 
@@ -102,28 +120,37 @@ class SolvedContract:
     regions: tuple[Region, ...]
     boundaries: Mapping[str, float]
     exponents: Exponents
-    _cuts: np.ndarray = field(init=False, repr=False, compare=False)
+    _cuts: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         regs = self.regions
-        assert regs[0].lo == 0.0 and regs[-1].hi == np.inf
+        assert regs[0].lo == 0.0 and regs[-1].hi == math.inf
         # Prices up to each cut belong to the region left of it: the cut is the
         # edge, or one float below it where the stopping side is on the right.
+        # One pass over the unpacked regions checks their order and
+        # coefficients; a coefficient fault is raised once the order holds.
         cuts = []
-        for left, right in zip(regs, regs[1:]):
-            assert left.hi == right.lo and left.lo < left.hi
-            right_owns = left.action is Action.CONTINUE and right.action is not Action.CONTINUE
-            cuts.append(math.nextafter(left.hi, -math.inf) if right_owns else left.hi)
-        object.__setattr__(self, "_cuts", np.array(cuts))
-        for reg in regs:
-            if not all(map(math.isfinite, (reg.c_p1, reg.c_p2, reg.k0, reg.k1))):
-                # Boundary exponent products past float range (p ln h beyond
-                # ~700) have no representable coefficients; such regimes sit
-                # far outside economically meaningful parameters.
-                raise UnsupportedRegime(
-                    f"value-function coefficients exceed floating-point range on "
-                    f"({reg.lo}, {reg.hi})"
-                )
+        unrepresentable = None
+        left_lo = left_hi = left_action = None
+        for lo, hi, action, c_p1, c_p2, k0, k1 in regs:
+            if left_action is not None:
+                assert lo == left_hi and left_lo < left_hi
+                right_owns = left_action is Action.CONTINUE and action is not Action.CONTINUE
+                cuts.append(math.nextafter(left_hi, -math.inf) if right_owns else left_hi)
+            if unrepresentable is None and not (
+                math.isfinite(c_p1) and math.isfinite(c_p2) and math.isfinite(k0) and math.isfinite(k1)
+            ):
+                unrepresentable = (lo, hi)
+            left_lo, left_hi, left_action = lo, hi, action
+        object.__setattr__(self, "_cuts", tuple(cuts))
+        if unrepresentable is not None:
+            # Boundary exponent products past float range (p ln h beyond
+            # ~700) have no representable coefficients; such regimes sit
+            # far outside economically meaningful parameters.
+            raise UnsupportedRegime(
+                f"value-function coefficients exceed floating-point range on "
+                f"({unrepresentable[0]}, {unrepresentable[1]})"
+            )
 
     def region_index(self, h):
         """Index of the region owning each price in ``h``."""
@@ -131,27 +158,30 @@ class SolvedContract:
         return int(idx) if np.ndim(idx) == 0 else idx
 
     def region_at(self, h: float) -> Region:
-        return self.regions[self.region_index(float(h))]
+        """Region owning the price ``h``, which must be positive and finite."""
+        return self.regions[bisect_left(self._cuts, checked_price(float(h)))]
 
-    def _apply(self, h, fn: str):
-        h_arr = checked_prices(h)
-        if h_arr.ndim == 0:
-            h = float(h_arr)
-            return float(getattr(self.regions[self.region_index(h)], fn)(h, self.exponents))
-        idx = self.region_index(h_arr)
-        out = np.empty_like(h_arr)
-        for i, reg in enumerate(self.regions):
-            mask = idx == i
-            if mask.any():
-                out[mask] = getattr(reg, fn)(h_arr[mask], self.exponents)
-        return out
+    def _apply(self, h, order: int):
+        """Derivative of the given order at ``h``: a float, or an array like ``h``."""
+        if not isinstance(h, float):
+            h = checked_prices(h)
+            if h.ndim:
+                idx = self.region_index(h)
+                out = np.empty_like(h)
+                for i, reg in enumerate(self.regions):
+                    mask = idx == i
+                    if mask.any():
+                        out[mask] = reg._power_sum(h[mask], self.exponents, order)
+                return out
+        h = checked_price(float(h))
+        return float(self.regions[bisect_left(self._cuts, h)]._power_sum(h, self.exponents, order))
 
     def value(self, h):
         """Contract value at ``h`` (scalar or array)."""
-        return self._apply(h, "value")
+        return self._apply(h, 0)
 
     def derivative(self, h):
-        return self._apply(h, "derivative")
+        return self._apply(h, 1)
 
     def to_dict(self) -> dict:
         """JSON-friendly representation (infinite upper ends become None)."""

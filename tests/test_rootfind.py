@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mortval import MaxIterExceeded, NoBracket, find_root_bracketed, grow_bracket
+from mortval import MaxIterExceeded, NanResidual, NoBracket, ValuationError, find_root_bracketed, grow_bracket
 from mortval import rootfind
 
 # Independent oracle for the cos fixed point: plain fixed-point iteration
@@ -46,6 +46,26 @@ def test_no_bracket_raises():
         find_root_bracketed(lambda x: x * x + 1.0, -1.0, 1.0)
     with pytest.raises(NoBracket):
         find_root_bracketed(lambda x: x, 2.0, 1.0)
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: math.nan,
+    lambda x: math.nan if x == 0.0 else x - 0.5,
+    lambda x: x - 0.5 if x < 1.0 else math.nan,
+    lambda x: x if x < 1.0 else math.nan,  # a root at lo does not excuse NaN at hi
+])
+def test_nan_at_an_end_is_no_bracket(f):
+    with pytest.raises(NoBracket):
+        find_root_bracketed(f, 0.0, 1.0)
+
+
+def test_nan_inside_the_bracket_raises():
+    def f(x):
+        return math.nan if 0.2 < x < 0.8 else x - 0.5
+
+    with pytest.raises(NanResidual) as info:
+        find_root_bracketed(f, 0.0, 1.0)
+    assert isinstance(info.value, ValuationError) and info.value.code == "NanResidual"
 
 
 def test_max_iter_exceeded(monkeypatch):

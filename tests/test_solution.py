@@ -67,3 +67,23 @@ def test_prices_must_be_positive_and_finite(kind, bad):
             fn(bad)
         with pytest.raises(InvalidParams):
             fn(np.array([1.0, bad]))
+
+
+@pytest.mark.parametrize("name", sorted(SOLVED))
+@pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, math.inf, -math.inf, math.nan, np.float64("nan")])
+def test_region_at_applies_the_price_rule(name, bad):
+    with pytest.raises(InvalidParams):
+        SOLVED[name].region_at(bad)
+
+
+@pytest.mark.parametrize("name", sorted(SOLVED))
+def test_every_scalar_type_gives_the_float_result(name):
+    solved = SOLVED[name]
+    edges = [reg.hi for reg in solved.regions[:-1]]
+    for h in edges + [0.3, 1.0, 2.0, 7.0]:
+        want = solved.value(h)
+        assert type(want) is float
+        for same in (np.float64(h), np.array(h), np.array([h])[0]):
+            assert solved.value(same).hex() == want.hex()
+        assert solved.region_at(np.float64(h)) is solved.region_at(h)
+    assert solved.value(2).hex() == solved.value(2.0).hex()
