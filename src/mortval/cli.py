@@ -206,12 +206,11 @@ def _cmd_oracle_check(ns) -> int:
     checks = [
         ("grid sup-gap", grid_gap, 1e-3),
         ("threshold-policy gap", abs(policy_value - value), 1e-8),
-        ("mc no-prepay gap", abs(mc.estimate - held_value), max(3.0 * mc.std_error, 5e-4) + mc.tail_bound),
+        ("mc no-prepay gap", abs(mc.estimate - held_value), max(3.0 * mc.std_error, 5e-4)),
     ]
     for name, gap, tol in checks:
         sys.stdout.write(f"{name}: {gap:.3e} (tol {tol:.3e}) {'ok' if gap <= tol else 'FAIL'}\n")
-    sys.stdout.write(f"grid iterations: {grid_result.sweeps}; mc std error: {mc.std_error:.3e}; "
-                     f"mc truncation bound: {mc.tail_bound:.3e}\n")
+    sys.stdout.write(f"grid iterations: {grid_result.sweeps}; mc std error: {mc.std_error:.3e}\n")
     return 0 if all(gap <= tol for _, gap, tol in checks) else 1
 
 
@@ -248,7 +247,7 @@ _FLAGS = {
     "steps": (int, None, 50, "intervals between --x-min and --x-max"),
     "n_points": (int, None, 2001, "grid nodes"),
     "n_paths": (int, None, 20000, "Monte Carlo paths"),
-    "horizon": (float, None, 200.0, "Monte Carlo horizon (years)"),
+    "horizon": (float, None, 200.0, "Monte Carlo horizon (years); checked to be >= 200, not used"),
     "seed": (int, None, 20200709, "Monte Carlo seed"),
     "T": (float, None, None, "maturity (years)"),
     "t": (float, None, None, "time since origination (years)"),

@@ -59,8 +59,8 @@ class NotConverged(ValuationError):
 
 
 class InvalidThresholds(ValuationError):
-    """Stopping thresholds are not ordered or not positive."""
+    """Stopping thresholds are not ordered, not positive, or two where one is taken."""
 
 
 class InvalidHorizon(ValuationError):
-    """Simulation horizon too short for a perpetual-contract truncation."""
+    """Monte Carlo horizon below 200 years (checked, though no estimate uses it)."""

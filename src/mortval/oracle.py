@@ -13,9 +13,10 @@ Three routes, each built on different machinery than the solvers:
   pairs of exact GBM samples.  The held-forever integral
   V = int_0^inf e^{-rt} E[c(H_t)] dt equals E[c(H_t)] / r for t ~ Exp(r),
   so it samples H_t exactly at stratified exponential times, with no
-  time step and no horizon.  A threshold policy is simulated on a weekly
-  grid: every live path advances through a chunk of weeks at once, and
-  each path's exit step is found within the chunk.
+  time step and no horizon.  A policy that stops at one threshold, lower
+  or upper, is valued from the same samples: the exact Brownian-bridge
+  probability that the path crossed the threshold before t weights the
+  payoff there against the coupon at t (Carr's exponential horizon).
 """
 
 from __future__ import annotations
@@ -33,13 +34,12 @@ from .errors import (
     NotConverged,
 )
 from .model import ModelParams, compute_exponents
-from .solution import SolvedContract
+from .solution import SolvedContract, checked_price
 
 _BLOCK_PAIRS = 8192   # fixed Monte Carlo block size; results do not depend on scheduling
-_TIME_CHUNK = 256     # steps simulated per vectorized slab
-_ROW_SLAB = 1024      # paths whose prices a policy chunk holds at once
-# Equal-probability strata of Exp(r) per antithetic pair of the held-forever
-# integral.  256 keeps every no-prepay acceptance case at 3 SE < 5e-4 with
+_DT = 1.0 / 52.0      # McResult.dt, nominal: no estimate takes a time step
+# Equal-probability strata of Exp(r) per antithetic pair of the Monte Carlo
+# estimate.  256 keeps every no-prepay acceptance case at 3 SE < 5e-4 with
 # 20 000 paths (SE 6e-5 to 1.1e-4); 64 reaches SE 2.1e-4.
 _TIME_STRATA = 256
 _STRATA_SLAB = 32     # strata drawn per vectorized slab; divides _TIME_STRATA
@@ -273,8 +273,7 @@ def threshold_policy_value(
     """
     lower, upper = thresholds
     _check_thresholds(lower, upper)
-    if not h > 0.0:
-        raise InvalidThresholds(f"evaluation price must be positive, got {h}")
+    h = checked_price(h)
 
     if (lower is not None and h <= lower) or (upper is not None and h >= upper):
         return float(cashflows.payoff(h))
@@ -332,17 +331,14 @@ def threshold_policy_value(
 
 @dataclass(frozen=True)
 class McResult:
-    """Monte Carlo estimate with its sampling and truncation diagnostics.
+    """Monte Carlo estimate with its sampling diagnostics.
 
     ``std_error`` is the standard error of the mean over antithetic pairs.
-    ``horizon`` is the argument as given.  The held-forever integral
-    truncates nothing, so its ``tail_bound`` is 0.0.  A policy run stops at
-    ``horizon``, and its ``tail_bound`` bounds the bias from that:
-    sup-coupon / r * e^{-r * horizon}.  ``dt`` is the policy run's weekly
-    monitoring step; the integral has no step.  Policy exits are detected
-    on that grid, so stopping happens at the first *monitored* crossing;
-    the induced bias is second order at smooth-pasting optimal thresholds
-    but first order away from them.
+    No estimate is time-stepped or truncated, so ``tail_bound`` is always
+    0.0.  ``horizon`` (the argument as given), ``dt`` (a nominal 1/52) and
+    ``tail_bound`` carry no information; they are kept because the
+    benchmark's tracer (``perfbench/tracing.py``) reads them, and go when
+    the benchmark stops reading them.
     """
 
     estimate: float
@@ -354,11 +350,6 @@ class McResult:
     note: str
 
 
-def _coupon_sup(cashflows: PerpetualCashflows) -> float:
-    probes = np.array(list(cashflows.kinks) + [1e-9, 1.0, 1e9])
-    return float(np.max(cashflows.coupon(probes)))
-
-
 def mc_cashflow_value(
     params: ModelParams,
     cashflows: PerpetualCashflows,
@@ -368,71 +359,64 @@ def mc_cashflow_value(
     horizon: float,
     seed: int,
 ) -> McResult:
-    """Estimate the discounted contract cashflows, held forever or under a
-    threshold policy.
+    """Estimate the discounted contract cashflows, held forever or stopped
+    at one threshold.
 
-    ``policy`` of None (or (None, None)) means never stop: the estimate
-    targets the discounted coupon integral, with no terminal payment.  It
-    is E[c(H_t)] / r for t ~ Exp(r).  Each antithetic pair takes one time
-    in each of 256 equal-probability strata of Exp(r) and samples
-    H_t = h exp(mu t +- sigma sqrt(t) Z) exactly there, so the estimate has
-    no discretization or truncation bias.  ``horizon`` is still validated
-    but not used.
-
-    With thresholds, GBM is sampled exactly on a weekly step.  Coupons
-    accrue until the first monitored exit from (lower, upper), the payoff
-    is applied there, and paths alive at the horizon receive the payoff at
-    truncation.  A run started outside the band pays the payoff with no
+    ``policy`` is None or (None, None) to never stop, (lower, None) to stop
+    at the first fall to ``lower``, or (None, upper) to stop at the first
+    rise to ``upper``; two finite thresholds raise ``InvalidThresholds``.
+    Coupons accrue until the stop, which pays the payoff at the threshold.
+    A run started at or beyond its threshold pays the payoff with no
     sampling.
 
-    Both estimators use antithetic pairs in fixed-size blocks with
-    per-block derived seeds, so estimates are reproducible bit for bit from
-    ``seed`` and independent of how blocks might be scheduled.
+    For T ~ Exp(r) independent of the path, the value is
+    E[1{tau > T} c(H_T) / r + 1{tau <= T} f(L)], with tau the first hit of
+    the threshold L.  Each antithetic pair takes one time in each of 256
+    equal-probability strata of Exp(r) and samples
+    H_T = h exp(mu T +- sigma sqrt(T) Z) exactly there.  Given
+    y = log H_T, the Brownian bridge from x = log h reaches l = log L
+    before T with probability p = exp(min(0, -2 (x - l)(y - l) / (sigma^2 T))),
+    which is 1 when y is at or beyond l.  So each sample adds
+    (1 - p) c(H_T) / r + p f(L), and the estimate has no discretization or
+    truncation bias.  Without a threshold p = 0 and the estimate is the
+    coupon integral, with no terminal payment.  ``horizon`` is still
+    validated but not used.
+
+    Blocks of antithetic pairs have a fixed size and per-block derived
+    seeds, so the estimate does not depend on how blocks are scheduled.
+    It is reproducible bit for bit from ``seed`` on one numpy build and CPU
+    dispatch only: numpy's SIMD ``exp`` and ``log`` kernels round
+    differently from one instruction set to another.
     """
     if n_paths < 10_000:
         raise InvalidParams(f"n_paths must be at least 10_000, got {n_paths}")
     if horizon < 200.0:
         raise InvalidHorizon(f"horizon must be at least 200 years, got {horizon}")
-    if not h > 0.0:
-        raise InvalidParams(f"starting price must be positive, got {h}")
-    if policy is not None and policy == (None, None):
-        policy = None
-    if policy is not None:
-        _check_thresholds(*policy)
+    h = checked_price(h)
+    lower, upper = (None, None) if policy is None else policy
+    if lower is not None and upper is not None:
+        raise InvalidThresholds(f"need at most one threshold, got ({lower}, {upper})")
+    _check_thresholds(lower, upper)
 
-    dt = 1.0 / 52.0
     n_pairs = (n_paths + 1) // 2
-    n_blocks = (n_pairs + _BLOCK_PAIRS - 1) // _BLOCK_PAIRS
-    children = np.random.SeedSequence(seed).spawn(n_blocks)
-
-    if policy is None:
-        tail_bound = 0.0
-        note = f"exact marginals at {_TIME_STRATA} stratified exponential times per pair; nothing truncated"
-
-        def block(rng, bp):
-            return _integral(rng, params, cashflows, bp, h)
-    else:
-        n_steps = int(round(horizon * 52.0))
-        drift = (params.r - params.delta - 0.5 * params.sigma**2) * dt
-        vol = params.sigma * math.sqrt(dt)
-        step_disc = math.exp(-params.r * dt)
-        tail_bound = _coupon_sup(cashflows) / params.r * math.exp(-params.r * horizon)
-        note = "weekly exit monitoring; coupon integral by trapezoid on the step grid"
-        if (policy[0] is not None and h <= policy[0]) or (policy[1] is not None and h >= policy[1]):
-            # Already outside the band: stop immediately, no sampling noise.
+    level = upper if lower is None else lower
+    note = f"exact marginals at {_TIME_STRATA} stratified exponential times per pair; nothing truncated"
+    if level is not None:
+        note += "; threshold crossing by the Brownian-bridge probability"
+        if (lower is not None and h <= lower) or (upper is not None and h >= upper):
             return McResult(
-                estimate=float(cashflows.payoff(h)), std_error=0.0, tail_bound=tail_bound,
-                n_paths=2 * n_pairs, horizon=horizon, dt=dt, note=note,
+                estimate=float(cashflows.payoff(h)), std_error=0.0, tail_bound=0.0,
+                n_paths=2 * n_pairs, horizon=horizon, dt=_DT, note=note,
             )
 
-        def block(rng, bp):
-            return _simulate(rng, cashflows, policy, bp, n_steps, h, drift, vol, step_disc, dt)
-
+    n_blocks = (n_pairs + _BLOCK_PAIRS - 1) // _BLOCK_PAIRS
+    children = np.random.SeedSequence(seed).spawn(n_blocks)
     pair_values = np.empty(n_pairs)
     filled = 0
     for b in range(n_blocks):
         bp = min(_BLOCK_PAIRS, n_pairs - filled)
-        pair_values[filled : filled + bp] = block(np.random.default_rng(children[b]), bp)
+        rng = np.random.default_rng(children[b])
+        pair_values[filled : filled + bp] = _integral(rng, params, cashflows, bp, h, level)
         filled += bp
 
     estimate = float(np.mean(pair_values))
@@ -441,106 +425,44 @@ def mc_cashflow_value(
     else:
         std_error = 0.0
     return McResult(
-        estimate=estimate, std_error=std_error, tail_bound=tail_bound,
-        n_paths=2 * n_pairs, horizon=horizon, dt=dt, note=note,
+        estimate=estimate, std_error=std_error, tail_bound=0.0,
+        n_paths=2 * n_pairs, horizon=horizon, dt=_DT, note=note,
     )
 
 
-def _integral(rng, params, cashflows, bp, h):
-    """Pair values of ``bp`` antithetic pairs of the held-forever integral.
+def _integral(rng, params, cashflows, bp, h, level):
+    """Pair values of ``bp`` antithetic pairs.
 
-    A pair's value is (1 / (2 K r)) sum_k [c(H_k^+) + c(H_k^-)] over its K
+    A pair's value is (1 / (2 K r)) sum_k [g(y_k^+) + g(y_k^-)] over its K
     strata, with t_k = -log(1 - (k + U_k) / K) / r and
-    log H_k^+- = log h + mu t_k +- sigma sqrt(t_k) Z_k.  The strata are drawn
-    ``_STRATA_SLAB`` at a time, the uniforms of a slab before its normals.
+    y_k^+- = log h + mu t_k +- sigma sqrt(t_k) Z_k.  With no threshold
+    (``level`` None) g(y) = c(e^y).  With a threshold L it is
+    c(e^y) + p (r f(L) - c(e^y)), p the bridge's crossing probability.
+    (x - l)(y - l) keeps its value when all three log-prices change sign,
+    so one expression serves an upper threshold as well as a lower one.
+    The strata are drawn ``_STRATA_SLAB`` at a time, the uniforms of a
+    slab before its normals.
     """
     mu = params.r - params.delta - 0.5 * params.sigma**2
+    x = math.log(h)
+    if level is not None:
+        ell = math.log(level)
+        stop = params.r * float(cashflows.payoff(level))
+
+        def crossed(c, y, t):
+            p = np.exp(np.minimum(-2.0 * (x - ell) * (y - ell) / (params.sigma**2 * t), 0.0))
+            return c + p * (stop - c)
+
     total = np.zeros(bp)
     for k0 in range(0, _TIME_STRATA, _STRATA_SLAB):
         u = rng.random((bp, _STRATA_SLAB))
         # K - k - U is exact and positive, so the top stratum's time is finite.
         t = np.log((_TIME_STRATA - np.arange(k0, k0 + _STRATA_SLAB) - u) / _TIME_STRATA) / -params.r
         spread = rng.standard_normal((bp, _STRATA_SLAB)) * (params.sigma * np.sqrt(t))
-        centre = math.log(h) + mu * t
-        up, down = np.exp(centre + spread), np.exp(centre - spread)
-        total += np.sum(cashflows.coupon(up) + cashflows.coupon(down), axis=1)
+        centre = x + mu * t
+        y_up, y_down = centre + spread, centre - spread
+        c_up, c_down = cashflows.coupon(np.exp(y_up)), cashflows.coupon(np.exp(y_down))
+        if level is not None:
+            c_up, c_down = crossed(c_up, y_up, t), crossed(c_down, y_down, t)
+        total += np.sum(c_up + c_down, axis=1)
     return total / (2 * _TIME_STRATA * params.r)
-
-
-def _simulate(rng, cashflows, policy, bp, n_steps, h, drift, vol, step_disc, dt):
-    """Pair values of ``bp`` antithetic pairs under a threshold policy,
-    simulated in time chunks.
-
-    Each chunk draws one (bp, nc) slab of normals that both sides share,
-    and each side sums its live paths' discounted coupons over the chunk's
-    steps.  A path ends at its first monitored step at or beyond a policy
-    threshold, or at the horizon: its coupons after that step are dropped,
-    the trapezoid rule halves the weight of its first and last coupon, and
-    it receives the payoff discounted to that step.  Ended paths leave the
-    later chunks, and the simulation stops once none is left on either side.
-
-    The normals and the coupons live in work areas made once per call, and
-    prices are formed ``_ROW_SLAB`` paths at a time, so no chunk allocates
-    a (bp, nc) slab.  This keeps the peak memory of repeated runs in one
-    process close to that of the first.
-    """
-    lo = -math.inf if policy[0] is None else policy[0]
-    hi = math.inf if policy[1] is None else policy[1]
-    g0 = float(cashflows.coupon(h))
-
-    def close(acc, disc_end, g_end, h_end):
-        # acc sums the discounted coupons of steps 1..end; the trapezoid
-        # rule takes half of step 0's and of the end step's.
-        payoff = np.asarray(cashflows.payoff(h_end), dtype=float)
-        return dt * (acc + g0 - 0.5 * (g0 + disc_end * g_end)) + disc_end * payoff
-
-    values = np.zeros((2, bp))
-    rows = [np.arange(bp), np.arange(bp)]   # pair index of each live path
-    logs = [np.full(bp, math.log(h)), np.full(bp, math.log(h))]
-    accs = [np.zeros(bp), np.zeros(bp)]
-    z_area, g_area = np.empty((2, bp * _TIME_CHUNK))
-
-    def advance(s, sign, z, disc):
-        """Move side ``s`` through one chunk; close and drop the paths that end in it."""
-        live = rows[s]
-        nc = len(disc)
-        g = g_area[: live.size * nc].reshape(live.size, nc)
-        exits = []
-        for a in range(0, live.size, _ROW_SLAB):
-            b = min(a + _ROW_SLAB, live.size)
-            price = logs[s][a:b, None] + np.cumsum(
-                drift + sign * vol * (z[a:b] if live.size == bp else z[live[a:b]]), axis=1
-            )
-            logs[s][a:b] = price[:, -1]
-            np.exp(price, out=price)
-            # The rows that leave the band are found from their extremes.
-            ended = np.flatnonzero((price.min(axis=1) <= lo) | (price.max(axis=1) >= hi))
-            leaving = price[ended]
-            k = ((leaving <= lo) | (leaving >= hi)).argmax(axis=1)   # first step at or beyond a threshold
-            g[a:b] = cashflows.coupon(price)
-            g[a + ended] *= np.arange(nc) <= k[:, None]   # no coupons after the exit
-            exits.append((a + ended, k, leaving[np.arange(ended.size), k]))
-        # One product over all live rows: its rounding depends on the row count.
-        accs[s] += g @ disc
-        ended, k, h_end = (np.concatenate(parts) for parts in zip(*exits))
-        if ended.size:
-            values[s, live[ended]] = close(accs[s][ended], disc[k], g[ended, k], h_end)
-            rows[s], logs[s], accs[s] = (np.delete(a, ended) for a in (live, logs[s], accs[s]))
-
-    done = 0
-    disc_prev = 1.0
-    while done < n_steps and (rows[0].size or rows[1].size):
-        nc = min(_TIME_CHUNK, n_steps - done)
-        z = rng.standard_normal(out=z_area[: bp * nc].reshape(bp, nc))
-        disc = disc_prev * step_disc ** np.arange(1, nc + 1)
-        for s, sign in enumerate((1.0, -1.0)):
-            if rows[s].size:
-                advance(s, sign, z, disc)
-        disc_prev = disc[-1]
-        done += nc
-    for s in range(2):
-        if rows[s].size:
-            price = np.exp(logs[s])
-            g_end = np.asarray(cashflows.coupon(price), dtype=float)
-            values[s, rows[s]] = close(accs[s], disc_prev, g_end, price)
-    return 0.5 * (values[0] + values[1])

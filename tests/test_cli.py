@@ -296,14 +296,14 @@ class TestOracleCheck:
         ])
         assert code == 0, out
         assert out.count("ok") >= 3
-        assert "truncation bound" in out
+        assert "mc std error" in out and "truncation" not in out
 
     def test_abm_mc_tolerance_has_no_truncation_term(self, capsys):
-        # The held-forever integral truncates nothing, so the Monte Carlo
-        # tolerance is max(3 SE, 5e-4) alone.
+        # No Monte Carlo estimate truncates anything, so the tolerance is
+        # max(3 SE, 5e-4) alone.
         code, out, _ = run(capsys, ["oracle-check", "--contract", "abm", *BASE, "--n-points", "501"])
         assert code == 0, out
-        assert "mc truncation bound: 0.000e+00" in out
+        assert "truncation" not in out
         assert "(tol 5.000e-04) ok" in out
 
     def test_grid_window_without_stopping_above_par(self):

@@ -9,11 +9,24 @@ refactor) must leave every entry as it is.  Only for an intended change in
 the numbers, regenerate the file and say why in the change:
 
     PYTHONPATH=src python tests/test_golden.py
+
+The file pins mortval's arithmetic, not numpy's CPU dispatch.  numpy's
+AVX-512 ``exp``, ``log`` and ``power`` kernels round differently from the
+other paths on a few percent of inputs, and not every x86-64 CPU has them.
+So the values are computed, both when the file is written and when it is
+checked, in a child process that runs with ``DISPATCH_OFF`` and first
+confirms that no AVX-512 code is dispatched; if it cannot confirm that, the
+check fails.  The file records numpy's version and the SIMD targets that
+wrote it, so that a mismatch names its cause.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +44,9 @@ from mortval import (
 from mortval.contracts import contract_spec
 
 GOLDEN = Path(__file__).with_name("golden_closed_form.json")
+SRC = Path(__file__).resolve().parents[1] / "src"
+# numpy 2.x names of its AVX-512 dispatch targets.
+DISPATCH_OFF = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
 PRICES = (0.5, 0.8, 1.0, 1.25, 2.0)
 SEED = 2020
 N_MARKETS = 40
@@ -47,6 +63,19 @@ DERIVED_MARKETS = (
 )
 M_F, PHI, ALPHA = 0.0326, 0.30, 0.05
 MARKET_KEYS = ("r", "delta", "sigma", "b0", "m", "alpha")
+
+
+def simd() -> dict:
+    """numpy's version and the SIMD targets it runs, once no AVX-512 target is among them."""
+    from numpy._core import _multiarray_umath as umath
+
+    features = umath.__cpu_features__
+    dispatched = [name for name in umath.__cpu_dispatch__ if features[name]]
+    avx512 = [name for name in umath.__cpu_baseline__ + dispatched
+              if name.startswith("AVX512") or name == "X86_V4"]
+    if avx512:
+        raise RuntimeError(f"numpy {np.__version__} still runs AVX-512 code: {avx512}")
+    return {"numpy": np.__version__, "baseline": umath.__cpu_baseline__, "dispatched": dispatched}
 
 
 def _hex(x) -> str:
@@ -118,17 +147,36 @@ def _load() -> dict:
     return golden
 
 
-GOLDEN_DATA = _load() if GOLDEN.exists() else {"markets": [], "derived": None}
+GOLDEN_DATA = _load() if GOLDEN.exists() else {"markets": [], "derived": None, "simd": None}
+
+
+def _in_child(mode: str) -> dict:
+    """The JSON that this file prints in ``mode`` in a child process with ``DISPATCH_OFF``."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, **DISPATCH_OFF, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, __file__, mode], env=env, capture_output=True, text=True, timeout=300)
+    if proc.returncode != 0:
+        raise AssertionError(f"child process failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+@functools.cache
+def computed() -> dict:
+    """The closed forms on the file's markets, as the child process computes them."""
+    return _in_child("--check")
+
+
+def _written_by() -> str:
+    return f"file written by {GOLDEN_DATA['simd']}, checked by {computed()['simd']}"
 
 
 @pytest.mark.parametrize("i", range(len(GOLDEN_DATA["markets"])))
 def test_closed_forms_bit_identical(i):
-    entry = GOLDEN_DATA["markets"][i]
-    assert closed_forms(entry["market"]) == entry["closed_forms"]
+    assert computed()["markets"][i] == GOLDEN_DATA["markets"][i]["closed_forms"], _written_by()
 
 
 def test_derived_quantities_bit_identical():
-    assert derived() == GOLDEN_DATA["derived"]
+    assert computed()["derived"] == GOLDEN_DATA["derived"], _written_by()
 
 
 def test_corpus_covers_every_region_layout():
@@ -142,17 +190,34 @@ def test_corpus_covers_every_region_layout():
     assert {len(rec["boundaries"]) for rec in solved} == {0, 1, 2, 3}
 
 
-if __name__ == "__main__":
-    markets = _draw_markets()
-    payload = {
+def _generate() -> dict:
+    return {
         "prices": list(PRICES),
+        "simd": simd(),
         "markets": [
             {"market": {k: _hex(v) for k, v in mk.items()}, "closed_forms": closed_forms(mk)}
-            for mk in markets
+            for mk in _draw_markets()
         ],
         "derived": derived(),
     }
-    with open(GOLDEN, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {GOLDEN}")
+
+
+def _check() -> dict:
+    return {
+        "simd": simd(),
+        "markets": [closed_forms(entry["market"]) for entry in GOLDEN_DATA["markets"]],
+        "derived": derived(),
+    }
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        json.dump(_check(), sys.stdout)
+    elif sys.argv[1:] == ["--generate"]:
+        json.dump(_generate(), sys.stdout)
+    else:
+        payload = _in_child("--generate")
+        with open(GOLDEN, "w") as fh:
+            json.dump(payload, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        print(f"wrote {GOLDEN}")

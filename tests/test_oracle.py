@@ -13,6 +13,7 @@ from mortval import (
     ModelParams,
     PerpetualCashflows,
     mc_cashflow_value,
+    no_prepay_cashflows,
     perpetual_cashflows,
     psor_value,
     solve_abm,
@@ -198,8 +199,10 @@ class TestThresholdPolicy:
             threshold_policy_value(params_low_benefit, frm_cashflows, (-1.0, 2.0), 1.0)
 
 
-# The five held-forever integrals of the acceptance oracle triangle.
-HELD_FOREVER_CASES = [
+# The six Monte Carlo cases of the acceptance oracle triangle: the FRM stops
+# at its default boundary, the others have none and are held forever.
+MC_GATE_CASES = [
+    ("frm default-only", 0.045, ContractSpec(kind=ContractKind.FRM, m=M0), 200.0),
     ("abm low-benefit", 0.045, ContractSpec(kind=ContractKind.ABM, m=M0), 200.0),
     ("abm tiny-benefit", 0.03, ContractSpec(kind=ContractKind.ABM, m=M0), 300.0),
     ("aprm m=0.0326", 0.045, ContractSpec(kind=ContractKind.APRM, m=M0, alpha=0.05), 200.0),
@@ -231,8 +234,8 @@ class TestMonteCarlo:
         assert abs(result.estimate - h / params_low_benefit.delta) <= 3.0 * result.std_error
 
     def test_same_seed_same_bits(self, params_low_benefit, frm_cashflows):
-        a = mc_cashflow_value(params_low_benefit, frm_cashflows, (0.5, 1.5), 1.0, 10_000, 200.0, 42)
-        b = mc_cashflow_value(params_low_benefit, frm_cashflows, (0.5, 1.5), 1.0, 10_000, 200.0, 42)
+        a = mc_cashflow_value(params_low_benefit, frm_cashflows, (0.5, None), 1.0, 10_000, 200.0, 42)
+        b = mc_cashflow_value(params_low_benefit, frm_cashflows, (0.5, None), 1.0, 10_000, 200.0, 42)
         assert a.estimate == b.estimate and a.std_error == b.std_error
 
     def test_same_seed_same_bits_held_forever(self, params_low_benefit):
@@ -245,74 +248,95 @@ class TestMonteCarlo:
         assert c.estimate != a.estimate
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
-    @pytest.mark.parametrize("delta,spec,horizon", [c[1:] for c in HELD_FOREVER_CASES],
-                             ids=[c[0] for c in HELD_FOREVER_CASES])
+    @pytest.mark.parametrize("delta,spec,horizon", [c[1:] for c in MC_GATE_CASES],
+                             ids=[c[0] for c in MC_GATE_CASES])
     def test_held_forever_gate_is_its_floor(self, delta, spec, horizon, seed):
         # At the acceptance path count the gate max(3 SE, 5e-4) is its fixed
-        # floor, and the gap sits well inside it.
+        # floor, and the gap sits well inside it, for the FRM stopped at its
+        # default boundary as for the contracts held forever.
         params = ModelParams(r=R0, delta=delta, sigma=SIGMA0, b0=B0)
-        closed = solve_no_prepay(params, spec).value(1.0)
-        result = mc_cashflow_value(params, perpetual_cashflows(spec, params), None, 1.0, 20_000, horizon, seed)
+        closed = solve_no_prepay(params, spec)
+        policy = (closed.boundaries.get("h1"), None)
+        cashflows = no_prepay_cashflows(spec, params)
+        result = mc_cashflow_value(params, cashflows, policy, 1.0, 20_000, horizon, seed)
         assert 3.0 * result.std_error < 5e-4
-        assert abs(result.estimate - closed) <= 0.7 * 5e-4
+        assert abs(result.estimate - closed.value(1.0)) <= 0.7 * 5e-4
 
-    def test_optimal_policy_not_below_solver_value(self, params_low_benefit, frm_cashflows):
-        solved = solve_frm(params_low_benefit, M0)
-        result = mc_cashflow_value(
-            params_low_benefit, frm_cashflows,
-            (solved.boundaries["h1"], solved.boundaries["h2"]), 1.0, 10_000, 200.0, 7,
-        )
-        assert result.estimate >= solved.value(1.0) - 3.0 * result.std_error
+    def test_one_threshold_agrees_with_the_policy_oracle(self, params_low_benefit):
+        # The FRM without prepayment stopped at its optimal default boundary
+        # h1 and at a higher, suboptimal 0.8, and the ABM stopped on a rise to
+        # 1.5, against the exact value of the same policy.  Judging a stop by
+        # the end price alone, without the bridge term, misses the FRM by
+        # over 500 SE.
+        frm = no_prepay_cashflows(ContractSpec(kind=ContractKind.FRM, m=M0), params_low_benefit)
+        abm = perpetual_cashflows(ContractSpec(kind=ContractKind.ABM, m=M0), params_low_benefit)
+        h1 = solve_no_prepay(params_low_benefit, ContractSpec(kind=ContractKind.FRM, m=M0)).boundaries["h1"]
+        for cf, policy in ((frm, (h1, None)), (frm, (0.8, None)), (abm, (None, 1.5))):
+            exact = threshold_policy_value(params_low_benefit, cf, policy, 1.0)
+            for seed in (1, 2, 3):
+                result = mc_cashflow_value(params_low_benefit, cf, policy, 1.0, 20_000, 200.0, seed)
+                gap = abs(result.estimate - exact)
+                assert gap <= 3.0 * result.std_error, (policy, seed, gap / result.std_error)
 
     def test_validation(self, params_low_benefit, frm_cashflows):
         with pytest.raises(InvalidParams):
             mc_cashflow_value(params_low_benefit, frm_cashflows, None, 1.0, 5_000, 200.0, 1)
         with pytest.raises(InvalidHorizon):
             mc_cashflow_value(params_low_benefit, frm_cashflows, None, 1.0, 10_000, 100.0, 1)
-        with pytest.raises(InvalidThresholds):
-            mc_cashflow_value(params_low_benefit, frm_cashflows, (2.0, 1.0), 1.0, 10_000, 200.0, 1)
+        for policy in ((2.0, 1.0), (0.5, 1.5), (-1.0, None)):
+            with pytest.raises(InvalidThresholds):
+                mc_cashflow_value(params_low_benefit, frm_cashflows, policy, 1.0, 10_000, 200.0, 1)
 
     def test_started_outside_band_pays_off_immediately(self, params_low_benefit, frm_cashflows):
-        result = mc_cashflow_value(params_low_benefit, frm_cashflows, (0.5, 1.5), 2.0, 10_000, 200.0, 5)
-        assert result.estimate == pytest.approx(B0)
-        assert result.std_error == 0.0
+        for policy, h, payoff in (((None, 1.5), 2.0, B0), ((0.5, None), 0.3, 0.3)):
+            result = mc_cashflow_value(params_low_benefit, frm_cashflows, policy, h, 10_000, 200.0, 5)
+            assert result.estimate == pytest.approx(payoff)
+            assert result.std_error == 0.0
 
     def test_band_never_left_agrees_with_the_integral(self, params_low_benefit):
-        # With a band no path reaches and a zero payoff, the weekly policy
-        # simulator estimates the held-forever integral up to its truncation
-        # bound; the two estimators share no draws.
+        # With a threshold almost no path reaches and a zero payoff, the
+        # policy estimate is the held-forever integral, less the coupons
+        # after the rare crossings; both runs take the same draws.
         abm = perpetual_cashflows(ContractSpec(kind=ContractKind.ABM, m=M0), params_low_benefit)
         cf = PerpetualCashflows(
             coupon=abm.coupon, payoff=lambda h: np.zeros_like(np.asarray(h, dtype=float)),
             prepay_amount=identity, kinks=abm.kinks,
         )
         plain = mc_cashflow_value(params_low_benefit, cf, None, 1.0, 10_000, 200.0, 11)
-        banded = mc_cashflow_value(params_low_benefit, cf, (1e-9, 1e9), 1.0, 10_000, 200.0, 11)
+        banded = mc_cashflow_value(params_low_benefit, cf, (None, 1e9), 1.0, 10_000, 200.0, 11)
         assert plain.std_error > 0.0 and banded.std_error > 0.0
-        tol = 3.0 * math.hypot(plain.std_error, banded.std_error) + banded.tail_bound
+        tol = 3.0 * math.hypot(plain.std_error, banded.std_error)
         assert abs(banded.estimate - plain.estimate) <= tol
 
     def test_exit_bookkeeping_on_a_near_deterministic_path(self):
-        # log H_t = mu t + sigma W_t with sigma = 1e-6.  The lower threshold
-        # sits half a week past step 300 of the deterministic path, 2.9e-4
-        # in log price from either monitoring date, while sigma W stays
-        # below 6 sigma sqrt(6) = 1.5e-5, so every path exits at step 301,
-        # in the second time chunk.  Antithetic pairs cancel the first-order
-        # effect of W; what remains is ~(1.5e-5)^2 / 2 relative, plus
-        # rounding, so 1e-9 separates the bookkeeping from any off-by-one:
-        # an exit a step early or late moves the value by 1.4e-4, a full
-        # instead of half trapezoid weight on the exit coupon by 2.9e-4.
+        # log H_t = mu t + sigma W_t with sigma = 1e-6 falls to the lower
+        # threshold at tau = 6 years, so the value is the coupon integral up
+        # to tau plus the payoff there, both discounted.  Each pair's times
+        # still fall at random inside their strata, which leaves an SE of
+        # about 1e-5; moving the exit by a week moves the value by 1.4e-4.
         params = ModelParams(r=0.02, delta=0.05, sigma=1e-6, b0=B0)
-        dt = 1.0 / 52.0
         mu = params.r - params.delta - 0.5 * params.sigma**2
-        lower = math.exp(mu * 300.5 * dt)
+        tau = 6.0
+        lower = math.exp(mu * tau)
         cf = PerpetualCashflows(coupon=lambda h: 0.04 * np.asarray(h, dtype=float),
                                 payoff=identity, prepay_amount=identity, kinks=())
         result = mc_cashflow_value(params, cf, (lower, None), 1.0, 10_000, 200.0, 3)
 
-        k = 301
-        t = dt * np.arange(k + 1)
-        disc_coupons = np.exp(-params.r * t) * 0.04 * np.exp(mu * t)
-        trapezoid = dt * (disc_coupons.sum() - 0.5 * (disc_coupons[0] + disc_coupons[-1]))
-        expected = trapezoid + math.exp(-params.r * t[-1]) * math.exp(mu * t[-1])
-        assert result.estimate == pytest.approx(expected, rel=1e-9, abs=0.0)
+        def value(exit_time):
+            growth = (mu - params.r) * exit_time
+            return 0.04 * -math.expm1(growth) / (params.r - mu) + math.exp(growth)
+
+        assert 3.0 * result.std_error < abs(value(tau + 1.0 / 52.0) - value(tau))
+        assert abs(result.estimate - value(tau)) <= 3.0 * result.std_error
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("h", [0.0, -1.0, math.inf, math.nan])
+def test_path_oracles_take_one_price_rule(params_low_benefit, frm_cashflows, h):
+    # A price that is not positive and finite is an invalid input to both
+    # path oracles, whatever the policy, and never a value or a warning.
+    for policy in ((0.5, None), (None, 1.5), (None, None)):
+        with pytest.raises(InvalidParams):
+            threshold_policy_value(params_low_benefit, frm_cashflows, policy, h)
+        with pytest.raises(InvalidParams):
+            mc_cashflow_value(params_low_benefit, frm_cashflows, policy, h, 10_000, 200.0, 1)
