@@ -15,21 +15,15 @@ import sys
 import numpy as np
 
 from .aprm import aprm_regime
-from .contracts import (
-    ContractKind,
-    ContractSpec,
-    abm_state,
-    aprm_state,
-    contract_spec,
-    frm_schedule,
-    no_prepay_cashflows,
-    perpetual_cashflows,
-)
+from .contracts import ContractKind, ContractSpec, abm_state, aprm_state, contract_spec, frm_schedule
 from .errors import ValuationError
 from .foreclosure import endogenous_spread, equivalent_foreclosure_cost, frm_value_with_foreclosure
 from .model import ModelParams
-from .options import prepay_option_value, solve_contract, solve_no_prepay
-from .oracle import GridSpec, grid_window, mc_cashflow_value, psor_value, threshold_policy_value
+from .options import prepay_option_value, solve_contract
+
+# Only ``oracle_triangle`` is used here; the other three stay bound because
+# the tracer in perfbench/tracing.py wraps them through this module's namespace.
+from .oracle import mc_cashflow_value, oracle_triangle, psor_value, threshold_policy_value  # noqa: F401
 
 _SIG_DIGITS = 12
 
@@ -176,42 +170,19 @@ def _cmd_alpha_star(ns) -> int:
 
 
 def _cmd_oracle_check(ns) -> int:
-    params = _params_from(ns)
-    spec = _spec_from(ns)
-    solved = solve_contract(params, spec)
-    cashflows = perpetual_cashflows(spec, params)
-
-    h_max, window_top = grid_window(solved)
-    grid_result = psor_value(params, cashflows, GridSpec(h_min=2e-3, h_max=h_max, n_points=ns.n_points))
-    window = (grid_result.grid >= 0.05) & (grid_result.grid <= window_top)
-    grid_gap = float(np.max(np.abs(grid_result.values[window] - solved.value(grid_result.grid[window]))))
-
-    bounds = solved.boundaries
-    policy_value = threshold_policy_value(params, cashflows, (bounds.get("h1"), bounds.get("h2")), ns.h)
-    value = solved.value(ns.h)
-
-    nopp = solve_no_prepay(params, spec)
-    mc = mc_cashflow_value(params, no_prepay_cashflows(spec, params), (nopp.boundaries.get("h1"), None),
-                           ns.h, ns.n_paths, ns.horizon, ns.seed)
-    held_value = nopp.value(ns.h)
-
-    node = int(np.argmin(np.abs(grid_result.grid - ns.h)))
+    t = oracle_triangle(_params_from(ns), _spec_from(ns), ns.h, ns.n_points, ns.n_paths, ns.seed)
+    node = int(np.argmin(np.abs(t.grid.grid - ns.h)))
     sys.stdout.write(
-        f"value at h={ns.h:g}: closed-form {value:.9f}; "
-        f"grid (node h={grid_result.grid[node]:.4f}) {grid_result.values[node]:.9f}; "
-        f"threshold-policy {policy_value:.9f}\n"
+        f"value at h={ns.h:g}: closed-form {t.value:.9f}; "
+        f"grid (node h={t.grid.grid[node]:.4f}) {t.grid.values[node]:.9f}; "
+        f"threshold-policy {t.policy:.9f}\n"
     )
-    sys.stdout.write(f"held-forever value at h={ns.h:g}: closed-form {held_value:.9f}; "
-                     f"monte-carlo {mc.estimate:.9f}\n")
-    checks = [
-        ("grid sup-gap", grid_gap, 1e-3),
-        ("threshold-policy gap", abs(policy_value - value), 1e-8),
-        ("mc no-prepay gap", abs(mc.estimate - held_value), max(3.0 * mc.std_error, 5e-4)),
-    ]
-    for name, gap, tol in checks:
-        sys.stdout.write(f"{name}: {gap:.3e} (tol {tol:.3e}) {'ok' if gap <= tol else 'FAIL'}\n")
-    sys.stdout.write(f"grid iterations: {grid_result.sweeps}; mc std error: {mc.std_error:.3e}\n")
-    return 0 if all(gap <= tol for _, gap, tol in checks) else 1
+    sys.stdout.write(f"held-forever value at h={ns.h:g}: closed-form {t.held:.9f}; "
+                     f"monte-carlo {t.mc.estimate:.9f}\n")
+    for v in t.verdicts:
+        sys.stdout.write(f"{v.name}: {v.gap:.3e} (tol {v.tol:.3e}) {'ok' if v.ok else 'FAIL'}\n")
+    sys.stdout.write(f"grid iterations: {t.grid.sweeps}; mc std error: {t.mc.std_error:.3e}\n")
+    return 0 if all(v.ok for v in t.verdicts) else 1
 
 
 def _cmd_schedule(ns) -> int:
@@ -247,7 +218,6 @@ _FLAGS = {
     "steps": (int, None, 50, "intervals between --x-min and --x-max"),
     "n_points": (int, None, 2001, "grid nodes"),
     "n_paths": (int, None, 20000, "Monte Carlo paths"),
-    "horizon": (float, None, 200.0, "Monte Carlo horizon (years); checked to be >= 200, not used"),
     "seed": (int, None, 20200709, "Monte Carlo seed"),
     "T": (float, None, None, "maturity (years)"),
     "t": (float, None, None, "time since origination (years)"),
@@ -266,7 +236,7 @@ _COMMANDS = {
               (*_MARKET, "quantity", "x", "x_min", "x_max")),
     "alpha-star": (_cmd_alpha_star, "sharing threshold that kills high-state prepayment", _MARKET, _MARKET),
     "oracle-check": (_cmd_oracle_check, "closed form vs grid, policy, and Monte Carlo oracles",
-                     ("contract", *_MARKET, "alpha", "h", "n_points", "n_paths", "horizon", "seed"),
+                     ("contract", *_MARKET, "alpha", "h", "n_points", "n_paths", "seed"),
                      ("contract", *_MARKET)),
     "schedule": (_cmd_schedule, "finite-maturity balance and payment schedules",
                  ("kind", "m", "b0", "T", "t", "h", "alpha"), ("kind", "m", "b0", "T", "t")),

@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import InvalidSpec, InvalidTime, NegativeSpread
 from .model import ModelParams
+from .solution import checked_price
 
 
 class ContractKind(str, Enum):
@@ -161,8 +162,7 @@ def abm_state(m: float, b0: float, T: float, t: float, h: float) -> tuple[float,
     balance = min(nominal balance, h), and the payment scales in the same
     proportion, coupon = nominal coupon * min(1, h / nominal balance).
     """
-    if not (h > 0.0):
-        raise InvalidSpec(f"house index must be positive, got {h}")
+    h = checked_price(h)
     nominal_balance, nominal_coupon = frm_schedule(m, b0, T, t)
     if nominal_balance <= h:
         return nominal_balance, nominal_coupon
@@ -178,8 +178,7 @@ def aprm_state(
     factor; prepaying additionally costs alpha * (h - 1)^+ of the capital
     gain.  Returns (balance, coupon, prepay_amount).
     """
-    if not (h > 0.0):
-        raise InvalidSpec(f"house index must be positive, got {h}")
+    h = checked_price(h)
     if not (0.0 <= alpha < 1.0):
         raise InvalidSpec(f"sharing fraction must lie in [0, 1), got {alpha}")
     nominal_balance, nominal_coupon = frm_schedule(m, b0, T, t)

@@ -17,16 +17,19 @@ Three routes, each built on different machinery than the solvers:
   or upper, is valued from the same samples: the exact Brownian-bridge
   probability that the path crossed the threshold before t weights the
   payoff there against the coupon at t (Carr's exponential horizon).
+
+:func:`oracle_triangle` checks one closed-form solve against all three.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .contracts import PerpetualCashflows
+from .contracts import ContractSpec, PerpetualCashflows, no_prepay_cashflows, perpetual_cashflows
 from .errors import (
     InvalidHorizon,
     InvalidParams,
@@ -34,6 +37,7 @@ from .errors import (
     NotConverged,
 )
 from .model import ModelParams, compute_exponents
+from .options import solve_contract, solve_no_prepay
 from .solution import SolvedContract, checked_price
 
 _BLOCK_PAIRS = 8192   # fixed Monte Carlo block size; results do not depend on scheduling
@@ -325,6 +329,11 @@ def threshold_policy_value(
         rhs[row] = float(cashflows.payoff(upper)) - particular(n_pieces - 1, upper)
 
     coef = np.linalg.solve(mat, rhs)
+    # Zero the pinned modes exactly: h^{p1} or h^{-p2} would amplify LU rounding.
+    if lower is None:
+        coef[1] = 0.0
+    if upper is None:
+        coef[size - 2] = 0.0
     i = max(0, np.searchsorted(np.array(edges[1:-1]), h, side="right"))
     return float(coef[2 * i] * h**p1 + coef[2 * i + 1] * h**-p2 + particular(i, h))
 
@@ -466,3 +475,65 @@ def _integral(rng, params, cashflows, bp, h, level):
             c_up, c_down = crossed(c_up, y_up, t), crossed(c_down, y_down, t)
         total += np.sum(c_up + c_down, axis=1)
     return total / (2 * _TIME_STRATA * params.r)
+
+
+# Gates of the oracle triangle; Monte Carlo passes within max(3 SE, MC_TOL_FLOOR).
+GRID_TOL, POLICY_TOL, MC_TOL_FLOOR = 1e-3, 1e-8, 5e-4
+
+
+class Verdict(NamedTuple):
+    """One oracle check: its gap and the tolerance it must stay within."""
+
+    name: str
+    gap: float
+    tol: float
+
+    @property
+    def ok(self) -> bool:
+        return self.gap <= self.tol
+
+
+class Triangle(NamedTuple):
+    """Closed-form ``value`` and ``held`` (no prepayment) at h, the oracles' answers, and the verdicts."""
+
+    value: float
+    grid: OracleResult
+    policy: float
+    held: float
+    mc: McResult
+    verdicts: tuple[Verdict, ...]
+
+
+def oracle_triangle(params: ModelParams, spec: ContractSpec, h: float, n_points: int, n_paths: int, seed: int,
+                    span: tuple[float, float] | None = None,
+                    window: tuple[float, float] | None = None) -> Triangle:
+    """Check the closed form of ``spec`` against the three oracles, each within its gate.
+
+    The grid runs on ``span`` and is compared on ``window`` (by default :func:`grid_window`'s,
+    from 2e-3 and 0.05); with its top node above an APRM band edge h3, its one stopping
+    interval above par must end within a cell of h3.  The policy oracle values (h1, h2), or
+    (h3, None) at and above h3; Monte Carlo values the contract without prepayment.
+    """
+    solved = solve_contract(params, spec)
+    cashflows = perpetual_cashflows(spec, params)
+    h_max, window_top = grid_window(solved)
+    grid = psor_value(params, cashflows, GridSpec(*(span or (2e-3, h_max)), n_points=n_points))
+    w_lo, w_hi = window or (0.05, window_top)
+    on = (grid.grid >= w_lo) & (grid.grid <= w_hi)
+    grid_gap = float(np.max(np.abs(grid.values[on] - solved.value(grid.grid[on]))))
+    verdicts = [Verdict("grid sup-gap", grid_gap, GRID_TOL)]
+    h1, h2, h3 = (solved.boundaries.get(name) for name in ("h1", "h2", "h3"))
+    if h3 is not None and grid.grid[-1] > h3:
+        bands = [top for bottom, top in grid.stop_intervals if bottom > 1.0]
+        edge_gap = abs(math.log(bands[0] / h3)) if len(bands) == 1 else math.inf
+        verdicts.append(Verdict("grid band-edge log-gap to h3", edge_gap, math.log(grid.grid[1] / grid.grid[0])))
+    policy = threshold_policy_value(params, cashflows, (h3, None) if h3 is not None and h >= h3 else (h1, h2), h)
+    value = solved.value(h)
+    verdicts.append(Verdict("threshold-policy gap", abs(policy - value), POLICY_TOL))
+    nopp = solve_no_prepay(params, spec)
+    # The horizon, 200 years, is validated but unused: no estimate is truncated.
+    mc = mc_cashflow_value(params, no_prepay_cashflows(spec, params), (nopp.boundaries.get("h1"), None),
+                           h, n_paths, 200.0, seed)
+    held = nopp.value(h)
+    verdicts.append(Verdict("mc no-prepay gap", abs(mc.estimate - held), max(3.0 * mc.std_error, MC_TOL_FLOOR)))
+    return Triangle(value, grid, policy, held, mc, tuple(verdicts))

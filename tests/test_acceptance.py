@@ -25,24 +25,20 @@ import pytest
 from mortval import (
     ContractKind,
     ContractSpec,
-    GridSpec,
     ModelParams,
     aprm_regime,
     compute_exponents,
     default_option_value,
     endogenous_spread,
     max_rate,
-    mc_cashflow_value,
-    no_prepay_cashflows,
     perpetual_cashflows,
     prepay_option_value,
-    psor_value,
     solve_abm,
     solve_aprm,
     solve_frm,
-    threshold_policy_value,
 )
-from mortval.options import solve_contract, solve_no_prepay
+from mortval.options import solve_contract
+from mortval.oracle import oracle_triangle
 from mortval.solution import Action
 
 from conftest import (
@@ -186,7 +182,7 @@ def test_criterion_5_spreads_and_max_rates():
 # --- criterion 6: oracle triangle -----------------------------------------
 
 ORACLE_ROWS = [
-    # label, params, spec, psor window (lo, hi), psor grid (lo, hi)
+    # label, params, spec, grid window (lo, hi), grid span (lo, hi)
     ("frm low-benefit", P45, ContractSpec(kind=ContractKind.FRM, m=M0), (0.1, 3.0), (0.02, 4.5)),
     ("abm low-benefit", P45, ContractSpec(kind=ContractKind.ABM, m=M0), (0.1, 3.0), (0.002, 4.5)),
     ("abm tiny-benefit", P30, ContractSpec(kind=ContractKind.ABM, m=M0), (0.1, 3.0), (0.02, 4.5)),
@@ -200,54 +196,13 @@ ORACLE_ROWS = [
 def test_criterion_6_oracle_triangle():
     start = time.perf_counter()
     failures = []
-
     for label, params, spec, window, grid_span in ORACLE_ROWS:
-        solved = solve_contract(params, spec)
-        cashflows = perpetual_cashflows(spec, params)
-
-        grid = GridSpec(h_min=grid_span[0], h_max=grid_span[1], n_points=2001)
-        result = psor_value(params, cashflows, grid)
-        mask = (result.grid >= window[0]) & (result.grid <= window[1])
-        gap = float(np.max(np.abs(result.values[mask] - solved.value(result.grid[mask]))))
-        if gap > 1e-3:
-            failures.append(f"{label}: psor sup gap {gap:.2e} > 1e-3")
-
-        h3 = solved.boundaries.get("h3")
-        if h3 is not None:
-            # the high-state band is the only stopping interval above par;
-            # its upper end must bracket h3 within one grid cell
-            cell = result.grid[1] / result.grid[0]
-            bands = [hi for lo, hi in result.stop_intervals if lo > 1.0]
-            if len(bands) != 1:
-                failures.append(f"{label}: psor stopping intervals above par {bands}, want one band")
-            elif not bands[0] / cell <= h3 <= bands[0] * cell:
-                failures.append(f"{label}: psor band edge {bands[0]:.4f} not within a cell of h3={h3:.4f}")
-
-        policy = (solved.boundaries.get("h1"), solved.boundaries.get("h2"))
-        tp_gap = abs(threshold_policy_value(params, cashflows, policy, 1.0) - solved.value(1.0))
-        if tp_gap > 1e-8:
-            failures.append(f"{label}: threshold policy gap {tp_gap:.2e} > 1e-8")
-
-    # Monte Carlo no-prepay cross-checks (deduplicated across rows: the
-    # held-forever value does not depend on the sharing fraction).
-    frm, abm, aprm = ContractKind.FRM, ContractKind.ABM, ContractKind.APRM
-    mc_cases = (
-        ("frm", P45, ContractSpec(kind=frm, m=M0), 200.0),
-        ("abm low-benefit", P45, ContractSpec(kind=abm, m=M0), 200.0),
-        ("abm tiny-benefit", P30, ContractSpec(kind=abm, m=M0), 300.0),
-        ("aprm m=0.0326", P45, ContractSpec(kind=aprm, m=M0, alpha=0.05), 200.0),
-        ("aprm m=0.047", P45, ContractSpec(kind=aprm, m=0.047, alpha=0.05), 200.0),
-        ("aprm m=0.06", P45, ContractSpec(kind=aprm, m=0.06, alpha=0.05), 200.0),
-    )
-    for label, params, spec, horizon in mc_cases:
-        closed = solve_no_prepay(params, spec)
-        policy = (closed.boundaries.get("h1"), None)  # the FRM can still default
-        mc = mc_cashflow_value(params, no_prepay_cashflows(spec, params), policy, 1.0, MC_PATHS, horizon, MC_SEED)
-        tol = max(3.0 * mc.std_error, 5e-4)
-        gap = abs(mc.estimate - closed.value(1.0))
-        if gap > tol:
-            failures.append(f"{label}: mc gap {gap:.2e} > max(3se, 5e-4)={tol:.2e}")
-
+        triangle = oracle_triangle(params, spec, 1.0, 2001, MC_PATHS, MC_SEED, span=grid_span, window=window)
+        failures += [f"{label}: {v.name} {v.gap:.2e} > {v.tol:.2e}" for v in triangle.verdicts if not v.ok]
+        # every row with a band has its edge h3 below the top node, so it is checked
+        want = 3 + ("h3" in solve_contract(params, spec).boundaries)
+        if len(triangle.verdicts) != want:
+            failures.append(f"{label}: {len(triangle.verdicts)} verdicts, want {want}")
     elapsed = time.perf_counter() - start
     if elapsed >= 60.0:
         failures.append(f"runtime {elapsed:.1f}s >= 60s")

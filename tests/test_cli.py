@@ -1,19 +1,10 @@
 import json
 
-import numpy as np
 import pytest
 
-from mortval import (
-    ContractKind,
-    ContractSpec,
-    GridSpec,
-    ModelParams,
-    perpetual_cashflows,
-    psor_value,
-    solve_contract,
-)
+from mortval import ContractKind, ContractSpec, ModelParams, solve_contract
 from mortval.cli import _COMMANDS, _FLAGS, main
-from mortval.oracle import grid_window
+from mortval.oracle import grid_window, oracle_triangle
 
 BASE = ["--r", "0.017825", "--delta", "0.045", "--sigma", "0.1125", "--b0", "0.9", "--m", "0.0326"]
 
@@ -282,6 +273,13 @@ class TestSchedule:
         argv = ["schedule", "--kind", "abm", "--m", "0.0326", "--b0", "0.9", "--T", "30", "--t", "10"]
         assert run(capsys, argv) == run(capsys, [*argv, "--h", "1"])
 
+    @pytest.mark.parametrize("kind", ["abm", "aprm"])
+    def test_infinite_price_exits_2(self, capsys, kind):
+        code, out, err = run(capsys, ["schedule", "--kind", kind, "--m", "0.0326", "--b0", "0.9",
+                                      "--T", "30", "--t", "10", "--h", "inf", "--alpha", "0.1"])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "InvalidParams"
+
     def test_bad_time_exits_2(self, capsys):
         code, _, err = run(capsys, ["schedule", "--kind", "frm", "--m", "0.0326", "--b0", "0.9", "--T", "30", "--t", "31"])
         assert code == 2
@@ -292,7 +290,7 @@ class TestOracleCheck:
     def test_frm_passes_all_tolerances(self, capsys):
         code, out, _ = run(capsys, [
             "oracle-check", "--contract", "frm", *BASE,
-            "--n-points", "501", "--n-paths", "10000", "--horizon", "200", "--seed", "3",
+            "--n-points", "501", "--n-paths", "10000", "--seed", "3",
         ])
         assert code == 0, out
         assert out.count("ok") >= 3
@@ -316,6 +314,13 @@ class TestOracleCheck:
         assert "h2" not in solved.boundaries
         h_max, window_top = grid_window(solved)
         assert h_max > 12.0 and window_top == 3.0
-        result = psor_value(params, perpetual_cashflows(spec, params), GridSpec(h_min=2e-3, h_max=h_max))
-        window = (result.grid >= 0.05) & (result.grid <= window_top)
-        assert np.max(np.abs(result.values[window] - solved.value(result.grid[window]))) <= 1e-3
+        triangle = oracle_triangle(params, spec, 1.0, 2001, 10_000, 1)
+        assert all(v.ok for v in triangle.verdicts), triangle.verdicts
+
+    def test_above_the_band_checks_the_policy_from_h3(self, capsys):
+        # Above h3 the contract stops only on a fall to h3, so the policy
+        # oracle must value (h3, none), not (h1, h2), which pays off at once.
+        code, out, _ = run(capsys, ["oracle-check", "--contract", "aprm", *BASE, "--alpha", "0.05", "--h", "50",
+                                    "--n-points", "501", "--n-paths", "10000"])
+        assert code == 0, out
+        assert "FAIL" not in out

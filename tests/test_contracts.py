@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from mortval import (
     ContractKind,
     ContractSpec,
+    InvalidParams,
     InvalidSpec,
     InvalidTime,
     ModelParams,
@@ -167,3 +170,12 @@ class TestAprmState:
     def test_penalty_component(self):
         balance, _, prepay = aprm_state(M0, B0, 30.0, 10.0, 1.4, 0.05)
         assert prepay - balance == pytest.approx(0.05 * 0.4, rel=1e-12)
+
+
+@pytest.mark.parametrize("h", [0.0, -1.0, math.inf, math.nan])
+def test_schedule_states_take_one_price_rule(h):
+    # The same rule as every other price: positive and finite, else InvalidParams.
+    with pytest.raises(InvalidParams):
+        abm_state(M0, B0, 30.0, 10.0, h)
+    with pytest.raises(InvalidParams):
+        aprm_state(M0, B0, 30.0, 10.0, h, 0.1)

@@ -22,7 +22,7 @@ from mortval import (
     solve_frm,
     threshold_policy_value,
 )
-from mortval.oracle import grid_window
+from mortval.oracle import oracle_triangle
 from mortval.options import solve_contract, solve_no_prepay
 
 from conftest import B0, M0, R0, SIGMA0
@@ -137,13 +137,8 @@ class TestPsor:
     ], ids=["abm-a", "abm-b", "aprm-a", "aprm-b"])
     def test_former_sor_failures_solve(self, r, delta, sigma, b0, spec):
         params = ModelParams(r=r, delta=delta, sigma=sigma, b0=b0)
-        solved = solve_contract(params, spec)
-        h_max, window_top = grid_window(solved)
-        grid = GridSpec(h_min=2e-3, h_max=h_max, n_points=2001)
-        result = psor_value(params, perpetual_cashflows(spec, params), grid)
-        window = (result.grid >= 0.05) & (result.grid <= window_top)
-        gap = np.max(np.abs(result.values[window] - solved.value(result.grid[window])))
-        assert gap <= 1e-3
+        triangle = oracle_triangle(params, spec, 1.0, 2001, 10_000, 1)
+        assert all(v.ok for v in triangle.verdicts), triangle.verdicts
 
     def test_grid_validation(self):
         with pytest.raises(InvalidParams):
@@ -192,6 +187,18 @@ class TestThresholdPolicy:
         assert threshold_policy_value(params_low_benefit, frm_cashflows, (0.5, 1.4), 0.3) == pytest.approx(0.3)
         assert threshold_policy_value(params_low_benefit, frm_cashflows, (0.5, 1.4), 2.0) == pytest.approx(B0)
 
+    @pytest.mark.parametrize("m", [0.047, 0.06])
+    def test_unbounded_side_stays_pinned_far_out(self, params_low_benefit, m):
+        # Above an APRM band the policy stops only on a fall to h3, and the
+        # h^{p1} coefficient is pinned to zero.  Left at its LU rounding, it
+        # grows with h: a gap of 4e-8 at h = 50 and over 0.5 at h = 1e3.
+        spec = ContractSpec(kind=ContractKind.APRM, m=m, alpha=0.357)
+        solved = solve_contract(params_low_benefit, spec)
+        cf = perpetual_cashflows(spec, params_low_benefit)
+        for h in (5.0, 20.0, 50.0, 1e3):
+            value = threshold_policy_value(params_low_benefit, cf, (solved.boundaries["h3"], None), h)
+            assert abs(value - solved.value(h)) <= 1e-12, h
+
     def test_validation(self, params_low_benefit, frm_cashflows):
         with pytest.raises(InvalidThresholds):
             threshold_policy_value(params_low_benefit, frm_cashflows, (1.4, 0.5), 1.0)
@@ -202,12 +209,12 @@ class TestThresholdPolicy:
 # The six Monte Carlo cases of the acceptance oracle triangle: the FRM stops
 # at its default boundary, the others have none and are held forever.
 MC_GATE_CASES = [
-    ("frm default-only", 0.045, ContractSpec(kind=ContractKind.FRM, m=M0), 200.0),
-    ("abm low-benefit", 0.045, ContractSpec(kind=ContractKind.ABM, m=M0), 200.0),
-    ("abm tiny-benefit", 0.03, ContractSpec(kind=ContractKind.ABM, m=M0), 300.0),
-    ("aprm m=0.0326", 0.045, ContractSpec(kind=ContractKind.APRM, m=M0, alpha=0.05), 200.0),
-    ("aprm m=0.047", 0.045, ContractSpec(kind=ContractKind.APRM, m=0.047, alpha=0.05), 200.0),
-    ("aprm m=0.06", 0.045, ContractSpec(kind=ContractKind.APRM, m=0.06, alpha=0.05), 200.0),
+    ("frm default-only", 0.045, ContractSpec(kind=ContractKind.FRM, m=M0)),
+    ("abm low-benefit", 0.045, ContractSpec(kind=ContractKind.ABM, m=M0)),
+    ("abm tiny-benefit", 0.03, ContractSpec(kind=ContractKind.ABM, m=M0)),
+    ("aprm m=0.0326", 0.045, ContractSpec(kind=ContractKind.APRM, m=M0, alpha=0.05)),
+    ("aprm m=0.047", 0.045, ContractSpec(kind=ContractKind.APRM, m=0.047, alpha=0.05)),
+    ("aprm m=0.06", 0.045, ContractSpec(kind=ContractKind.APRM, m=0.06, alpha=0.05)),
 ]
 
 
@@ -248,9 +255,9 @@ class TestMonteCarlo:
         assert c.estimate != a.estimate
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
-    @pytest.mark.parametrize("delta,spec,horizon", [c[1:] for c in MC_GATE_CASES],
+    @pytest.mark.parametrize("delta,spec", [c[1:] for c in MC_GATE_CASES],
                              ids=[c[0] for c in MC_GATE_CASES])
-    def test_held_forever_gate_is_its_floor(self, delta, spec, horizon, seed):
+    def test_held_forever_gate_is_its_floor(self, delta, spec, seed):
         # At the acceptance path count the gate max(3 SE, 5e-4) is its fixed
         # floor, and the gap sits well inside it, for the FRM stopped at its
         # default boundary as for the contracts held forever.
@@ -258,7 +265,7 @@ class TestMonteCarlo:
         closed = solve_no_prepay(params, spec)
         policy = (closed.boundaries.get("h1"), None)
         cashflows = no_prepay_cashflows(spec, params)
-        result = mc_cashflow_value(params, cashflows, policy, 1.0, 20_000, horizon, seed)
+        result = mc_cashflow_value(params, cashflows, policy, 1.0, 20_000, 200.0, seed)
         assert 3.0 * result.std_error < 5e-4
         assert abs(result.estimate - closed.value(1.0)) <= 0.7 * 5e-4
 
