@@ -41,6 +41,7 @@ from .foreclosure import (
     equivalent_foreclosure_cost,
     frm_value_with_foreclosure,
     max_rate,
+    spread_solver,
 )
 from .frm import solve_frm, solve_frm_no_prepay
 from .model import Exponents, ModelParams, characteristic_residual, compute_exponents
@@ -104,6 +105,7 @@ __all__ = [
     "solve_frm",
     "solve_frm_no_prepay",
     "solve_no_prepay",
+    "spread_solver",
     "threshold_policy_value",
 ]
 

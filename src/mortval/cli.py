@@ -17,7 +17,7 @@ import numpy as np
 from .aprm import aprm_regime
 from .contracts import ContractKind, ContractSpec, abm_state, aprm_state, contract_spec, frm_schedule
 from .errors import ValuationError
-from .foreclosure import endogenous_spread, equivalent_foreclosure_cost, frm_value_with_foreclosure
+from .foreclosure import equivalent_foreclosure_cost, frm_value_with_foreclosure, spread_solver
 from .model import ModelParams
 from .options import prepay_option_value, solve_contract
 
@@ -117,38 +117,47 @@ def _equiv_phi_row(params, kinds, pt):
     return [equivalent_foreclosure_cost(params, pt["m"], t, pt["alpha"], pt["h"]).phi for t in _targets(kinds)]
 
 
-def _spread_row(params, kinds, pt):
-    return [endogenous_spread(params, pt["m"], pt["phi"], t, pt["alpha"], h=pt["h"]) for t in _targets(kinds)]
-
-
 def _boundaries_row(params, kinds, pt):
     # first requested contract only
     solved = solve_contract(params, contract_spec(kinds[0], pt["m"], pt["alpha"]))
     return [solved.boundaries.get(name, "") for name in ("h1", "h2", "h3")]
 
 
+def _each_point(row):
+    """The row maker of a quantity whose points share no work."""
+    return lambda params, kinds, base: lambda pt: row(params, kinds, pt)
+
+
+def _spread_rows(params, kinds, base):
+    # phi is the only axis, so one solver per target serves every point.
+    solvers = [spread_solver(params, base["m"], t, base["alpha"], base["h"]) for t in _targets(kinds)]
+    return lambda pt: [solve(pt["phi"]) for solve in solvers]
+
+
 # Sweep quantity: (the axes --x may name, the column names for the requested
-# contracts, the row at a point: the flag values with --x set to x).
+# contracts, the row maker: given the market, the contracts and the flag
+# values, it returns the row at a point, the flag values with --x set to x).
 _QUANTITIES = {
-    "value": ({"h", "m", "alpha"}, lambda kinds: [k.value for k in kinds], _value_row),
-    "relpp": ({"h", "alpha"}, lambda kinds: [k.value for k in kinds], _relpp_row),
-    "equiv-phi": ({"h"}, lambda kinds: [t.value for t in _targets(kinds)], _equiv_phi_row),
-    "spread": ({"phi"}, lambda kinds: [t.value for t in _targets(kinds)], _spread_row),
-    "boundaries": ({"m", "alpha"}, lambda kinds: ["h1", "h2", "h3"], _boundaries_row),
+    "value": ({"h", "m", "alpha"}, lambda kinds: [k.value for k in kinds], _each_point(_value_row)),
+    "relpp": ({"h", "alpha"}, lambda kinds: [k.value for k in kinds], _each_point(_relpp_row)),
+    "equiv-phi": ({"h"}, lambda kinds: [t.value for t in _targets(kinds)], _each_point(_equiv_phi_row)),
+    "spread": ({"phi"}, lambda kinds: [t.value for t in _targets(kinds)], _spread_rows),
+    "boundaries": ({"m", "alpha"}, lambda kinds: ["h1", "h2", "h3"], _each_point(_boundaries_row)),
 }
 
 
 def _cmd_sweep(ns) -> int:
     if not (ns.steps >= 1 and ns.x_min < ns.x_max):
         raise ValuationError(f"need steps >= 1 and x-min < x-max, got {ns.steps}, [{ns.x_min}, {ns.x_max}]")
-    axes, names, row = _QUANTITIES[ns.quantity]
+    axes, names, row_maker = _QUANTITIES[ns.quantity]
     if ns.x not in axes:
         raise ValuationError(f"quantity {ns.quantity} sweeps over {sorted(axes)}, not --x {ns.x}")
     params = _params_from(ns)
     kinds = [ContractKind(k.strip()) for k in (ns.contract or "frm,abm,aprm").split(",")]
     base = {"h": ns.h, "m": ns.m, "alpha": ns.alpha, "phi": ns.phi}
+    row = row_maker(params, kinds, base)
     xs = np.linspace(ns.x_min, ns.x_max, ns.steps + 1)
-    rows = [row(params, kinds, {**base, ns.x: x}) for x in xs]
+    rows = [row({**base, ns.x: x}) for x in xs]
 
     def fmt(v):
         return "" if v == "" else f"{float(v):.{_SIG_DIGITS}g}"
@@ -171,10 +180,14 @@ def _cmd_alpha_star(ns) -> int:
 
 def _cmd_oracle_check(ns) -> int:
     t = oracle_triangle(_params_from(ns), _spec_from(ns), ns.h, ns.n_points, ns.n_paths, ns.seed)
-    node = int(np.argmin(np.abs(t.grid.grid - ns.h)))
+    grid = t.grid.grid
+    if grid[0] <= ns.h <= grid[-1]:
+        node = int(np.argmin(np.abs(grid - ns.h)))
+        at_grid = f"grid (node h={grid[node]:.4f}) {t.grid.values[node]:.9f}"
+    else:
+        at_grid = f"grid none (h outside its nodes {grid[0]:.4f} to {grid[-1]:.4f})"
     sys.stdout.write(
-        f"value at h={ns.h:g}: closed-form {t.value:.9f}; "
-        f"grid (node h={t.grid.grid[node]:.4f}) {t.grid.values[node]:.9f}; "
+        f"value at h={ns.h:g}: closed-form {t.value:.9f}; {at_grid}; "
         f"threshold-policy {t.policy:.9f}\n"
     )
     sys.stdout.write(f"held-forever value at h={ns.h:g}: closed-form {t.held:.9f}; "

@@ -12,12 +12,14 @@ on the continuation region, (1 - phi) h below h1, and B0 above h2.
 
 Two comparisons against the adjusted FRM are provided: the equivalent
 foreclosure cost phi that equates values at a common rate, and the
-endogenous rate spread that equates values at a fixed phi.
+endogenous rate spread that equates values at a fixed phi.  A sweep over
+phi goes through ``spread_solver``, which solves the FRM, ``max_rate`` and
+the rate bracket once per target rather than once per point.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,14 +53,24 @@ def _loss_weight(h, h1: float, h2: float, p1: float, p2: float):
     return np.where(h <= h1, h, np.where(h >= h2, 0.0, inner))
 
 
-def frm_value_with_foreclosure(params: ModelParams, m: float, phi: float, h):
-    """FRM value when default costs the bank the fraction ``phi`` of h."""
+def _require_phi(phi: float) -> None:
     if not (0.0 <= phi < 1.0):
         raise InvalidPhi(f"foreclosure cost fraction must lie in [0, 1), got {phi}")
+
+
+def _frm_terms(params: ModelParams, m: float, h):
+    """The frictionless FRM value at h and the coefficient of phi there."""
     solved = solve_frm(params, m)
     h1, h2 = solved.boundaries["h1"], solved.boundaries["h2"]
     ex = solved.exponents
-    out = solved.value(h) - phi * _loss_weight(h, h1, h2, ex.p1, ex.p2)
+    return solved.value(h), _loss_weight(h, h1, h2, ex.p1, ex.p2)
+
+
+def frm_value_with_foreclosure(params: ModelParams, m: float, phi: float, h):
+    """FRM value when default costs the bank the fraction ``phi`` of h."""
+    _require_phi(phi)
+    value, weight = _frm_terms(params, m, h)
+    out = value - phi * weight
     arr = np.asarray(out)
     return float(arr) if arr.ndim == 0 else out
 
@@ -112,10 +124,60 @@ def endogenous_spread(
     Solves V_target(h; m) = V_frm_phi(h; m_f) for m on
     (r (1 + 1e-6), max_rate).  The target value must be increasing in m
     across the bracket; that is checked at the bracket ends rather than
-    assumed.
+    assumed.  This is one call of ``spread_solver``; for many phis, call
+    one solver, which solves the FRM, ``max_rate`` and the bracket once.
+    """
+    return spread_solver(params, m_f, target, alpha, h)(phi)
+
+
+def spread_solver(
+    params: ModelParams,
+    m_f: float,
+    target: ContractKind,
+    alpha: float = 0.0,
+    h: float = 1.0,
+) -> Callable[[float], float]:
+    """``endogenous_spread`` at these inputs, as a function of phi alone.
+
+    The work that does not depend on phi (the FRM solve, ``max_rate`` and
+    the solves at both bracket ends) runs on the first call and is kept
+    once it succeeds, so a sweep over phi solves the FRM, ``max_rate`` and
+    the bracket once per target.  That work runs in ``endogenous_spread``'s
+    order of checks, so every call returns the same bits and raises the
+    same error as ``endogenous_spread`` at that phi.
+    """
+    fixed = None
+
+    def spread(phi: float) -> float:
+        nonlocal fixed
+        if fixed is None:
+            fixed = _spread_bracket(params, m_f, phi, target, alpha, h)
+        _require_phi(phi)
+        value, weight, lo, hi, v_lo, v_hi = fixed
+        want = float(value - phi * weight)
+        if not (v_lo <= want <= v_hi):
+            raise NoBracket(
+                f"adjusted FRM value {want} outside the target's attainable range [{v_lo}, {v_hi}]"
+            )
+
+        def gap(m: float) -> float:
+            return _solve(params, target, m, alpha).value(h) - want
+
+        m_target = find_root_bracketed(gap, lo, hi)
+        return 1e4 * (m_target - m_f)
+
+    return spread
+
+
+def _spread_bracket(params: ModelParams, m_f: float, phi: float, target: ContractKind, alpha: float, h: float):
+    """The part of a spread free of phi: the FRM value and loss weight at
+    h, the rate bracket (lo, hi) and the target's values at its ends.
+
+    ``phi`` is only checked, at the point where ``endogenous_spread`` checks it.
     """
     require_positive_spread(m_f, params)
-    want = frm_value_with_foreclosure(params, m_f, phi, h)
+    _require_phi(phi)
+    value, weight = _frm_terms(params, m_f, h)
     _require_target(target)
 
     lo = params.r * (1.0 + 1e-6)
@@ -126,16 +188,7 @@ def endogenous_spread(
         raise NoBracket(
             f"target value is not increasing in the rate across ({lo}, {hi}): {v_lo} vs {v_hi}"
         )
-    if not (v_lo <= want <= v_hi):
-        raise NoBracket(
-            f"adjusted FRM value {want} outside the target's attainable range [{v_lo}, {v_hi}]"
-        )
-
-    def gap(m: float) -> float:
-        return _solve(params, target, m, alpha).value(h) - want
-
-    m_target = find_root_bracketed(gap, lo, hi)
-    return 1e4 * (m_target - m_f)
+    return value, weight, lo, hi, v_lo, v_hi
 
 
 RATE_CAP = 1.0

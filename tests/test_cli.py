@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from mortval import ContractKind, ContractSpec, ModelParams, solve_contract
+from mortval import ContractKind, ContractSpec, ModelParams, endogenous_spread, foreclosure, solve_contract
 from mortval.cli import _COMMANDS, _FLAGS, main
 from mortval.oracle import grid_window, oracle_triangle
 
@@ -171,6 +172,37 @@ class TestSweep:
         spreads = [float(line.split("\t")[1]) for line in lines[1:]]
         assert all(s2 < s1 for s1, s2 in zip(spreads, spreads[1:]))  # decreasing in phi
 
+    SPREAD = ["sweep", "--quantity", "spread", "--x", "phi", "--x-min", "0.05", "--x-max", "0.6",
+              "--steps", "10", "--alpha", "0.05", *BASE]
+
+    @pytest.mark.parametrize("contracts,targets", [
+        (None, [ContractKind.ABM, ContractKind.APRM]),
+        ("abm", [ContractKind.ABM]),
+    ])
+    def test_spread_solves_max_rate_once_per_target(self, capsys, monkeypatch, contracts, targets):
+        kinds = []
+        original = foreclosure.max_rate
+
+        def counted(params, kind, alpha=0.0):
+            kinds.append(kind)
+            return original(params, kind, alpha)
+
+        monkeypatch.setattr(foreclosure, "max_rate", counted)
+        code, out, _ = run(capsys, self.SPREAD + (["--contract", contracts] if contracts else []))
+        assert code == 0 and len(out.splitlines()) == 12
+        assert kinds == targets
+
+    def test_spread_prints_endogenous_spread(self, capsys):
+        code, out, _ = run(capsys, self.SPREAD)
+        assert code == 0
+        params = ModelParams(r=0.017825, delta=0.045, sigma=0.1125, b0=0.9)
+        want = [
+            [f"{phi:.12g}"] + [f"{endogenous_spread(params, 0.0326, phi, t, 0.05):.12g}"
+                               for t in (ContractKind.ABM, ContractKind.APRM)]
+            for phi in np.linspace(0.05, 0.6, 11)
+        ]
+        assert [line.split("\t") for line in out.splitlines()[1:]] == want
+
     def test_single_step_gives_endpoints(self, capsys):
         code, out, _ = run(capsys, [
             "sweep", "--quantity", "value", "--x", "h",
@@ -324,3 +356,5 @@ class TestOracleCheck:
                                     "--n-points", "501", "--n-paths", "10000"])
         assert code == 0, out
         assert "FAIL" not in out
+        # The grid tops out inside the band, far below h = 50: no node's value is printed.
+        assert "grid none (h outside its nodes 0.0020 to " in out and "node h=" not in out

@@ -7,6 +7,7 @@ from mortval import (
     InvalidParams,
     InvalidPhi,
     InvalidSpec,
+    NegativeSpread,
     NoBracket,
     endogenous_spread,
     equivalent_foreclosure_cost,
@@ -14,7 +15,9 @@ from mortval import (
     max_rate,
     solve_abm,
     solve_frm,
+    spread_solver,
 )
+from mortval import foreclosure
 from mortval.foreclosure import RATE_CAP
 
 from conftest import B0, M0, R0
@@ -130,8 +133,8 @@ class TestEndogenousSpread:
         assert endogenous_spread(params_low_benefit, M0, 0.0, ContractKind.APRM, 0.05) >= 0.0
 
     def test_nonincreasing_in_friction(self, params_low_benefit):
-        phis = [0.0, 0.15, 0.3, 0.45, 0.6]
-        spreads = [endogenous_spread(params_low_benefit, M0, p, ContractKind.ABM, 0.0) for p in phis]
+        spread = spread_solver(params_low_benefit, M0, ContractKind.ABM, 0.0)
+        spreads = [spread(p) for p in (0.0, 0.15, 0.3, 0.45, 0.6)]
         assert all(s2 <= s1 + 1e-9 for s1, s2 in zip(spreads, spreads[1:]))
 
     def test_reproduces_adjusted_value(self, params_low_benefit):
@@ -139,6 +142,60 @@ class TestEndogenousSpread:
         m_a = M0 + spread / 1e4
         want = frm_value_with_foreclosure(params_low_benefit, M0, 0.3, 1.0)
         assert solve_abm(params_low_benefit, m_a).value(1.0) == pytest.approx(want, abs=1e-10)
+
+
+class TestSpreadSolver:
+    @pytest.mark.parametrize("target,alpha", [(ContractKind.ABM, 0.0), (ContractKind.APRM, 0.05)])
+    def test_same_bits_as_endogenous_spread(self, params_low_benefit, params_high_benefit, target, alpha):
+        phis = np.linspace(0.0, 0.95, 20)
+        for params in (params_low_benefit, params_high_benefit):
+            spread = spread_solver(params, M0, target, alpha)
+            got = [spread(phi).hex() for phi in phis]
+            assert got == [endogenous_spread(params, M0, phi, target, alpha).hex() for phi in phis]
+
+    def test_phi_free_work_runs_once(self, params_low_benefit, monkeypatch):
+        calls = []
+        original = foreclosure.max_rate
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(foreclosure, "max_rate", counted)
+        spread = spread_solver(params_low_benefit, M0, ContractKind.ABM)
+        assert calls == []
+        for phi in (0.1, 0.2, 0.3, 0.4):
+            spread(phi)
+        assert calls == [(params_low_benefit, ContractKind.ABM, 0.0)]
+
+    def test_errors_in_the_order_of_endogenous_spread(self, params_low_benefit):
+        # Each case fixes the first fault of the one before it.  At h = 0.8
+        # the ABM cannot fall as low as the FRM with phi = 0.99.
+        p, frm, abm = params_low_benefit, ContractKind.FRM, ContractKind.ABM
+        cases = [
+            (0.5 * R0, 1.5, frm, NegativeSpread),
+            (M0, 1.5, frm, InvalidPhi),
+            (M0, 0.99, frm, InvalidSpec),
+            (M0, 0.99, abm, NoBracket),
+        ]
+        for m_f, phi, target, error in cases:
+            with pytest.raises(error):
+                endogenous_spread(p, m_f, phi, target, 0.0, 0.8)
+            with pytest.raises(error):
+                spread_solver(p, m_f, target, 0.0, 0.8)(phi)
+
+    def test_later_calls_raise_per_phi(self, params_low_benefit):
+        p, abm = params_low_benefit, ContractKind.ABM
+        spread = spread_solver(p, M0, abm, 0.0, 0.8)
+        with pytest.raises(InvalidPhi):
+            spread(-0.1)  # before the phi-free work has run
+        want = endogenous_spread(p, M0, 0.5, abm, 0.0, 0.8)
+        assert spread(0.5) == want
+        with pytest.raises(NoBracket):
+            spread(0.99)
+        with pytest.raises(InvalidPhi):
+            spread(1.0)
+        assert spread(0.5) == want
 
 
 class TestMaxRate:
