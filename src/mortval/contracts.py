@@ -64,6 +64,10 @@ def contract_spec(kind: ContractKind, m: float, alpha: float) -> ContractSpec:
     return ContractSpec(kind, m, alpha if kind is ContractKind.APRM else 0.0)
 
 
+# The highest rate ``max_rate`` reports: 100% per year.
+RATE_CAP = 1.0
+
+
 def require_positive_spread(m: float, params: ModelParams) -> None:
     if not (m > params.r):
         raise NegativeSpread(f"mortgage rate {m} must exceed the risk-free rate {params.r}")

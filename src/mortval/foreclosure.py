@@ -23,11 +23,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .abm import _max_rate
 # ``solve_abm`` and ``solve_aprm`` are unused here but stay bound: the
 # tracer in perfbench/tracing.py wraps them through this module's namespace.
 from .abm import solve_abm  # noqa: F401
 from .aprm import solve_aprm  # noqa: F401
-from .contracts import ContractKind, contract_spec, require_positive_spread
+from .contracts import RATE_CAP, ContractKind, contract_spec, require_positive_spread
 from .errors import Degenerate, InvalidPhi, InvalidSpec, NoBracket
 from .frm import solve_frm
 from .model import ModelParams
@@ -153,11 +154,17 @@ def spread_solver(
         if fixed is None:
             fixed = _spread_bracket(params, m_f, phi, target, alpha, h)
         _require_phi(phi)
-        value, weight, lo, hi, v_lo, v_hi = fixed
+        value, weight, lo, hi, v_lo, v_hi, stops_hi = fixed
         want = float(value - phi * weight)
         if not (v_lo <= want <= v_hi):
             raise NoBracket(
                 f"adjusted FRM value {want} outside the target's attainable range [{v_lo}, {v_hi}]"
+            )
+        if want == v_hi and stops_hi:
+            # The target stops at h from some rate below hi on, so its value
+            # is flat there and every rate in that stretch equates it.
+            raise Degenerate(
+                f"target stops at h={h} with value {want} over a range of rates up to {hi}"
             )
 
         def gap(m: float) -> float:
@@ -171,7 +178,8 @@ def spread_solver(
 
 def _spread_bracket(params: ModelParams, m_f: float, phi: float, target: ContractKind, alpha: float, h: float):
     """The part of a spread free of phi: the FRM value and loss weight at
-    h, the rate bracket (lo, hi) and the target's values at its ends.
+    h, the rate bracket (lo, hi), the target's values at its ends and
+    whether the target stops at h at the top end.
 
     ``phi`` is only checked, at the point where ``endogenous_spread`` checks it.
     """
@@ -183,27 +191,34 @@ def _spread_bracket(params: ModelParams, m_f: float, phi: float, target: Contrac
     lo = params.r * (1.0 + 1e-6)
     hi = max_rate(params, target, alpha)
     v_lo = _solve(params, target, lo, alpha).value(h)
-    v_hi = _solve(params, target, hi, alpha).value(h)
+    solved_hi = _solve(params, target, hi, alpha)
+    v_hi = solved_hi.value(h)
     if not v_lo < v_hi:
         raise NoBracket(
             f"target value is not increasing in the rate across ({lo}, {hi}): {v_lo} vs {v_hi}"
         )
-    return value, weight, lo, hi, v_lo, v_hi
-
-
-RATE_CAP = 1.0
+    stops_hi = solved_hi.region_at(h).action is not Action.CONTINUE
+    return value, weight, lo, hi, v_lo, v_hi, stops_hi
 
 
 def max_rate(params: ModelParams, kind: ContractKind, alpha: float = 0.0) -> float:
     """Largest rate at which holding (not stopping) is optimal at h = 1.
 
-    Found by bisection on the region membership of h = 1; above the
-    returned rate the solved contract stops immediately at origination.
-    An APRM with alpha > 0 keeps its prepayment band strictly above 1 at
-    every rate, so its continuation sliver around origination never
-    closes; the search is then capped at ``RATE_CAP`` (100% per year) and
-    the cap returned.
+    Above the returned rate the solved contract stops immediately at
+    origination.  No rate below r (1 + 1e-9) or above ``RATE_CAP`` (100%
+    per year) is returned.  For the ABM the rate solves the pasting
+    equations with the prepayment boundary at h2 = 1, in closed form or by
+    one scalar root, with no contract solve.  The FRM and the APRM are
+    still found by bisection on the region membership of h = 1 (~103
+    solves): the FRM's inversion is left until perfbench's pin of those
+    103 solves moves, and the APRM has no inversion yet.  An APRM with
+    alpha > 0 keeps its prepayment band strictly above 1 at every rate, so
+    its continuation sliver around origination never closes; the search
+    then returns the cap.
     """
+    if kind is ContractKind.ABM:
+        return _max_rate(params)
+
     def continues(m: float) -> bool:
         return _solve(params, kind, m, alpha).region_at(1.0).action is Action.CONTINUE
 

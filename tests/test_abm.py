@@ -6,6 +6,8 @@ from mortval import (
     ContractSpec,
     ModelParams,
     NegativeSpread,
+    UnsupportedRegime,
+    max_rate,
     perpetual_cashflows,
     solve_abm,
     solve_abm_no_prepay,
@@ -126,6 +128,16 @@ def test_option_value_nonnegative(params_low_benefit):
     h = np.geomspace(0.01, 50, 2_000)
     gap = solve_abm_no_prepay(params_low_benefit, M0).value(h) - solve_abm(params_low_benefit, M0).value(h)
     assert float(np.min(gap)) >= -1e-10
+
+
+def test_unrepresentable_boundary_is_unsupported():
+    # p2 = 0.0289 and m just above r put h2 = B0 (...)^{1/p2} past float range.
+    params = ModelParams(r=0.00547037976873022, delta=0.02399551246756193,
+                         sigma=0.5766188358088469, b0=0.6881895655214953)
+    with pytest.raises(UnsupportedRegime):
+        solve_abm(params, 0.0054703797742006)
+    # The rate equation at h2 = 1 needs no solve there.
+    assert params.r < max_rate(params, ContractKind.ABM) < 1.0
 
 
 def test_negative_spread_rejected(params_low_benefit):

@@ -63,6 +63,14 @@ class TestSolve:
         assert code == 2
         assert json.loads(err)["error"] == "NegativeSpread"
 
+    def test_unrepresentable_boundary_exits_2_with_machine_error(self, capsys):
+        code, out, err = run(capsys, [
+            "solve", "--contract", "abm", "--r", "0.00547037976873022", "--delta", "0.02399551246756193",
+            "--sigma", "0.5766188358088469", "--b0", "0.6881895655214953", "--m", "0.0054703797742006",
+        ])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "UnsupportedRegime"
+
     def test_missing_flags_exit_2(self, capsys):
         code, _, err = run(capsys, ["solve", "--contract", "frm", "--r", "0.02"])
         assert code == 2
@@ -202,6 +210,12 @@ class TestSweep:
             for phi in np.linspace(0.05, 0.6, 11)
         ]
         assert [line.split("\t") for line in out.splitlines()[1:]] == want
+
+    def test_spread_of_a_flat_target_exits_2(self, capsys):
+        # At h = 1.5 both the ABM and the FRM (h2 = 1.43) prepay.
+        code, out, err = run(capsys, [*self.SPREAD, "--h", "1.5"])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "Degenerate"
 
     def test_single_step_gives_endpoints(self, capsys):
         code, out, _ = run(capsys, [

@@ -7,18 +7,23 @@ from mortval import (
     InvalidParams,
     InvalidPhi,
     InvalidSpec,
+    ModelParams,
     NegativeSpread,
     NoBracket,
+    ValuationError,
     endogenous_spread,
     equivalent_foreclosure_cost,
     frm_value_with_foreclosure,
     max_rate,
     solve_abm,
+    solve_contract,
     solve_frm,
     spread_solver,
 )
 from mortval import foreclosure
+from mortval.contracts import contract_spec
 from mortval.foreclosure import RATE_CAP
+from mortval.solution import Action
 
 from conftest import B0, M0, R0
 
@@ -144,6 +149,18 @@ class TestEndogenousSpread:
         assert solve_abm(params_low_benefit, m_a).value(1.0) == pytest.approx(want, abs=1e-10)
 
 
+    @pytest.mark.parametrize("h,phis", [(1.5, (0.0, 0.5, 0.99)), (0.3, (0.0,)), (0.5, (0.0,))])
+    def test_flat_target_is_degenerate(self, params_low_benefit, h, phis):
+        # At these prices the ABM at the bracket's top rate stops, and so does
+        # the adjusted FRM with a value the ABM reaches over a range of rates.
+        spread = spread_solver(params_low_benefit, M0, ContractKind.ABM, 0.0, h)
+        for phi in phis:
+            with pytest.raises(Degenerate):
+                endogenous_spread(params_low_benefit, M0, phi, ContractKind.ABM, 0.0, h)
+            with pytest.raises(Degenerate):
+                spread(phi)
+
+
 class TestSpreadSolver:
     @pytest.mark.parametrize("target,alpha", [(ContractKind.ABM, 0.0), (ContractKind.APRM, 0.05)])
     def test_same_bits_as_endogenous_spread(self, params_low_benefit, params_high_benefit, target, alpha):
@@ -198,6 +215,10 @@ class TestSpreadSolver:
         assert spread(0.5) == want
 
 
+def _action_at_one(params, kind, m):
+    return solve_contract(params, contract_spec(kind, m, 0.0)).region_at(1.0).action
+
+
 class TestMaxRate:
     def test_published_values(self, params_low_benefit, params_high_benefit):
         assert max_rate(params_low_benefit, ContractKind.FRM) == pytest.approx(0.0575, abs=5e-4)
@@ -205,15 +226,88 @@ class TestMaxRate:
 
     @pytest.mark.parametrize("kind", [ContractKind.FRM, ContractKind.ABM])
     def test_just_above_stops_at_origination(self, params_low_benefit, kind):
-        from mortval.options import solve_contract
-        from mortval import ContractSpec
-        from mortval.solution import Action
-
         m_bar = max_rate(params_low_benefit, kind)
-        solved = solve_contract(params_low_benefit, ContractSpec(kind=kind, m=m_bar * (1 + 1e-4)))
-        assert solved.region_at(1.0).action is not Action.CONTINUE
-        solved = solve_contract(params_low_benefit, ContractSpec(kind=kind, m=m_bar * (1 - 1e-4)))
-        assert solved.region_at(1.0).action is Action.CONTINUE
+        for rel in (1e-4, 1e-9):
+            assert _action_at_one(params_low_benefit, kind, m_bar * (1 + rel)) is not Action.CONTINUE
+            assert _action_at_one(params_low_benefit, kind, m_bar * (1 - rel)) is Action.CONTINUE
+
+    # (r, delta, sigma, b0) drawn with a fixed seed, one per way the ABM's
+    # rate equation resolves, and a benefit rate above the cap.
+    ABM_BRANCHES = {
+        "explicit": (0.02600569719726195, 0.0488089374312795, 0.11694583091704303, 0.5703475165470393),
+        "root": (0.035687630658065364, 0.011805756984443166, 0.10443167170019249, 0.9876595275700722),
+        "clamp": (0.07685259986485808, 0.04979728824677996, 0.06958551074551056, 0.2175263000090063),
+        "cap": (0.07042780920853496, 0.018881818405541657, 0.5684649094154308, 0.9499019263694459),
+        "cap below delta": (0.02, 1.5, 0.2, 1.0),
+    }
+
+    @pytest.mark.parametrize("branch", ABM_BRANCHES)
+    def test_balance_adjusted_branches_flip_at_the_rate(self, branch):
+        params = ModelParams(*self.ABM_BRANCHES[branch])
+        abm, m_bar = ContractKind.ABM, max_rate(params, ContractKind.ABM)
+        lo = params.r * (1.0 + 1e-9)
+        assert {
+            "explicit": lo < m_bar <= params.delta,
+            "root": max(lo, params.delta) < m_bar < RATE_CAP,
+            "clamp": m_bar == lo and params.delta < lo,
+            "cap": m_bar == RATE_CAP,
+            "cap below delta": m_bar == RATE_CAP < params.delta,
+        }[branch]
+        if m_bar == RATE_CAP:
+            assert _action_at_one(params, abm, RATE_CAP) is Action.CONTINUE
+        else:
+            assert _action_at_one(params, abm, m_bar * (1 + 1e-9)) is not Action.CONTINUE
+        if branch != "clamp":  # below lo lies r, where no contract is priced
+            assert _action_at_one(params, abm, m_bar * (1 - 1e-9)) is Action.CONTINUE
+
+    def test_balance_adjusted_rate_solves_no_contract(self, params_low_benefit, params_high_benefit, monkeypatch):
+        calls = []
+        original = foreclosure.solve_contract
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(foreclosure, "solve_contract", counted)
+        for params in (params_low_benefit, params_high_benefit):
+            max_rate(params, ContractKind.ABM)
+        assert calls == []
+
+    def test_balance_adjusted_rate_agrees_with_bisection(self):
+        # Bisection on the region of h = 1, the way max_rate finds the FRM's
+        # rate, is the reference wherever every solve on its path returns.
+        def bisected(params):
+            def continues(m):
+                return solve_abm(params, m).region_at(1.0).action is Action.CONTINUE
+
+            lo = params.r * (1.0 + 1e-9)
+            if not continues(lo):
+                return lo
+            hi = lo * 2.0
+            while continues(hi):
+                lo, hi = hi, hi * 2.0
+                if hi >= RATE_CAP:
+                    if continues(RATE_CAP):
+                        return RATE_CAP
+                    hi = RATE_CAP
+                    break
+            for _ in range(100):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if continues(mid) else (lo, mid)
+            return 0.5 * (lo + hi)
+
+        rng = np.random.default_rng(2020)
+        compared = 0
+        for draw in rng.uniform((0.005, 0.005, 0.05, 0.1), (0.08, 0.1, 0.6, 1.0), (120, 4)):
+            params = ModelParams(*map(float, draw))
+            got = max_rate(params, ContractKind.ABM)
+            try:
+                want = bisected(params)
+            except ValuationError:
+                continue
+            assert abs(got - want) <= 1e-12 * want, (params, got, want)
+            compared += 1
+        assert compared >= 80
 
     def test_sharing_contract_reaches_cap(self, params_low_benefit):
         # The payment-adjusted contract keeps a continuation sliver around
