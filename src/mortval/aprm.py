@@ -18,7 +18,9 @@ The sharing threshold alpha* is the root of
 
 on (0, p2 B0 (m/r - 1)), where beta is the magnitude of the h^{-p2}
 coefficient of the never-prepay candidate value above 1: beta1 in the low
-regime, beta2 in the mid regime.
+regime, beta2 in the mid regime.  g increases on that interval
+(``_sharing_gain``), so ``solve_aprm`` decides alpha >= alpha* by the sign
+of g(alpha) and finds no root; ``aprm_regime`` reports the root itself.
 
 When a high-state prepayment band [h2, h3] exists, h3 and the outer
 coefficient are explicit,
@@ -65,10 +67,21 @@ class AprmRegime:
     alpha_star: float | None
 
 
-def _alpha_star(params: ModelParams, m: float, beta: float, ex: Exponents) -> float:
+def _sharing_gain(params: ModelParams, m: float, beta: float, ex: Exponents):
+    """g of the module docstring, and the ends (lo, hi) of its bracket for alpha*.
+
+    g is concave, with g(0) = -B0 (m/r - 1) < 0 and its maximum beta - B0 (m/r - 1)
+    at alpha = p2 beta.  beta >= B0 (m/r - 1) says that the never-prepay
+    candidate above 1, m B0/r - beta h^{-p2}, is at most B0 at h = 1, which
+    holds in both regimes where beta is defined: in the low regime it is
+    the held-forever value, below (m B0/delta) h <= B0 at 1 since
+    m <= delta; in the mid regime it is the value of stopping only at or
+    below 1, at most the payoff B0 there.  So p2 beta >= p2 B0 (m/r - 1),
+    and g increases on (0, p2 B0 (m/r - 1)), whose end it reaches at
+    beta = B0 (m/r - 1), the upper edge of the mid regime.
+    """
     p2 = ex.p2
-    b0 = params.b0
-    gap = b0 * (m / params.r - 1.0)
+    gap = params.b0 * (m / params.r - 1.0)
     gain_cap = p2 * gap
     q = p2 / (1.0 + p2)
     coef = (1.0 + p2) / p2 * (p2 * beta) ** (1.0 / (1.0 + p2))
@@ -76,17 +89,30 @@ def _alpha_star(params: ModelParams, m: float, beta: float, ex: Exponents) -> fl
     def g(alpha: float) -> float:
         return coef * alpha**q - alpha - gap
 
-    # g is increasing with g(0+) < 0 < g(gain_cap), but at tiny spreads the
-    # root sits below any fixed relative shrink; where the alpha^q term is
-    # at most half the constant, g is negative for sure.
+    # At tiny spreads the root sits below any fixed relative shrink; where
+    # the alpha^q term is at most half the constant, g is negative for sure.
     lo = min(1e-12 * gain_cap, (gap / (2.0 * coef)) ** (1.0 / q))
-    hi = gain_cap * (1.0 - 1e-12)
+    return g, lo, gain_cap * (1.0 - 1e-12)
+
+
+def _alpha_star(params: ModelParams, m: float, beta: float, ex: Exponents) -> float:
+    g, lo, hi = _sharing_gain(params, m, beta, ex)
     g_hi = g(hi)
     if g_hi <= 0.0 and abs(g_hi) <= 1e-9 * max(1.0, abs(g(lo))):
         # At the upper regime edge (m -> p1 delta/(p1-1)) the threshold
         # meets the cap itself and g(hi) is zero up to rounding.
         return hi
     return find_root_bracketed(g, lo, hi)
+
+
+def _shares_enough(params: ModelParams, m: float, beta: float, ex: Exponents, alpha: float) -> bool:
+    """alpha >= alpha*, by the sign of the increasing g instead of its root.
+
+    An alpha at or above the interval's (1 - 1e-12) end counts as >= alpha*,
+    as ``_alpha_star`` returns that end when the root lies at the cap.
+    """
+    g, _, hi = _sharing_gain(params, m, beta, ex)
+    return alpha >= hi or g(alpha) >= 0.0
 
 
 def _beta1(params: ModelParams, m: float, ex: Exponents) -> float:
@@ -104,15 +130,19 @@ def _beta2(params: ModelParams, m: float, ex: Exponents) -> float:
     )
 
 
-def _classify(params: ModelParams, m: float, ex: Exponents) -> AprmRegime:
+def _regime_beta(params: ModelParams, m: float, ex: Exponents) -> tuple[RateRegime, float, float | None]:
+    """The rate regime, m*, and beta where alpha* exists (None at high rates)."""
     m_star = ex.p1 * params.delta / (ex.p1 - 1.0)
     if m <= params.delta:
-        alpha_star = _alpha_star(params, m, _beta1(params, m, ex), ex)
-        return AprmRegime(RateRegime.LOW_RATE, m_star, alpha_star)
+        return RateRegime.LOW_RATE, m_star, _beta1(params, m, ex)
     if m < m_star:
-        alpha_star = _alpha_star(params, m, _beta2(params, m, ex), ex)
-        return AprmRegime(RateRegime.MID_RATE, m_star, alpha_star)
-    return AprmRegime(RateRegime.HIGH_RATE, m_star, None)
+        return RateRegime.MID_RATE, m_star, _beta2(params, m, ex)
+    return RateRegime.HIGH_RATE, m_star, None
+
+
+def _classify(params: ModelParams, m: float, ex: Exponents) -> AprmRegime:
+    regime, m_star, beta = _regime_beta(params, m, ex)
+    return AprmRegime(regime, m_star, None if beta is None else _alpha_star(params, m, beta, ex))
 
 
 def aprm_regime(params: ModelParams, m: float) -> AprmRegime:
@@ -171,18 +201,18 @@ def solve_aprm(params: ModelParams, m: float, alpha: float) -> SolvedContract:
     if not (0.0 <= alpha < 1.0):
         raise InvalidSpec(f"sharing fraction must lie in [0, 1), got {alpha}")
     ex = compute_exponents(params)
-    regime = _classify(params, m, ex)
+    regime, _, beta = _regime_beta(params, m, ex)
     p1, p2 = ex.p1, ex.p2
     r, delta, b0 = params.r, params.delta, params.b0
     load = m * b0 / delta
 
-    if regime.regime is RateRegime.HIGH_RATE and alpha >= b0:
+    if regime is RateRegime.HIGH_RATE and alpha >= b0:
         raise UnsupportedRegime(
             f"no closed form for sharing fraction {alpha} >= loan-to-value {b0} at high rates"
         )
 
-    if regime.alpha_star is not None and alpha >= regime.alpha_star:
-        if regime.regime is RateRegime.LOW_RATE:
+    if beta is not None and _shares_enough(params, m, beta, ex, alpha):
+        if regime is RateRegime.LOW_RATE:
             # Never stop: the contract is worth its held-forever value.
             return _abm._held_forever(m * b0, 1.0, params, ex)
         # Mid rate, alpha >= alpha*: only the low-state boundary remains.
@@ -204,7 +234,7 @@ def solve_aprm(params: ModelParams, m: float, alpha: float) -> SolvedContract:
     h3 = p2 / (1.0 + p2) * (m * b0 / alpha * (1.0 / r - 1.0 / m) + 1.0)
     c_outer = -(alpha / p2) * h3 ** (1.0 + p2)
 
-    if regime.regime is RateRegime.LOW_RATE:
+    if regime is RateRegime.LOW_RATE:
         def chi(h: float) -> float:
             return h**p2 * (p1 / (p1 - 1.0) * (1.0 + p2) / p2 * h3 - h) - m * b0 / (p2 * alpha * delta)
 
@@ -242,7 +272,7 @@ def solve_aprm(params: ModelParams, m: float, alpha: float) -> SolvedContract:
         )
 
     hi_end = h3
-    if regime.regime is RateRegime.HIGH_RATE:
+    if regime is RateRegime.HIGH_RATE:
         # The admissible window shrinks to (1, h0], h0 the first point
         # where the implied h1 would reach 1.  psi(1) > 0 holds exactly
         # (it reduces to (B0/alpha - 1)/(1+p2) > 0), so the bracket can

@@ -51,6 +51,8 @@ class ContractSpec:
     alpha: float = 0.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "m", float(self.m))
+        object.__setattr__(self, "alpha", float(self.alpha))
         if not (self.m > 0.0):
             raise InvalidSpec(f"mortgage rate must be positive, got {self.m}")
         if not (0.0 <= self.alpha < 1.0):

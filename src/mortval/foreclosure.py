@@ -14,11 +14,16 @@ Two comparisons against the adjusted FRM are provided: the equivalent
 foreclosure cost phi that equates values at a common rate, and the
 endogenous rate spread that equates values at a fixed phi.  A sweep over
 phi goes through ``spread_solver``, which solves the FRM, ``max_rate`` and
-the rate bracket once per target rather than once per point.
+the rate bracket once per target rather than once per point.  Each spread
+is then a few safeguarded Newton steps on the target's rate, each one
+solve: the slope dV/dm comes from that solve by the envelope theorem
+(``_rate_slope``).  ``max_rate`` solves no contract for the ABM and the
+APRM; the FRM's is still a bisection.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -29,10 +34,11 @@ from .abm import _max_rate
 from .abm import solve_abm  # noqa: F401
 from .aprm import solve_aprm  # noqa: F401
 from .contracts import RATE_CAP, ContractKind, contract_spec, require_positive_spread
-from .errors import Degenerate, InvalidPhi, InvalidSpec, NoBracket
+from .errors import Degenerate, InvalidPhi, InvalidSpec, NanResidual, NoBracket
 from .frm import solve_frm
 from .model import ModelParams
 from .options import solve_contract
+from . import rootfind
 from .rootfind import find_root_bracketed
 from .solution import Action, SolvedContract, checked_prices
 
@@ -123,10 +129,11 @@ def endogenous_spread(
     """Rate spread (basis points) equating the target to the adjusted FRM.
 
     Solves V_target(h; m) = V_frm_phi(h; m_f) for m on
-    (r (1 + 1e-6), max_rate).  The target value must be increasing in m
-    across the bracket; that is checked at the bracket ends rather than
-    assumed.  This is one call of ``spread_solver``; for many phis, call
-    one solver, which solves the FRM, ``max_rate`` and the bracket once.
+    (r (1 + 1e-6), max_rate), by Newton steps from m_f (``_rate_root``).
+    The target value must be increasing in m across the bracket; that is
+    checked at the bracket ends rather than assumed.  This is one call of
+    ``spread_solver``; for many phis, call one solver, which solves the
+    FRM, ``max_rate`` and the bracket once.
     """
     return spread_solver(params, m_f, target, alpha, h)(phi)
 
@@ -144,8 +151,9 @@ def spread_solver(
     the solves at both bracket ends) runs on the first call and is kept
     once it succeeds, so a sweep over phi solves the FRM, ``max_rate`` and
     the bracket once per target.  That work runs in ``endogenous_spread``'s
-    order of checks, so every call returns the same bits and raises the
-    same error as ``endogenous_spread`` at that phi.
+    order of checks, and every phi's Newton iteration starts from m_f, not
+    from the previous root, so every call returns the same bits and raises
+    the same error as ``endogenous_spread`` at that phi.
     """
     fixed = None
 
@@ -167,13 +175,106 @@ def spread_solver(
                 f"target stops at h={h} with value {want} over a range of rates up to {hi}"
             )
 
-        def gap(m: float) -> float:
-            return _solve(params, target, m, alpha).value(h) - want
-
-        m_target = find_root_bracketed(gap, lo, hi)
+        m_target = _rate_root(params, target, alpha, h, want, m_f, lo, hi, v_lo - want, v_hi - want)
         return 1e4 * (m_target - m_f)
 
     return spread
+
+
+def _rate_slope(solved: SolvedContract, m: float, h: float) -> float:
+    """dV/dm at ``h`` for the contract ``solved`` at rate ``m``, without a solve.
+
+    No stopping payoff depends on m, and smooth pasting holds at every free
+    boundary, so by the envelope theorem (Milgrom and Segal, Econometrica
+    2002) dV/dm is the m-derivative with the boundaries held fixed.  With
+    them fixed, V is affine in m: the coupon's part scales with m and the
+    payoff collected at exit does not.  On the continuation component (a, b)
+    holding h that gives
+
+        dV/dm = (V(h) - V(a) P_a(h) - V(b) P_b(h)) / m,
+
+    with P_a(h) = (a/h)^{p2} (1 - (h/b)^{p1+p2}) / (1 - (a/b)^{p1+p2}) and
+    P_b(h) = (h/b)^{p1} (1 - (a/h)^{p1+p2}) / (1 - (a/b)^{p1+p2}) the
+    discounted chances of leaving through a and b; P_a = 0 when a = 0 and
+    P_b = 0 when b is infinite.  They are taken in ratios below 1, so no
+    boundary overflows them.  The slope is 0 in a stopping region.
+    """
+    ends = solved.component_at(h)
+    if ends is None:
+        return 0.0
+    a, b = ends
+    p1, p2 = solved.exponents.p1, solved.exponents.p2
+    exit_value = 0.0
+    if a > 0.0 and b < math.inf:
+        log_ah, log_hb = math.log(a) - math.log(h), math.log(h) - math.log(b)
+        k = p1 + p2
+        span = -math.expm1(k * (log_ah + log_hb))
+        exit_value = (
+            solved.value(a) * math.exp(p2 * log_ah) * -math.expm1(k * log_hb)
+            + solved.value(b) * math.exp(p1 * log_hb) * -math.expm1(k * log_ah)
+        ) / span
+    elif a > 0.0:
+        exit_value = solved.value(a) * (a / h) ** p2
+    elif b < math.inf:
+        exit_value = solved.value(b) * (h / b) ** p1
+    return (solved.value(h) - exit_value) / m
+
+
+# Newton steps a spread takes before it hands its shrunken bracket to Brent.
+_NEWTON_STEPS = 8
+
+
+def _rate_root(
+    params: ModelParams, target: ContractKind, alpha: float, h: float, want: float,
+    m0: float, lo: float, hi: float, f_lo: float, f_hi: float,
+) -> float:
+    """Rate in [lo, hi] at which the target is worth ``want`` at h.
+
+    f(m) = V(h; m) - want rises from f_lo < 0 to f_hi > 0.  Safeguarded
+    Newton steps on ``_rate_slope`` start from m0 (or the midpoint when m0
+    lies outside the bracket).  Each residual's sign shrinks the bracket,
+    and a step that leaves it, or a slope that is not positive, is replaced
+    by bisection.  V is concave in m (the borrower takes the least of
+    values affine in m), so after at most one step past the root the
+    iterates climb to it from below.  The iteration stops by
+    ``find_root_bracketed``'s rule: the residual within
+    max(_ABS_TOL, _REL_TOL |f_hi - f_lo|) and the Newton step, the distance
+    to the root it predicts, within _REL_TOL max(m, 1); it then returns the
+    stepped rate.  After ``_NEWTON_STEPS`` steps without that, Brent
+    finishes on the shrunken bracket.  The iterates depend only on the
+    inputs, so equal calls return equal bits.
+    """
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    f_tol = max(rootfind._ABS_TOL, rootfind._REL_TOL * (f_hi - f_lo))
+    m = m0 if lo < m0 < hi else 0.5 * (lo + hi)
+    for _ in range(_NEWTON_STEPS):
+        solved = _solve(params, target, m, alpha)
+        f = solved.value(h) - want
+        if f != f:
+            raise NanResidual(f"target value is NaN at the rate {m} inside [{lo}, {hi}]")
+        if f == 0.0:
+            return m
+        if f < 0.0:
+            lo = m
+        else:
+            hi = m
+        slope = _rate_slope(solved, m, h)
+        if slope > 0.0:
+            stepped = m - f / slope
+            if abs(f) <= f_tol and abs(stepped - m) <= rootfind._REL_TOL * max(m, 1.0):
+                return stepped if lo <= stepped <= hi else m
+            if lo < stepped < hi:
+                m = stepped
+                continue
+        m = 0.5 * (lo + hi)
+
+    def gap(m: float) -> float:
+        return _solve(params, target, m, alpha).value(h) - want
+
+    return find_root_bracketed(gap, lo, hi)
 
 
 def _spread_bracket(params: ModelParams, m_f: float, phi: float, target: ContractKind, alpha: float, h: float):
@@ -206,18 +307,26 @@ def max_rate(params: ModelParams, kind: ContractKind, alpha: float = 0.0) -> flo
 
     Above the returned rate the solved contract stops immediately at
     origination.  No rate below r (1 + 1e-9) or above ``RATE_CAP`` (100%
-    per year) is returned.  For the ABM the rate solves the pasting
-    equations with the prepayment boundary at h2 = 1, in closed form or by
-    one scalar root, with no contract solve.  The FRM and the APRM are
-    still found by bisection on the region membership of h = 1 (~103
-    solves): the FRM's inversion is left until perfbench's pin of those
-    103 solves moves, and the APRM has no inversion yet.  An APRM with
-    alpha > 0 keeps its prepayment band strictly above 1 at every rate, so
-    its continuation sliver around origination never closes; the search
-    then returns the cap.
+    per year) is returned.
+
+    * ABM: the rate solves the pasting equations with the prepayment
+      boundary at h2 = 1, in closed form or by one scalar root, with no
+      contract solve.
+    * APRM: h = 1 continues at every rate, so the cap is returned without a
+      solve (``alpha`` is only checked).  With alpha > 0 and no band, the
+      contract either never stops (low rate) or has only the low boundary
+      h1 = (p1 (1 - delta/m))^{1/(p1-1)}, below 1 because m < m* =
+      p1 delta/(p1-1) in the mid regime.  With a band [h2, h3], h2 > 1, and
+      h1 < 1 in the mid regime for the same reason; in the high regime h2
+      lies below the point where the implied h1 would reach 1.  At
+      alpha = 0 the contract is the ABM with unit balance, whose h1 < 1 < h2.
+    * FRM: bisection on the region of h = 1 (~103 solves).
     """
     if kind is ContractKind.ABM:
         return _max_rate(params)
+    if kind is ContractKind.APRM:
+        contract_spec(kind, RATE_CAP, alpha)
+        return RATE_CAP
 
     def continues(m: float) -> bool:
         return _solve(params, kind, m, alpha).region_at(1.0).action is Action.CONTINUE

@@ -38,6 +38,10 @@ class ModelParams:
     b0: float
 
     def __post_init__(self) -> None:
+        # One input type: numpy scalars would otherwise carry numpy's
+        # arithmetic (inf with a warning where floats raise OverflowError).
+        for name in ("r", "delta", "sigma", "b0"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not (self.r > 0.0):
             raise InvalidParams(f"risk-free rate must be positive, got {self.r}")
         if not (self.delta > 0.0):

@@ -161,6 +161,19 @@ class SolvedContract:
         """Region owning the price ``h``, which must be positive and finite."""
         return self.regions[bisect_left(self._cuts, checked_price(float(h)))]
 
+    def component_at(self, h: float) -> tuple[float, float] | None:
+        """Ends (a, b) of the continuation component holding ``h``, or None
+        where ``h`` lies in a stopping region.  a may be 0 and b infinite."""
+        regs = self.regions
+        i = j = bisect_left(self._cuts, checked_price(float(h)))
+        if regs[i].action is not Action.CONTINUE:
+            return None
+        while i > 0 and regs[i - 1].action is Action.CONTINUE:
+            i -= 1
+        while j + 1 < len(regs) and regs[j + 1].action is Action.CONTINUE:
+            j += 1
+        return regs[i].lo, regs[j].hi
+
     def _apply(self, h, order: int):
         """Derivative of the given order at ``h``: a float, or an array like ``h``."""
         if not isinstance(h, float):

@@ -10,6 +10,7 @@ from mortval import (
     max_rate,
     perpetual_cashflows,
     solve_abm,
+    solve_contract,
     solve_abm_no_prepay,
 )
 from mortval.solution import Action
@@ -137,6 +138,20 @@ def test_unrepresentable_boundary_is_unsupported():
     with pytest.raises(UnsupportedRegime):
         solve_abm(params, 0.0054703797742006)
     # The rate equation at h2 = 1 needs no solve there.
+    assert params.r < max_rate(params, ContractKind.ABM) < 1.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_numpy_scalar_inputs_take_the_float_path():
+    # The market above with every input a numpy scalar: the inputs become
+    # floats, so the overflow is caught as with floats and nothing warns.
+    wrap = np.float64
+    params = ModelParams(r=wrap(0.00547037976873022), delta=wrap(0.02399551246756193),
+                         sigma=wrap(0.5766188358088469), b0=wrap(0.6881895655214953))
+    spec = ContractSpec(ContractKind.ABM, wrap(0.0054703797742006))
+    assert {type(x) for x in (params.r, params.delta, params.sigma, params.b0, spec.m, spec.alpha)} == {float}
+    with pytest.raises(UnsupportedRegime, match="prepayment boundary exceeds floating-point range"):
+        solve_contract(params, spec)
     assert params.r < max_rate(params, ContractKind.ABM) < 1.0
 
 

@@ -7,13 +7,14 @@ from mortval import (
     ModelParams,
     NegativeSpread,
     UnsupportedRegime,
+    ValuationError,
     aprm_regime,
     perpetual_cashflows,
     solve_abm,
     solve_aprm,
     solve_aprm_no_prepay,
 )
-from mortval import aprm
+from mortval import aprm, rootfind
 from mortval.aprm import RateRegime
 from mortval.solution import Action
 
@@ -71,6 +72,34 @@ class TestRegime:
         regime = aprm_regime(params_low_benefit, M0)
         p2 = solve_aprm_no_prepay(params_low_benefit, M0).exponents.p2
         assert 0.0 < regime.alpha_star < p2 * B0 * (M0 / R0 - 1.0)
+
+    def test_solver_branch_agrees_with_the_threshold(self):
+        # solve_aprm decides alpha >= alpha* by the sign of g at alpha, not by
+        # comparing with the root.  Draws at and around alpha* may land on
+        # the other side of it, but only within the root's tolerance.
+        rng = np.random.default_rng(21)
+        compared = differ = 0
+        for draw in rng.uniform((0.005, 0.005, 0.05, 0.1, 1.01), (0.08, 0.1, 0.6, 1.0, 3.0), (300, 5)):
+            r, delta, sigma, b0, lift = map(float, draw)
+            params, m = ModelParams(r, delta, sigma, b0), r * lift
+            alpha_star = aprm_regime(params, m).alpha_star
+            if alpha_star is None:
+                continue
+            near = alpha_star * (1.0 + rng.uniform(-1e-9, 1e-9))
+            far = rng.uniform(0.0, 2.0 * alpha_star)
+            for alpha in (far, near, np.nextafter(alpha_star, 0.0), alpha_star, np.nextafter(alpha_star, 1.0)):
+                alpha = float(alpha)
+                if not alpha < 1.0:
+                    continue
+                try:
+                    solved = solve_aprm(params, m, alpha)
+                except ValuationError:
+                    continue  # the band equations at alpha just below alpha*
+                compared += 1
+                if ("h2" not in solved.boundaries) != (alpha >= alpha_star):
+                    differ += 1
+                    assert abs(alpha - alpha_star) <= rootfind._REL_TOL * max(alpha_star, 1.0)
+        assert compared >= 600
 
 
 class TestLowRate:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,14 +17,19 @@ from mortval import (
     equivalent_foreclosure_cost,
     frm_value_with_foreclosure,
     max_rate,
+    aprm_regime,
     solve_abm,
+    solve_abm_no_prepay,
+    solve_aprm,
+    solve_aprm_no_prepay,
     solve_contract,
     solve_frm,
     spread_solver,
 )
-from mortval import foreclosure
+from mortval import foreclosure, rootfind
 from mortval.contracts import contract_spec
 from mortval.foreclosure import RATE_CAP
+from mortval.aprm import RateRegime
 from mortval.solution import Action
 
 from conftest import B0, M0, R0
@@ -215,6 +222,134 @@ class TestSpreadSolver:
         assert spread(0.5) == want
 
 
+def _counting_solves(monkeypatch):
+    calls = []
+    original = foreclosure.solve_contract
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(foreclosure, "solve_contract", counted)
+    return calls
+
+
+class TestNewtonSpread:
+    def test_agrees_with_brent(self):
+        # Brent on the same gap and bracket is the reference.  Each method
+        # stops within _REL_TOL max(m, 1) of the root, so they agree to twice
+        # that; where Brent returns, so must Newton.
+        rng = np.random.default_rng(21)
+        targets = ((ContractKind.ABM, 0.0), (ContractKind.APRM, 0.0),
+                   (ContractKind.APRM, 0.05), (ContractKind.APRM, 0.3))
+        compared = 0
+        for i, draw in enumerate(rng.uniform((0.005, 0.005, 0.05, 0.1, 1.05, 0.0),
+                                             (0.08, 0.1, 0.6, 1.0, 2.5, 0.95), (600, 6))):
+            r, delta, sigma, b0, lift, phi = map(float, draw)
+            params, m_f = ModelParams(r, delta, sigma, b0), r * lift
+            target, alpha = targets[i % len(targets)]
+            try:
+                value, weight, lo, hi, v_lo, v_hi, _ = foreclosure._spread_bracket(
+                    params, m_f, phi, target, alpha, 1.0)
+            except ValuationError:
+                continue
+            want = float(value - phi * weight)
+            if not v_lo < want < v_hi:
+                continue
+
+            def gap(m):
+                return solve_contract(params, contract_spec(target, m, alpha)).value(1.0) - want
+
+            try:
+                reference = rootfind.find_root_bracketed(gap, lo, hi)
+            except ValuationError:
+                continue
+            got = m_f + endogenous_spread(params, m_f, phi, target, alpha) / 1e4
+            assert abs(got - reference) <= 2.0 * rootfind._REL_TOL * max(reference, 1.0) + 1e-16, (
+                params, m_f, phi, target, alpha, got, reference)
+            compared += 1
+        assert compared >= 300
+
+    @pytest.mark.parametrize("target,alpha", [(ContractKind.ABM, 0.0), (ContractKind.APRM, 0.0),
+                                              (ContractKind.APRM, 0.05), (ContractKind.APRM, 0.3)])
+    def test_few_solves_at_the_paper_market(self, params_low_benefit, monkeypatch, target, alpha):
+        # The two solves at the bracket ends included; max_rate needs none.
+        calls = _counting_solves(monkeypatch)
+        for phi in np.linspace(0.05, 0.6, 12):
+            calls.clear()
+            endogenous_spread(params_low_benefit, M0, phi, target, alpha)
+            assert len(calls) <= 8, (phi, len(calls))
+
+    @pytest.mark.parametrize("rel", [1e-3, 1e-6, 1e-10, 1e-14, 1e-16])
+    def test_near_flat_target_ends_in_the_bracket(self, params_low_benefit, rel):
+        # The ABM's value at h = 1 flattens out as the rate nears max_rate,
+        # where it stops there, so roots just below v_hi have slopes near 0.
+        abm = ContractKind.ABM
+        _, _, lo, hi, v_lo, v_hi, _ = foreclosure._spread_bracket(params_low_benefit, M0, 0.0, abm, 0.0, 1.0)
+        want = v_hi - rel * (v_hi - v_lo)
+        m = foreclosure._rate_root(params_low_benefit, abm, 0.0, 1.0, want, M0, lo, hi, v_lo - want, v_hi - want)
+        assert lo <= m <= hi
+        residual = solve_abm(params_low_benefit, m).value(1.0) - want
+        assert abs(residual) <= max(rootfind._ABS_TOL, rootfind._REL_TOL * (v_hi - v_lo))
+
+
+def _inside(lo, hi):
+    """A price well inside (lo, hi)."""
+    if lo == 0.0:
+        return 0.5 * hi
+    return 2.0 * lo if hi == math.inf else math.sqrt(lo * hi)
+
+
+class TestRateSlope:
+    KINDS = ((ContractKind.FRM, 0.0), (ContractKind.ABM, 0.0), (ContractKind.APRM, 0.0),
+             (ContractKind.APRM, 0.05), (ContractKind.APRM, 0.3))
+
+    def test_matches_central_difference(self):
+        # One price inside every region of every solve, on markets whose
+        # rates span every kind's layouts and every APRM regime.
+        rng = np.random.default_rng(2002)
+        layouts, regimes, stopped, outer, compared = set(), set(), 0, 0, 0
+        for draw in rng.uniform((0.005, 0.005, 0.05, 0.3, 0.0), (0.08, 0.1, 0.45, 1.0, 1.0), (100, 5)):
+            r, delta, sigma, b0, u = map(float, draw)
+            params = ModelParams(r, delta, sigma, b0)
+            m = r * 1.02 * (4.0 / 1.02) ** u
+            regimes.add(aprm_regime(params, m).regime)
+            for kind, alpha in self.KINDS:
+                try:
+                    solved, up, down = (solve_contract(params, contract_spec(kind, rate, alpha))
+                                        for rate in (m, m * (1 + 1e-6), m * (1 - 1e-6)))
+                except ValuationError:
+                    continue
+                layouts.add((kind, tuple(sorted(solved.boundaries))))
+                for region in solved.regions:
+                    h = _inside(region.lo, region.hi)
+                    slope = foreclosure._rate_slope(solved, m, h)
+                    if region.action is not Action.CONTINUE:
+                        assert slope == 0.0
+                        stopped += 1
+                        continue
+                    outer += region.lo == solved.boundaries.get("h3")
+                    diff = (up.value(h) - down.value(h)) / (2e-6 * m)
+                    if abs(diff) > 1e-2:
+                        assert abs(slope - diff) <= 1e-5 * abs(diff), (params, m, kind, alpha, h)
+                        compared += 1
+        assert regimes == set(RateRegime)
+        assert {
+            (ContractKind.FRM, ("h1", "h2")), (ContractKind.ABM, ("h2",)), (ContractKind.ABM, ("h1", "h2")),
+            (ContractKind.APRM, ()), (ContractKind.APRM, ("h1",)), (ContractKind.APRM, ("h2", "h3")),
+            (ContractKind.APRM, ("h1", "h2", "h3")),
+        } <= layouts
+        assert stopped > 100 and outer > 50 and compared > 500
+
+    def test_held_forever_is_value_over_rate(self, params_low_benefit):
+        solves = [solve_abm_no_prepay(params_low_benefit, M0), solve_aprm_no_prepay(params_low_benefit, M0),
+                  solve_aprm(params_low_benefit, M0, 0.3)]  # low rate, alpha above alpha*
+        for solved in solves:
+            assert solved.component_at(1.0) == (0.0, math.inf)
+            for h in (1e-3, 0.5, 1.0, 2.0, 1e3):
+                assert foreclosure._rate_slope(solved, M0, h) == solved.value(h) / M0
+
+
 def _action_at_one(params, kind, m):
     return solve_contract(params, contract_spec(kind, m, 0.0)).region_at(1.0).action
 
@@ -312,8 +447,36 @@ class TestMaxRate:
     def test_sharing_contract_reaches_cap(self, params_low_benefit):
         # The payment-adjusted contract keeps a continuation sliver around
         # origination at any rate (its prepay band sits strictly above 1),
-        # so the search reports the cap.
+        # so the cap is its rate.
         assert max_rate(params_low_benefit, ContractKind.APRM, 0.05) == RATE_CAP
+
+    def test_payment_adjusted_rate_solves_no_contract(self, params_low_benefit, params_high_benefit, monkeypatch):
+        calls = _counting_solves(monkeypatch)
+        for params in (params_low_benefit, params_high_benefit):
+            for alpha in (0.0, 0.05, 0.3):
+                assert max_rate(params, ContractKind.APRM, alpha) == RATE_CAP
+        assert calls == []
+        with pytest.raises(InvalidSpec):
+            max_rate(params_low_benefit, ContractKind.APRM, 1.0)
+
+    def test_payment_adjusted_contract_continues_at_origination(self):
+        # At the cap and below it, wherever the solve returns.
+        rng = np.random.default_rng(2020)
+        solved_at_cap = 0
+        for draw in rng.uniform((0.005, 0.005, 0.05, 0.1, 0.0), (0.08, 0.1, 0.6, 1.0, 1.0), (100, 5)):
+            r, delta, sigma, b0, u = map(float, draw)
+            params = ModelParams(r, delta, sigma, b0)
+            for alpha in (0.0, 0.05, 0.3):
+                cap = max_rate(params, ContractKind.APRM, alpha)
+                assert cap == RATE_CAP
+                for m in (r * (1 + 1e-6), r + u * (cap - r), cap):
+                    try:
+                        solved = solve_aprm(params, m, alpha)
+                    except ValuationError:
+                        continue
+                    assert solved.region_at(1.0).action is Action.CONTINUE, (params, m, alpha)
+                    solved_at_cap += m == cap
+        assert solved_at_cap >= 150
 
 
 class TestTargets:
