@@ -42,9 +42,10 @@ from .solution import Action, Region, SolvedContract
 INF = float("inf")
 
 
-def _top_pasting(m: float, b0: float, r: float, h2: float, p1: float, p2: float) -> tuple[float, float]:
-    """h^{p1} and h^{-p2} coefficients on (B0, h2), pasted to the prepayment payoff at h2."""
-    scale = m * b0 * (1.0 / r - 1.0 / m) / (p1 + p2)
+def _top_pasting(load: float, h2: float, p1: float, p2: float) -> tuple[float, float]:
+    """h^{p1} and h^{-p2} coefficients on (B0, h2), pasted to the prepayment payoff at h2,
+    where the coupon's value held forever, m B0 / r, exceeds B0 by ``load``."""
+    scale = load / (p1 + p2)
     return -p2 * scale * h2**-p1, -p1 * scale * h2**p2
 
 
@@ -86,7 +87,7 @@ def _y_bar(m: float, r: float, delta: float, p1: float, p2: float) -> float:
 
 def solve_abm(params: ModelParams, m: float) -> SolvedContract:
     """Value function and optimal prepayment boundaries of the ABM."""
-    require_positive_spread(m, params)
+    m = require_positive_spread(m, params)
     ex = compute_exponents(params)
     p1, p2 = ex.p1, ex.p2
     r, delta, b0 = params.r, params.delta, params.b0
@@ -96,7 +97,7 @@ def solve_abm(params: ModelParams, m: float) -> SolvedContract:
             h2 = b0 * ((1.0 / r - (1.0 - 1.0 / p1) / delta) / (1.0 / r - 1.0 / m)) ** (1.0 / p2)
         except OverflowError:
             raise UnsupportedRegime(f"prepayment boundary exceeds floating-point range at m={m}") from None
-        ct1, ct2 = _top_pasting(m, b0, r, h2, p1, p2)
+        ct1, ct2 = _top_pasting(m * b0 * (1.0 / r - 1.0 / m), h2, p1, p2)
         c1 = ct1 - m * b0 ** (1.0 - p1) / (p1 + p2) * ((1.0 + p2) / delta - p2 / r)
         regions = (
             Region(0.0, b0, Action.CONTINUE, c_p1=c1, k1=m / delta),
@@ -121,7 +122,7 @@ def solve_abm(params: ModelParams, m: float) -> SolvedContract:
     x_hat = _two_sided(y_hat, m, r, delta, p1, p2)[0]
     h1, h2 = b0 * x_hat, b0 * y_hat
 
-    ct1, ct2 = _top_pasting(m, b0, r, h2, p1, p2)
+    ct1, ct2 = _top_pasting(m * b0 * (1.0 / r - 1.0 / m), h2, p1, p2)
     c1, c2 = _low_pasting(1.0, m / delta - 1.0, h1, p1, p2)
 
     regions = (
@@ -145,7 +146,7 @@ def solve_abm_no_prepay(params: ModelParams, m: float) -> SolvedContract:
     with A = -((1+p2)/(p1 (p1+p2))) (m/delta) B0^{1-p1} and
     B = -((p1-1)/(p2 (p1+p2))) (m/delta) B0^{1+p2}, both negative.
     """
-    require_positive_spread(m, params)
+    m = require_positive_spread(m, params)
     return _held_forever(m, params.b0, params, compute_exponents(params))
 
 

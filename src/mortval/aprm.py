@@ -147,7 +147,7 @@ def _classify(params: ModelParams, m: float, ex: Exponents) -> AprmRegime:
 
 def aprm_regime(params: ModelParams, m: float) -> AprmRegime:
     """Classify the rate regime and compute alpha* where it exists."""
-    require_positive_spread(m, params)
+    m = require_positive_spread(m, params)
     return _classify(params, m, compute_exponents(params))
 
 
@@ -161,7 +161,7 @@ def solve_aprm_no_prepay(params: ModelParams, m: float) -> SolvedContract:
     C2 = -((p1-1)/(p2 (p1+p2))) m B0/delta, both negative; value and slope
     match at 1 through the exponent identity.
     """
-    require_positive_spread(m, params)
+    m = require_positive_spread(m, params)
     return _abm._held_forever(m * params.b0, 1.0, params, compute_exponents(params))
 
 
@@ -197,7 +197,7 @@ def solve_aprm(params: ModelParams, m: float, alpha: float) -> SolvedContract:
     m B0 / r; prepayment pieces are B0 h below 1 and B0 + alpha (h-1) on
     the band [h2, h3].
     """
-    require_positive_spread(m, params)
+    m = require_positive_spread(m, params)
     if not (0.0 <= alpha < 1.0):
         raise InvalidSpec(f"sharing fraction must lie in [0, 1), got {alpha}")
     ex = compute_exponents(params)

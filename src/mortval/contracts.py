@@ -70,9 +70,15 @@ def contract_spec(kind: ContractKind, m: float, alpha: float) -> ContractSpec:
 RATE_CAP = 1.0
 
 
-def require_positive_spread(m: float, params: ModelParams) -> None:
+def require_positive_spread(m: float, params: ModelParams) -> float:
+    """``m`` as a float, once it exceeds the risk-free rate.
+
+    Solvers rebind their rate to the result, so a numpy scalar rate takes
+    float arithmetic and its overflow guards, as ``ModelParams`` fields do.
+    """
     if not (m > params.r):
         raise NegativeSpread(f"mortgage rate {m} must exceed the risk-free rate {params.r}")
+    return float(m)
 
 
 @dataclass(frozen=True)

@@ -220,10 +220,6 @@ def _rate_slope(solved: SolvedContract, m: float, h: float) -> float:
     return (solved.value(h) - exit_value) / m
 
 
-# Newton steps a spread takes before it hands its shrunken bracket to Brent.
-_NEWTON_STEPS = 8
-
-
 def _rate_root(
     params: ModelParams, target: ContractKind, alpha: float, h: float, want: float,
     m0: float, lo: float, hi: float, f_lo: float, f_hi: float,
@@ -240,7 +236,7 @@ def _rate_root(
     ``find_root_bracketed``'s rule: the residual within
     max(_ABS_TOL, _REL_TOL |f_hi - f_lo|) and the Newton step, the distance
     to the root it predicts, within _REL_TOL max(m, 1); it then returns the
-    stepped rate.  After ``_NEWTON_STEPS`` steps without that, Brent
+    stepped rate.  After ``rootfind._NEWTON_STEPS`` steps without that, Brent
     finishes on the shrunken bracket.  The iterates depend only on the
     inputs, so equal calls return equal bits.
     """
@@ -250,7 +246,7 @@ def _rate_root(
         return hi
     f_tol = max(rootfind._ABS_TOL, rootfind._REL_TOL * (f_hi - f_lo))
     m = m0 if lo < m0 < hi else 0.5 * (lo + hi)
-    for _ in range(_NEWTON_STEPS):
+    for _ in range(rootfind._NEWTON_STEPS):
         solved = _solve(params, target, m, alpha)
         f = solved.value(h) - want
         if f != f:
@@ -329,7 +325,7 @@ def max_rate(params: ModelParams, kind: ContractKind, alpha: float = 0.0) -> flo
         return RATE_CAP
 
     def continues(m: float) -> bool:
-        return _solve(params, kind, m, alpha).region_at(1.0).action is Action.CONTINUE
+        return solve_frm(params, m).region_at(1.0).action is Action.CONTINUE
 
     lo = params.r * (1.0 + 1e-9)
     if not continues(lo):

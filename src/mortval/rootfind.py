@@ -23,6 +23,10 @@ _REL_TOL = 1e-12
 _ABS_TOL = 1e-14
 _MAX_ITER = 200
 
+# Steps a safeguarded Newton iteration takes before it hands its shrunken
+# bracket to ``find_root_bracketed``.
+_NEWTON_STEPS = 8
+
 
 def find_root_bracketed(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Return a root of ``f`` inside [lo, hi].

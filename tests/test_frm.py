@@ -1,15 +1,22 @@
+import math
+
 import numpy as np
 import pytest
 
 from mortval import (
     ContractKind,
     ContractSpec,
+    ModelParams,
     NegativeSpread,
+    UnsupportedRegime,
+    ValuationError,
     perpetual_cashflows,
+    solve_abm,
     solve_frm,
     solve_frm_no_prepay,
     threshold_policy_value,
 )
+from mortval import frm
 from mortval.solution import Action
 
 from conftest import (
@@ -137,6 +144,115 @@ def test_deterministic_bits(params_low_benefit):
     a = solve_frm(params_low_benefit, M0)
     b = solve_frm(params_low_benefit, M0)
     assert a.boundaries == b.boundaries and a.regions == b.regions
+
+
+def test_overflowing_power_is_solved_in_logs():
+    # base1**p1 overflowed here before the root was taken in logs; the
+    # contract itself is representable.
+    params = ModelParams(r=0.004643761804238267, delta=0.10725013287953396,
+                         sigma=0.03827345439636824, b0=0.7689408648580224)
+    solved = solve_frm(params, 0.004643763288308212)
+    assert solved.boundaries["h2"] == pytest.approx(4.87e142, rel=1e-3)
+    check_pasting(solved)
+
+
+def test_unrepresentable_boundary_is_unsupported_as_for_the_abm():
+    # The same extreme market raises the same error for both contracts.
+    params = ModelParams(r=0.006214696459187511, delta=0.009057486142342086,
+                         sigma=0.7276568434419125, b0=0.601571017787069)
+    m = 0.0062146969268798286
+    for solver in (solve_frm, solve_abm):
+        with pytest.raises(UnsupportedRegime, match="prepayment boundary exceeds floating-point range"):
+            solver(params, m)
+
+
+def _markets(box: str, n: int, seed: int):
+    """(params, m) draws.  ``quotes``: the benchmark's quote box.  ``spread``:
+    its market with m/r - 1 log-uniform on [1e-4, 30].  ``wide``: r .002-.1,
+    delta .002-.12, sigma .03-.8, b0 .05-1 and m/r - 1 log-uniform on
+    [1e-10, 10^1.5], every tenth draw at m/r - 1 = 1e-10."""
+    u = np.random.default_rng(seed).random((n, 5))
+    out = []
+    for i, (a, b, c, d, e) in enumerate(u.tolist()):
+        if box == "wide":
+            r, delta, sigma, b0 = .002 + .098 * a, .002 + .118 * b, .03 + .77 * c, .05 + .95 * d
+            m = r * (1.0 + (1e-10 if i % 10 == 0 else 10.0 ** (-10.0 + 11.5 * e)))
+        else:
+            r, delta, sigma, b0 = .01 + .03 * a, .025 + .055 * b, .07 + .13 * c, .6 + .35 * d
+            m = r + .005 + .05 * e if box == "quotes" else r * (1.0 + 10.0 ** (-4.0 + math.log10(3e5) * e))
+        out.append((ModelParams(r=r, delta=delta, sigma=sigma, b0=b0), m))
+    return out
+
+
+class TestPastingRoot:
+    def test_agrees_with_a_50_digit_root(self):
+        # The same equation in tau at 50 digits, from the same float inputs
+        # and exponents.  h2 comes out of exp() of an argument of size
+        # log(h2/B0), whose own rounding no float evaluation avoids.
+        mp = pytest.importorskip("mpmath")
+        for params, m in _markets("quotes", 100, 231) + _markets("spread", 120, 232):
+            solved = solve_frm(params, m)
+            ex = solved.exponents
+            with mp.workdps(50):
+                p1, p2, r, mm, b0 = map(mp.mpf, (ex.p1, ex.p2, params.r, m, params.b0))
+                a = r / (mm - r)
+                k = (p1 - 1) / p1 * p2 / (1 + p2)
+                big_l = mp.log1p(a)
+                tau = mp.findroot(lambda t: (p1 + p2) * big_l + p2 * t + p1 * mp.log1p(k * mp.expm1(t)),
+                                  (-(1 + p1 / p2) * big_l, mp.mpf(0)), solver="anderson")
+                x = -(mm / r) * mp.expm1(tau) * p2 / (1 + p2)
+                h1 = b0 * x
+                h2 = h1 * ((1 + a) * (1 + k * mp.expm1(tau))) ** (1 / p2)
+            got1, got2 = solved.boundaries["h1"], solved.boundaries["h2"]
+            assert abs(got1 / h1 - 1) <= 1e-14, (params, m)
+            tol2 = 1e-14 + 2.0 * np.finfo(float).eps * math.log(got2 / params.b0)
+            assert abs(got2 / h2 - 1) <= tol2, (params, m)
+
+    def test_every_solve_returns_or_raises_a_valuation_error(self):
+        for params, m in _markets("quotes", 1000, 233) + _markets("wide", 1000, 234):
+            try:
+                solved = solve_frm(params, m)
+            except ValuationError:
+                continue
+            h1, h2 = solved.boundaries["h1"], solved.boundaries["h2"]
+            assert 0.0 < h1 < params.b0 < h2 < math.inf, (params, m)
+
+    def test_few_newton_steps_and_no_fallback_on_the_quote_box(self, monkeypatch):
+        evals = 0
+        pasting = frm._pasting
+
+        def counted(*args):
+            nonlocal evals
+            evals += 1
+            return pasting(*args)
+
+        def fallback(*args):
+            raise AssertionError("the Newton iteration fell back to find_root_bracketed")
+
+        monkeypatch.setattr(frm, "_pasting", counted)
+        monkeypatch.setattr(frm, "find_root_bracketed", fallback)
+        draws = _markets("quotes", 1000, 235)
+        for params, m in draws:
+            solve_frm(params, m)
+        assert evals / len(draws) <= 6.0
+
+    def test_fallback_finishes_on_the_shrunken_bracket(self, params_low_benefit, monkeypatch):
+        expected = solve_frm(params_low_benefit, M0).boundaries
+        brackets = []
+        find_root = frm.find_root_bracketed
+
+        def recorded(f, lo, hi):
+            brackets.append((lo, hi))
+            return find_root(f, lo, hi)
+
+        monkeypatch.setattr(frm.rootfind, "_NEWTON_STEPS", 1)
+        monkeypatch.setattr(frm, "find_root_bracketed", recorded)
+        solved = solve_frm(params_low_benefit, M0)
+        # The start lies above the root, so one step leaves it as the top.
+        (lo, hi), = brackets
+        assert lo < hi < 0.0
+        for key in ("h1", "h2"):
+            assert solved.boundaries[key] == pytest.approx(expected[key], rel=1e-12)
 
 
 class TestNoPrepay:

@@ -10,6 +10,7 @@ sign structure of the stopping set.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from mortval import (
     ModelParams,
     NoBracket,
     UnsupportedRegime,
+    ValuationError,
     aprm_regime,
     compute_exponents,
     solve_abm,
@@ -141,3 +143,18 @@ def test_exponent_identity_everywhere(params):
     ex = compute_exponents(params)
     lhs = (1.0 + ex.p2) / ex.p2 * (ex.p1 - 1.0) / ex.p1
     assert abs(lhs - params.delta / params.r) <= 1e-10 * (params.delta / params.r)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("solve", [solve_frm, solve_abm, lambda p, m: solve_aprm(p, m, 0.05)],
+                         ids=["frm", "abm", "aprm"])
+def test_numpy_rate_takes_the_float_path(solve):
+    # A market whose ABM prepayment boundary exceeds float range, priced at a
+    # numpy rate: each solver converts the rate to a float first, so an
+    # overflow meets its guard instead of numpy's warning.
+    params = ModelParams(r=0.00547037976873022, delta=0.02399551246756193,
+                         sigma=0.5766188358088469, b0=0.6881895655214953)
+    try:
+        solve(params, np.float64(0.0054703797742006))
+    except ValuationError:
+        pass
