@@ -42,19 +42,21 @@ from .solution import Action, Region, SolvedContract
 INF = float("inf")
 
 
-def _top_pasting(load: float, h2: float, p1: float, p2: float) -> tuple[float, float]:
-    """h^{p1} and h^{-p2} coefficients on (B0, h2), pasted to the prepayment payoff at h2,
-    where the coupon's value held forever, m B0 / r, exceeds B0 by ``load``."""
+def _top_pasting(load: float, lo: float, h2: float, p1: float, p2: float) -> tuple[float, float]:
+    """Power terms on (lo, h2), pasted to the prepayment payoff at h2, where the
+    coupon's value held forever, m B0 / r, exceeds B0 by ``load``: the h^{p1}
+    term's value at h2 and the h^{-p2} term's value at lo."""
     scale = load / (p1 + p2)
-    return -p2 * scale * h2**-p1, -p1 * scale * h2**p2
+    return -p2 * scale, -p1 * scale / (lo / h2) ** p2
 
 
-def _low_pasting(load: float, ratio: float, h1: float, p1: float, p2: float) -> tuple[float, float]:
-    """h^{p1} and h^{-p2} coefficients above h1, pasted to the prepayment at h1 where the
-    coupon's particular solution is steeper than the payoff by ``load * ratio``."""
+def _low_pasting(load: float, ratio: float, h1: float, hi: float, p1: float, p2: float) -> tuple[float, float]:
+    """Power terms on (h1, hi), pasted to the prepayment at h1 where the coupon's
+    particular solution is steeper than the payoff by ``load * ratio``: the
+    h^{p1} term's value at hi and the h^{-p2} term's value at h1."""
     return (
-        -(1.0 + p2) / (p1 + p2) * load * ratio * h1 ** (1.0 - p1),
-        -(p1 - 1.0) / (p1 + p2) * load * ratio * h1 ** (1.0 + p2),
+        -(1.0 + p2) / (p1 + p2) * load * ratio * h1 / (h1 / hi) ** p1,
+        -(p1 - 1.0) / (p1 + p2) * load * ratio * h1,
     )
 
 
@@ -62,8 +64,8 @@ def _held_forever(s: float, k: float, params: ModelParams, ex: Exponents) -> Sol
     """A coupon s min(k, h) held forever; value and slope paste at the kink k."""
     p1, p2 = ex.p1, ex.p2
     slope = s / params.delta
-    c1 = -(1.0 + p2) / (p1 * (p1 + p2)) * slope * k ** (1.0 - p1)
-    c2 = -(p1 - 1.0) / (p2 * (p1 + p2)) * slope * k ** (1.0 + p2)
+    c1 = -(1.0 + p2) / (p1 * (p1 + p2)) * slope * k
+    c2 = -(p1 - 1.0) / (p2 * (p1 + p2)) * slope * k
     regions = (
         Region(0.0, k, Action.CONTINUE, c_p1=c1, k1=slope),
         Region(k, INF, Action.CONTINUE, c_p2=c2, k0=s * k / params.r),
@@ -97,8 +99,8 @@ def solve_abm(params: ModelParams, m: float) -> SolvedContract:
             h2 = b0 * ((1.0 / r - (1.0 - 1.0 / p1) / delta) / (1.0 / r - 1.0 / m)) ** (1.0 / p2)
         except OverflowError:
             raise UnsupportedRegime(f"prepayment boundary exceeds floating-point range at m={m}") from None
-        ct1, ct2 = _top_pasting(m * b0 * (1.0 / r - 1.0 / m), h2, p1, p2)
-        c1 = ct1 - m * b0 ** (1.0 - p1) / (p1 + p2) * ((1.0 + p2) / delta - p2 / r)
+        ct1, ct2 = _top_pasting(m * b0 * (1.0 / r - 1.0 / m), b0, h2, p1, p2)
+        c1 = ct1 * (b0 / h2) ** p1 - m * b0 / (p1 + p2) * ((1.0 + p2) / delta - p2 / r)
         regions = (
             Region(0.0, b0, Action.CONTINUE, c_p1=c1, k1=m / delta),
             Region(b0, h2, Action.CONTINUE, c_p1=ct1, c_p2=ct2, k0=m * b0 / r),
@@ -122,8 +124,8 @@ def solve_abm(params: ModelParams, m: float) -> SolvedContract:
     x_hat = _two_sided(y_hat, m, r, delta, p1, p2)[0]
     h1, h2 = b0 * x_hat, b0 * y_hat
 
-    ct1, ct2 = _top_pasting(m * b0 * (1.0 / r - 1.0 / m), h2, p1, p2)
-    c1, c2 = _low_pasting(1.0, m / delta - 1.0, h1, p1, p2)
+    ct1, ct2 = _top_pasting(m * b0 * (1.0 / r - 1.0 / m), b0, h2, p1, p2)
+    c1, c2 = _low_pasting(1.0, m / delta - 1.0, h1, b0, p1, p2)
 
     regions = (
         Region(0.0, h1, Action.PREPAY, k1=1.0),
@@ -140,11 +142,11 @@ def solve_abm_no_prepay(params: ModelParams, m: float) -> SolvedContract:
     Continuation everywhere; the two pieces paste (value and slope) at the
     coupon kink B0:
 
-        V(h) = A h^{p1} + (m/delta) h          on (0, B0]
-        V(h) = B h^{-p2} + m B0 / r            on (B0, inf)
+        V(h) = A (h/B0)^{p1} + (m/delta) h     on (0, B0]
+        V(h) = B (B0/h)^{p2} + m B0 / r        on (B0, inf)
 
-    with A = -((1+p2)/(p1 (p1+p2))) (m/delta) B0^{1-p1} and
-    B = -((p1-1)/(p2 (p1+p2))) (m/delta) B0^{1+p2}, both negative.
+    with A = -((1+p2)/(p1 (p1+p2))) (m/delta) B0 and
+    B = -((p1-1)/(p2 (p1+p2))) (m/delta) B0, both negative.
     """
     m = require_positive_spread(m, params)
     return _held_forever(m, params.b0, params, compute_exponents(params))

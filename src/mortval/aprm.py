@@ -23,10 +23,10 @@ regime, beta2 in the mid regime.  g increases on that interval
 of g(alpha) and finds no root; ``aprm_regime`` reports the root itself.
 
 When a high-state prepayment band [h2, h3] exists, h3 and the outer
-coefficient are explicit,
+piece are explicit,
 
     h3 = p2/(1+p2) ((m B0 / alpha)(1/r - 1/m) + 1),
-    C2_outer = -(alpha/p2) h3^{1+p2},
+    V(h) = m B0 / r - (alpha/p2) h3 (h3/h)^{p2}   on (h3, inf),
 
 and h2 is the root of a scalar pasting equation chi(h) on (1, h3):
 increasing in the low regime, decreasing in the mid/high regimes (where
@@ -166,9 +166,10 @@ def solve_aprm_no_prepay(params: ModelParams, m: float) -> SolvedContract:
 
 
 def _band_pasting(alpha: float, h2: float, h3: float, p1: float, p2: float) -> tuple[float, float]:
-    """h^{p1} and h^{-p2} coefficients on (1, h2), pasted to the band payoff at h2."""
+    """Power terms on (1, h2), pasted to the band payoff at h2: the h^{p1} term's
+    value at h2 and the h^{-p2} term's value at 1."""
     return (
-        -(1.0 + p2) / (p1 + p2) * alpha * h2**-p1 * (h3 - h2),
+        -(1.0 + p2) / (p1 + p2) * alpha * (h3 - h2),
         alpha / (p1 + p2) * h2**p2 * ((p1 - 1.0) * h2 - p1 * (1.0 + p2) / p2 * h3),
     )
 
@@ -192,10 +193,11 @@ def _solve_aprm_zero_alpha(params: ModelParams, m: float, ex: Exponents) -> Solv
 def solve_aprm(params: ModelParams, m: float, alpha: float) -> SolvedContract:
     """Value function and prepayment boundaries of the APRM.
 
-    Low regions use V = C h^{p1} + (m B0/delta) h (+ C' h^{-p2} when a
-    lower boundary exists); regions above 1 use power terms around
-    m B0 / r; prepayment pieces are B0 h below 1 and B0 + alpha (h-1) on
-    the band [h2, h3].
+    Low regions use V = C h^{p1} + (m B0/delta) h (+ C' (h1/h)^{p2} when
+    a lower boundary h1 exists); regions above 1 use power terms around
+    m B0 / r, each anchored at the region end where it is largest;
+    prepayment pieces are B0 h below 1 and B0 + alpha (h-1) on the band
+    [h2, h3].
     """
     m = require_positive_spread(m, params)
     if not (0.0 <= alpha < 1.0):
@@ -218,8 +220,8 @@ def solve_aprm(params: ModelParams, m: float, alpha: float) -> SolvedContract:
         # Mid rate, alpha >= alpha*: only the low-state boundary remains.
         ratio = 1.0 - delta / m
         h1 = (p1 * ratio) ** (1.0 / (p1 - 1.0))
-        k1, k2 = _abm._low_pasting(load, ratio, h1, p1, p2)
-        kt2 = k2 - (p1 - 1.0) / (p2 * (p1 + p2)) * load
+        k1, k2 = _abm._low_pasting(load, ratio, h1, 1.0, p1, p2)
+        kt2 = k2 * h1**p2 - (p1 - 1.0) / (p2 * (p1 + p2)) * load
         regions = (
             Region(0.0, h1, Action.PREPAY, k1=b0),
             Region(h1, 1.0, Action.CONTINUE, c_p1=k1, c_p2=k2, k1=load),
@@ -232,7 +234,7 @@ def solve_aprm(params: ModelParams, m: float, alpha: float) -> SolvedContract:
 
     # A high-state prepayment band [h2, h3] exists.
     h3 = p2 / (1.0 + p2) * (m * b0 / alpha * (1.0 / r - 1.0 / m) + 1.0)
-    c_outer = -(alpha / p2) * h3 ** (1.0 + p2)
+    c_outer = -(alpha / p2) * h3
 
     if regime is RateRegime.LOW_RATE:
         def chi(h: float) -> float:
@@ -247,7 +249,7 @@ def solve_aprm(params: ModelParams, m: float, alpha: float) -> SolvedContract:
         h2 = find_root_bracketed(chi, lo, hi)
 
         ct1, ct2 = _band_pasting(alpha, h2, h3, p1, p2)
-        c1 = ct1 - (1.0 + p2) / (p1 * (p1 + p2)) * load
+        c1 = ct1 * h2**-p1 - (1.0 + p2) / (p1 * (p1 + p2)) * load
         regions = (
             Region(0.0, 1.0, Action.CONTINUE, c_p1=c1, k1=load),
             Region(1.0, h2, Action.CONTINUE, c_p1=ct1, c_p2=ct2, k0=m * b0 / r),
@@ -293,7 +295,7 @@ def solve_aprm(params: ModelParams, m: float, alpha: float) -> SolvedContract:
     h2 = find_root_bracketed(chi, lo, hi)
     h1 = (p1 * ratio / (1.0 + penalty_scale * p1 * h2**-p1 * (h3 - h2))) ** (1.0 / (p1 - 1.0))
 
-    c1, c2 = _abm._low_pasting(load, ratio, h1, p1, p2)
+    c1, c2 = _abm._low_pasting(load, ratio, h1, 1.0, p1, p2)
     ct1, ct2 = _band_pasting(alpha, h2, h3, p1, p2)
 
     regions = (

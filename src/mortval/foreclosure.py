@@ -5,8 +5,8 @@ borrower does not bear phi, so the stopping boundaries are unchanged and
 the adjustment is the expected discounted loss phi * h1 paid at the first
 hit of h1 before h2:
 
-    V_phi(h) = V(h) - phi * h1^{1+p2} h^{-p2}
-               (h2^{p1+p2} - h^{p1+p2}) / (h2^{p1+p2} - h1^{p1+p2})
+    V_phi(h) = V(h) - phi * h1 ((h1/h)^{p2} - (h1/h2)^{p2} (h/h2)^{p1})
+                            / (1 - (h1/h2)^{p1+p2})
 
 on the continuation region, (1 - phi) h below h1, and B0 above h2.
 
@@ -26,8 +26,6 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .abm import _max_rate
 # ``solve_abm`` and ``solve_aprm`` are unused here but stay bound: the
 # tracer in perfbench/tracing.py wraps them through this module's namespace.
@@ -40,7 +38,7 @@ from .model import ModelParams
 from .options import solve_contract
 from . import rootfind
 from .rootfind import find_root_bracketed
-from .solution import Action, SolvedContract, checked_prices
+from .solution import Action, Region, SolvedContract
 
 
 def _solve(params: ModelParams, kind: ContractKind, m: float, alpha: float) -> SolvedContract:
@@ -52,12 +50,18 @@ def _require_target(kind: ContractKind) -> None:
         raise InvalidSpec(f"comparison target must be ABM or APRM, got {kind}")
 
 
-def _loss_weight(h, h1: float, h2: float, p1: float, p2: float):
-    """Coefficient of phi in the adjusted value: h1 * P[hit h1 before h2]."""
-    h = np.asarray(h, dtype=float)
-    span = h2 ** (p1 + p2) - h1 ** (p1 + p2)
-    inner = h1 ** (1.0 + p2) * h ** (-p2) * (h2 ** (p1 + p2) - h ** (p1 + p2)) / span
-    return np.where(h <= h1, h, np.where(h >= h2, 0.0, inner))
+def _loss_weight(solved: SolvedContract) -> SolvedContract:
+    """Coefficient of phi in the adjusted value of the FRM ``solved``:
+    h1 * P[hit h1 before h2], on the FRM's regions."""
+    h1, h2 = solved.boundaries["h1"], solved.boundaries["h2"]
+    ex = solved.exponents
+    span = -math.expm1((ex.p1 + ex.p2) * math.log(h1 / h2))
+    regions = (
+        Region(0.0, h1, Action.DEFAULT, k1=1.0),
+        Region(h1, h2, Action.CONTINUE, c_p1=-h1 * (h1 / h2) ** ex.p2 / span, c_p2=h1 / span),
+        Region(h2, math.inf, Action.PREPAY),
+    )
+    return SolvedContract(regions=regions, boundaries=solved.boundaries, exponents=ex)
 
 
 def _require_phi(phi: float) -> None:
@@ -68,18 +72,14 @@ def _require_phi(phi: float) -> None:
 def _frm_terms(params: ModelParams, m: float, h):
     """The frictionless FRM value at h and the coefficient of phi there."""
     solved = solve_frm(params, m)
-    h1, h2 = solved.boundaries["h1"], solved.boundaries["h2"]
-    ex = solved.exponents
-    return solved.value(h), _loss_weight(h, h1, h2, ex.p1, ex.p2)
+    return solved.value(h), _loss_weight(solved).value(h)
 
 
 def frm_value_with_foreclosure(params: ModelParams, m: float, phi: float, h):
     """FRM value when default costs the bank the fraction ``phi`` of h."""
     _require_phi(phi)
     value, weight = _frm_terms(params, m, h)
-    out = value - phi * weight
-    arr = np.asarray(out)
-    return float(arr) if arr.ndim == 0 else out
+    return value - phi * weight
 
 
 class EquivalentCost(NamedTuple):
@@ -105,12 +105,10 @@ def equivalent_foreclosure_cost(
     """
     require_positive_spread(m_common, params)
     solved_frm = solve_frm(params, m_common)
-    h1, h2 = solved_frm.boundaries["h1"], solved_frm.boundaries["h2"]
-    ex = solved_frm.exponents
-    weight = float(_loss_weight(checked_prices(h), h1, h2, ex.p1, ex.p2))
+    weight = _loss_weight(solved_frm).value(h)
     if weight == 0.0:
         raise Degenerate(
-            f"no foreclosure cost can equate values at h={h} >= prepayment boundary {h2}"
+            f"no foreclosure cost can equate values at h={h} >= prepayment boundary {solved_frm.boundaries['h2']}"
         )
     _require_target(target)
     gap = solved_frm.value(h) - _solve(params, target, m_common, alpha).value(h)

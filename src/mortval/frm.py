@@ -98,8 +98,8 @@ def solve_frm(params: ModelParams, m: float) -> SolvedContract:
 
     Regions: default on (0, h1], continue on (h1, h2), prepay on [h2, inf)
     with 0 < h1 < B0 < h2.  On the continuation region
-    V(h) = C1 h^{p1} + C2 h^{-p2} + m B0 / r with C1, C2 < 0 obtained from
-    the pasting conditions at h2.  A prepayment boundary or coefficient past
+    V(h) = C1 (h/h2)^{p1} + C2 (h1/h)^{p2} + m B0 / r with C1, C2 < 0
+    obtained from the pasting conditions at h2.  A prepayment boundary past
     the float range raises ``UnsupportedRegime``.
     """
     m = require_positive_spread(m, params)
@@ -117,13 +117,13 @@ def solve_frm(params: ModelParams, m: float) -> SolvedContract:
     h1 = b0 * x
     try:
         h2 = h1 * math.exp((log_1pa + math.log1p(k * em1)) / p2)
-        # Pasting at h2; smooth pasting at h1 then holds to root tolerance.
-        # The load m B0 (1/r - 1/m) is taken as B0 (m - r)/r, free of the
-        # cancellation in 1/r - 1/m, as A is: at a tiny spread that keeps
-        # the pasting at h1 as accurate as h2.
-        c1, c2 = _top_pasting(b0 * (m - r) / r, h2, p1, p2)
     except OverflowError:
         raise UnsupportedRegime(f"prepayment boundary exceeds floating-point range at m={m}") from None
+    # Pasting at h2; smooth pasting at h1 then holds to root tolerance.
+    # The load m B0 (1/r - 1/m) is taken as B0 (m - r)/r, free of the
+    # cancellation in 1/r - 1/m, as A is: at a tiny spread that keeps
+    # the pasting at h1 as accurate as h2.
+    c1, c2 = _top_pasting(b0 * (m - r) / r, h1, h2, p1, p2)
 
     regions = (
         Region(0.0, h1, Action.DEFAULT, k1=1.0),
@@ -137,7 +137,7 @@ def solve_frm_no_prepay(params: ModelParams, m: float) -> SolvedContract:
     """FRM value when the borrower can only default (stop and hand over h).
 
     Single stopping boundary h1 = ((p1-1)/p1) m B0 / delta; above it
-    V(h) = C2 h^{-p2} + m B0 / r with C2 = -h1^{1+p2} / p2 < 0.
+    V(h) = C2 (h1/h)^{p2} + m B0 / r with C2 = -h1 / p2 < 0.
     """
     m = require_positive_spread(m, params)
     ex = compute_exponents(params)
@@ -145,7 +145,7 @@ def solve_frm_no_prepay(params: ModelParams, m: float) -> SolvedContract:
     b0 = params.b0
 
     h1 = (p1 - 1.0) / p1 * m * b0 / params.delta
-    c2 = -(h1 ** (1.0 + p2)) / p2
+    c2 = -h1 / p2
 
     regions = (
         Region(0.0, h1, Action.DEFAULT, k1=1.0),

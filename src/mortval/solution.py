@@ -1,13 +1,18 @@
 """Piecewise-closed-form value functions produced by the solvers.
 
 A solved contract is an ordered list of regions partitioning (0, inf).
-On each region the value function has the form
+On each region (lo, hi) the value function has the form
 
-    V(h) = c_p1 * h^{p1} + c_p2 * h^{-p2} + k0 + k1 * h,
+    V(h) = c_p1 * (h/hi)^{p1} + c_p2 * (lo/h)^{p2} + k0 + k1 * h,
 
 which covers continuation regions (power terms plus the particular
 solution of the coupon) as well as stopping regions (pure affine pieces:
 V = h on a default region, V = B0 + alpha (h-1) on a prepayment band).
+
+Each power term is anchored at the region end where it is largest, so its
+coefficient is its value there (a nonzero c_p1 needs a finite hi, a
+nonzero c_p2 a positive lo), and only ratios of region ends are raised
+to a power.
 """
 
 from __future__ import annotations
@@ -30,15 +35,9 @@ class Action(str, Enum):
     PREPAY = "prepay"
 
 
-def _power_term(coeff: float, h, exponent: float):
-    """coeff * h**exponent evaluated in log space.
-
-    Large characteristic exponents can push h**p past float range while
-    the product with a correspondingly tiny coefficient stays ordinary;
-    combining the factors in the exponent keeps the term finite whenever
-    the term itself is.
-    """
-    return math.copysign(1.0, coeff) * np.exp(math.log(abs(coeff)) + exponent * np.log(h))
+def _power_term(coeff: float, h, exponent: float, anchor: float):
+    """coeff * (h/anchor)**exponent."""
+    return coeff * np.exp(exponent * np.log(h / anchor))
 
 
 def checked_prices(h) -> np.ndarray:
@@ -93,17 +92,17 @@ class Region(NamedTuple):
             out = self.k1 if order == 1 else 0.0
         else:
             out = np.full_like(h, self.k1 if order == 1 else 0.0)
-        for coeff, p in ((self.c_p1, exponents.p1), (self.c_p2, -exponents.p2)):
+        for coeff, p, anchor in ((self.c_p1, exponents.p1, self.hi), (self.c_p2, -exponents.p2, self.lo)):
             # Power terms are skipped when their coefficient is zero so that
             # affine stopping regions evaluate safely for arbitrarily large h.
             if coeff != 0.0:
                 for j in range(order):
-                    coeff *= p - j   # falling factorial p (p-1) ...
+                    coeff *= (p - j) / anchor   # falling factorial p (p-1) ... over anchor^order
                 if scalar:
-                    out = out + _power_term(coeff, h, p - order)
+                    out = out + _power_term(coeff, h, p - order, anchor)
                 else:
                     with np.errstate(divide="ignore"):  # an array may hold h = 0
-                        out = out + _power_term(coeff, h, p - order)
+                        out = out + _power_term(coeff, h, p - order, anchor)
         return out
 
 
@@ -137,6 +136,7 @@ class SolvedContract:
                 assert lo == left_hi and left_lo < left_hi
                 right_owns = left_action is Action.CONTINUE and action is not Action.CONTINUE
                 cuts.append(math.nextafter(left_hi, -math.inf) if right_owns else left_hi)
+            assert (c_p1 == 0.0 or hi < math.inf) and (c_p2 == 0.0 or lo > 0.0)
             if unrepresentable is None and not (
                 math.isfinite(c_p1) and math.isfinite(c_p2) and math.isfinite(k0) and math.isfinite(k1)
             ):
@@ -144,9 +144,10 @@ class SolvedContract:
             left_lo, left_hi, left_action = lo, hi, action
         object.__setattr__(self, "_cuts", tuple(cuts))
         if unrepresentable is not None:
-            # Boundary exponent products past float range (p ln h beyond
-            # ~700) have no representable coefficients; such regimes sit
-            # far outside economically meaningful parameters.
+            # A coefficient is its term's value at a region end.  It is
+            # non-finite only when a builder's input already left float range,
+            # or a term moved to its far end was divided by a subnormal
+            # (lo/hi)^p; no market of the wide-box test reaches either.
             raise UnsupportedRegime(
                 f"value-function coefficients exceed floating-point range on "
                 f"({unrepresentable[0]}, {unrepresentable[1]})"
@@ -197,7 +198,8 @@ class SolvedContract:
         return self._apply(h, 1)
 
     def to_dict(self) -> dict:
-        """JSON-friendly representation (infinite upper ends become None)."""
+        """JSON-friendly representation (infinite upper ends become None);
+        ``coeffs`` are anchored at the region's ends as in the module docstring."""
         return {
             "regions": [
                 {

@@ -35,30 +35,46 @@ from mortval.solution import Action
 from conftest import B0, M0, R0
 
 
+# A market whose FRM prepayment boundary h2 is about 1.2e39, so h2^{p1+p2}
+# lies far past float range while the adjusted value is ordinary.
+HUGE_H2_MARKET = (
+    ModelParams(r=0.005567078517721982, delta=0.030933620527510877,
+                sigma=0.07969619022556587, b0=0.4982838005442698),
+    0.005567078618745934,
+)
+
+
 class TestAdjustedValue:
+    @pytest.fixture
+    def markets(self, params_low_benefit):
+        return ((params_low_benefit, M0), HUGE_H2_MARKET)
+
     def test_zero_cost_recovers_frictionless_value(self, params_low_benefit):
         solved = solve_frm(params_low_benefit, M0)
         h = np.geomspace(0.1, 3.0, 50)
         adj = frm_value_with_foreclosure(params_low_benefit, M0, 0.0, h)
         assert np.allclose(adj, solved.value(h), rtol=0, atol=1e-14)
 
-    def test_prepay_boundary_pins_balance(self, params_low_benefit):
-        h2 = solve_frm(params_low_benefit, M0).boundaries["h2"]
-        for phi in (0.0, 0.2, 0.6):
-            assert frm_value_with_foreclosure(params_low_benefit, M0, phi, h2) == pytest.approx(B0, abs=1e-12)
+    def test_prepay_boundary_pins_balance(self, markets):
+        for params, m in markets:
+            h2 = solve_frm(params, m).boundaries["h2"]
+            for phi in (0.0, 0.2, 0.6):
+                assert frm_value_with_foreclosure(params, m, phi, h2) == pytest.approx(params.b0, abs=1e-12)
 
-    def test_default_boundary_scales_house(self, params_low_benefit):
-        h1 = solve_frm(params_low_benefit, M0).boundaries["h1"]
-        for phi in (0.1, 0.35):
-            assert frm_value_with_foreclosure(params_low_benefit, M0, phi, h1) == pytest.approx((1 - phi) * h1, abs=1e-9)
+    def test_default_boundary_scales_house(self, markets):
+        for params, m in markets:
+            h1 = solve_frm(params, m).boundaries["h1"]
+            for phi in (0.1, 0.35):
+                assert frm_value_with_foreclosure(params, m, phi, h1) == pytest.approx((1 - phi) * h1, abs=1e-9)
 
-    def test_affine_in_phi(self, params_low_benefit):
+    def test_affine_in_phi(self, markets):
         # three-point collinearity at fixed h
         h = 1.0
-        v0 = frm_value_with_foreclosure(params_low_benefit, M0, 0.0, h)
-        v1 = frm_value_with_foreclosure(params_low_benefit, M0, 0.3, h)
-        v2 = frm_value_with_foreclosure(params_low_benefit, M0, 0.6, h)
-        assert abs((v2 - v1) - (v1 - v0)) <= 1e-12
+        for params, m in markets:
+            v0 = frm_value_with_foreclosure(params, m, 0.0, h)
+            v1 = frm_value_with_foreclosure(params, m, 0.3, h)
+            v2 = frm_value_with_foreclosure(params, m, 0.6, h)
+            assert abs((v2 - v1) - (v1 - v0)) <= 1e-12
 
     def test_phi_validation(self, params_low_benefit):
         with pytest.raises(InvalidPhi):

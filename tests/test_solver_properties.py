@@ -4,10 +4,10 @@ Each draw builds a market and a contract rate, solves the contract, and
 checks the structural facts that do not depend on any particular
 parameter choice: boundary ordering, negative continuation constants,
 value matching and smooth pasting, dominance by the payoff, and the
-sign structure of the stopping set.
+sign structure of the stopping set.  A fixed Latin hypercube over a much
+wider box checks that every solve there either returns a pasted, finite
+contract or raises a ``ValuationError``.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -21,6 +21,7 @@ from mortval import (
     ValuationError,
     aprm_regime,
     compute_exponents,
+    frm_value_with_foreclosure,
     solve_abm,
     solve_aprm,
     solve_frm,
@@ -60,23 +61,12 @@ def _solve_or_discard(solver, *args):
         raise
 
 
-def _representable(solved) -> bool:
-    # Skip draws whose far-boundary coefficient underflows (p1 ln h past
-    # float range): the value function there silently loses a sub-1e-3
-    # component near the boundary and the tight pasting checks would
-    # measure that representation limit, not the solver.
-    p1 = solved.exponents.p1
-    top = max(solved.boundaries.values(), default=1.0)
-    return p1 * math.log(max(top, 1.0)) < 700.0
-
-
 @settings(max_examples=60, deadline=None)
 @given(params=markets, factor=spread_factors)
 def test_frm_structure(params, factor):
     m = _rate(params, factor)
     assume(m > params.r * 1.01)
     solved = _solve_or_discard(solve_frm, params, m)
-    assume(_representable(solved))
     h1, h2 = solved.boundaries["h1"], solved.boundaries["h2"]
     assert 0.0 < h1 < params.b0 < h2
     cont = solved.regions[1]
@@ -96,7 +86,6 @@ def test_abm_structure(params, factor):
     m = _rate(params, factor)
     assume(m > params.r * 1.01)
     solved = _solve_or_discard(solve_abm, params, m)
-    assume(_representable(solved))
     has_low = "h1" in solved.boundaries
     assert has_low == (m > params.delta)
     assert solved.boundaries["h2"] > params.b0
@@ -115,7 +104,6 @@ def test_aprm_structure(params, factor, alpha):
     assume(m > params.r * 1.01)
     assume(alpha < params.b0)  # high-rate draws need an admissible share
     solved = _solve_or_discard(solve_aprm, params, m, alpha)
-    assume(_representable(solved))
     bounds = solved.boundaries
 
     if "h1" in bounds:
@@ -158,3 +146,51 @@ def test_numpy_rate_takes_the_float_path(solve):
         solve(params, np.float64(0.0054703797742006))
     except ValuationError:
         pass
+
+
+def _wide_box_markets(n: int = 2000, seed: int = 4242):
+    """A Latin hypercube over r .002-.1, delta .002-.12, sigma .03-.8,
+    b0 .05-1 and m = r (1 + 10^u), u in (-10, 1.5): each coordinate takes one
+    draw from each of n equal strata."""
+    rng = np.random.default_rng(seed)
+    lo = np.array([0.002, 0.002, 0.03, 0.05, -10.0])
+    hi = np.array([0.1, 0.12, 0.8, 1.0, 1.5])
+    strata = rng.permuted(np.tile(np.arange(n), (5, 1)), axis=1)
+    r, delta, sigma, b0, u = lo[:, None] + (hi - lo)[:, None] * (strata + rng.random((5, n))) / n
+    m = r * (1.0 + 10.0**u)
+    return [(ModelParams(*market[:4]), float(market[4])) for market in zip(r, delta, sigma, b0, m)]
+
+
+WIDE_SOLVES = {
+    "frm": solve_frm,
+    "abm": solve_abm,
+    **{f"aprm alpha={a}": (lambda a: lambda p, m: solve_aprm(p, m, a))(a) for a in (0.0, 0.05, 0.3)},
+}
+
+
+def test_wide_box_returns_pasted_finite_contracts_or_typed_errors():
+    # Each solve returns a contract that pastes and is finite on a wide price
+    # grid, or raises a ValuationError; so does the foreclosure-adjusted value
+    # of every FRM that returns.  Any other exception fails the test as raised.
+    grid = np.geomspace(1e-3, 1e3, 64)
+    bad = []
+    for params, m in _wide_box_markets():
+        for name, solve in WIDE_SOLVES.items():
+            try:
+                solved = solve(params, m)
+            except ValuationError:
+                continue
+            try:
+                check_pasting(solved)
+            except AssertionError as exc:
+                bad.append(f"{name} at {params}, m={m}: {exc}")
+            if not np.isfinite(solved.value(grid)).all():
+                bad.append(f"{name} at {params}, m={m}: non-finite value")
+            if name == "frm":
+                try:
+                    adjusted = frm_value_with_foreclosure(params, m, 0.3, 1.0)
+                except ValuationError:
+                    continue
+                if not np.isfinite(adjusted):
+                    bad.append(f"foreclosure at {params}, m={m}: {adjusted}")
+    assert not bad, f"{len(bad)} failures, the first: {bad[:3]}"
