@@ -34,7 +34,7 @@ otherwise it is the one root in m of G(m) = g(1/B0; m) on
 from __future__ import annotations
 
 from .contracts import RATE_CAP, require_positive_spread
-from .errors import NoBracket, UnsupportedRegime
+from .errors import NoBracket, UnsupportedRegime, float_faults_unsupported
 from .model import Exponents, ModelParams, compute_exponents
 from .rootfind import find_root_bracketed, grow_bracket
 from .solution import Action, Region, SolvedContract
@@ -87,6 +87,7 @@ def _y_bar(m: float, r: float, delta: float, p1: float, p2: float) -> float:
     return ((p2 / (1.0 + p2) * (1.0 / r - 1.0 / m)) / ((p1 - 1.0) / (p1 * delta) - 1.0 / m)) ** (1.0 / p1)
 
 
+@float_faults_unsupported
 def solve_abm(params: ModelParams, m: float) -> SolvedContract:
     """Value function and optimal prepayment boundaries of the ABM."""
     m = require_positive_spread(m, params)
@@ -152,6 +153,7 @@ def solve_abm_no_prepay(params: ModelParams, m: float) -> SolvedContract:
     return _held_forever(m, params.b0, params, compute_exponents(params))
 
 
+@float_faults_unsupported
 def _max_rate(params: ModelParams) -> float:
     """Largest rate at which the ABM holds at h = 1, capped at ``RATE_CAP``.
 
@@ -168,27 +170,24 @@ def _max_rate(params: ModelParams) -> float:
     p1, p2 = ex.p1, ex.p2
     r, delta, b0 = params.r, params.delta, params.b0
     lo = r * (1.0 + 1e-9)
-    try:
-        m = 1.0 / (1.0 / r - (1.0 / r - (1.0 - 1.0 / p1) / delta) * b0**p2)
-        if m <= delta or delta >= RATE_CAP:  # a rate at the cap is then one-sided
-            return min(max(m, lo), RATE_CAP)
+    m = 1.0 / (1.0 / r - (1.0 / r - (1.0 - 1.0 / p1) / delta) * b0**p2)
+    if m <= delta or delta >= RATE_CAP:  # a rate at the cap is then one-sided
+        return min(max(m, lo), RATE_CAP)
 
-        y = 1.0 / b0
+    y = 1.0 / b0
 
-        def gap(m: float) -> float:
-            return _two_sided(y, m, r, delta, p1, p2)[1]
+    def gap(m: float) -> float:
+        return _two_sided(y, m, r, delta, p1, p2)[1]
 
-        m_lo = max(delta, lo)
-        g_lo = gap(m_lo)
-        if m_lo == lo and g_lo >= 0.0:
-            return lo  # h2 <= 1 already at the lowest rate
-        if not g_lo < 0.0:
-            raise NoBracket(f"h2 does not exceed 1 at the rate {m_lo}: G={g_lo}")
-        if gap(RATE_CAP) < 0.0:
-            return RATE_CAP
-        m = find_root_bracketed(gap, m_lo, RATE_CAP)
-        if m > p1 * delta / (p1 - 1.0) and not y <= _y_bar(m, r, delta, p1, p2):
-            raise NoBracket(f"1/B0={y} lies past g's rising stretch at the rate {m}")
-        return m
-    except OverflowError:
-        raise UnsupportedRegime(f"the rate equation exceeds floating-point range at {params}") from None
+    m_lo = max(delta, lo)
+    g_lo = gap(m_lo)
+    if m_lo == lo and g_lo >= 0.0:
+        return lo  # h2 <= 1 already at the lowest rate
+    if not g_lo < 0.0:
+        raise NoBracket(f"h2 does not exceed 1 at the rate {m_lo}: G={g_lo}")
+    if gap(RATE_CAP) < 0.0:
+        return RATE_CAP
+    m = find_root_bracketed(gap, m_lo, RATE_CAP)
+    if m > p1 * delta / (p1 - 1.0) and not y <= _y_bar(m, r, delta, p1, p2):
+        raise NoBracket(f"1/B0={y} lies past g's rising stretch at the rate {m}")
+    return m

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .contracts import require_positive_spread
-from .errors import InvalidSpec, NoBracket, UnsupportedRegime
+from .errors import InvalidSpec, NoBracket, UnsupportedRegime, float_faults_unsupported
 from .model import Exponents, ModelParams, compute_exponents
 from .rootfind import find_root_bracketed
 from .solution import Action, Region, SolvedContract
@@ -145,6 +145,7 @@ def _classify(params: ModelParams, m: float, ex: Exponents) -> AprmRegime:
     return AprmRegime(regime, m_star, None if beta is None else _alpha_star(params, m, beta, ex))
 
 
+@float_faults_unsupported
 def aprm_regime(params: ModelParams, m: float) -> AprmRegime:
     """Classify the rate regime and compute alpha* where it exists."""
     m = require_positive_spread(m, params)
@@ -190,6 +191,7 @@ def _solve_aprm_zero_alpha(params: ModelParams, m: float, ex: Exponents) -> Solv
     return SolvedContract(regions=regions, boundaries=dict(base.boundaries), exponents=ex)
 
 
+@float_faults_unsupported
 def solve_aprm(params: ModelParams, m: float, alpha: float) -> SolvedContract:
     """Value function and prepayment boundaries of the APRM.
 

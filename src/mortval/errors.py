@@ -5,6 +5,8 @@ machine-readable ``code`` (the class name) used by the CLI when emitting
 structured error output.
 """
 
+import functools
+
 
 class ValuationError(Exception):
     """Base class for all errors raised by this package."""
@@ -64,3 +66,18 @@ class InvalidThresholds(ValuationError):
 
 class InvalidHorizon(ValuationError):
     """Monte Carlo horizon below 200 years (checked, though no estimate uses it)."""
+
+
+def float_faults_unsupported(solve):
+    """``solve`` with an ``OverflowError`` or ``ZeroDivisionError`` raised as
+    ``UnsupportedRegime``: a power or quotient of the closed form left the
+    float range, so no closed form can be computed in floats there."""
+
+    @functools.wraps(solve)
+    def guarded(*args, **kwargs):
+        try:
+            return solve(*args, **kwargs)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise UnsupportedRegime(f"{solve.__name__} leaves the float range at {args}: {exc}") from None
+
+    return guarded

@@ -3,7 +3,8 @@
 Three routes, each built on different machinery than the solvers:
 
 * :func:`psor_value` discretizes the obstacle problem
-  min{L_H V - r V + c, f - V} = 0 in log-price coordinates and solves the
+  min{L_H V - r V + c, f - V} = 0 in log-price coordinates, with end rows
+  that continue the scheme exactly beyond the grid, and solves the
   resulting linear complementarity problem exactly, by Howard policy
   iteration on nested grids (a finite number of tridiagonal solves).
 * :func:`threshold_policy_value` computes the exact expected discounted
@@ -38,7 +39,7 @@ from .errors import (
 )
 from .model import ModelParams, compute_exponents
 from .options import solve_contract, solve_no_prepay
-from .solution import SolvedContract, checked_price
+from .solution import checked_price
 
 _BLOCK_PAIRS = 8192   # fixed Monte Carlo block size; results do not depend on scheduling
 _DT = 1.0 / 52.0      # McResult.dt, nominal: no estimate takes a time step
@@ -107,31 +108,33 @@ def _level_sizes(n: int) -> list[int]:
 
 
 def _policy_solve(
-    stop: list[bool], f: list[float], q: list[float], lower: float, diag: float, upper: float, top: float,
+    stop: list[bool], f: list[float], rhs: list[float], lower: float, diag: float, upper: float, kb: float, kt: float,
 ) -> list[float]:
     """Thomas solve of one policy's tridiagonal system.
 
-    Stopped rows read V_i = f_i; the others read
-    diag V_i - lower V_{i-1} - upper V_{i+1} = q_i.  End nodes are fixed at
-    f_0 and ``top``.  Forward elimination leaves V_i = d_i + g_i V_{i+1}.
+    Stopped rows read V_i = f_i, the others
+    diag V_i - lower V_{i-1} - upper V_{i+1} = rhs_i, or at the ends
+    V_0 - kb V_1 = rhs_0 and V_N - kt V_{N-1} = rhs_N.  Forward elimination
+    leaves V_i = d_i + g_i V_{i+1}.
     """
     n = len(f)
     g = [0.0] * n
     d = [0.0] * n
-    gi, di = 0.0, f[0]
+    gi, di = (0.0, f[0]) if stop[0] else (kb, rhs[0])
+    g[0], d[0] = gi, di
     for i in range(1, n - 1):
         if stop[i]:
             gi, di = 0.0, f[i]
         else:
             den = diag - lower * gi
-            gi, di = upper / den, (q[i] + lower * di) / den
+            gi, di = upper / den, (rhs[i] + lower * di) / den
         g[i] = gi
         d[i] = di
-    v = top
-    for i in range(n - 2, 0, -1):
+    v = f[-1] if stop[-1] else (rhs[-1] + kt * di) / (1.0 - kt * gi)
+    d[-1] = v
+    for i in range(n - 2, -1, -1):
         v = d[i] + g[i] * v
         d[i] = v
-    d[0], d[-1] = f[0], top
     return d
 
 
@@ -148,26 +151,35 @@ def psor_value(params: ModelParams, cashflows: PerpetualCashflows, grid: GridSpe
     with no stopping at about 126 nodes over the same window and kinks,
     halves the spacing up to ``n_points``, and starts each level from the
     previous level's stopping set; levels too coarse for the drift are
-    skipped.  Boundary nodes carry V = f at the bottom and
-    V = min(f, sup-coupon / r) at the top, matching the contracts' tail
-    behaviour; accuracy near either end needs the window padded past the
-    region of interest.
+    skipped.
+
+    The end rows stop or continue on the bounded solution of the same
+    stencil beyond the grid, where the coupon is affine, a + s h, below the
+    first kink and constant, c, above the last: V_0 - kb V_1 = P_0 - kb P_1
+    with P_i = a / r + s h_i / (diag - lower e^{-dx} - upper e^{dx}), and
+    V_N - kt V_{N-1} = (1 - kt) c / r; kb, kt < 1 are the smaller roots of
+    lower k^2 - diag k + upper and upper k^2 - diag k + lower.  So the values
+    solve the problem on the whole half-line when every kink lies inside the
+    grid and each end node lies in the region, stopping or not, that reaches
+    its end: the top node above every upper boundary or inside a stopping
+    region that extends to infinity, the bottom node likewise towards 0.
 
     ``sweeps`` of the result is the total number of policy iterations.
     Each level is capped at its node count, which an M-matrix never
     reaches; hitting it raises ``NotConverged``.  (The name predates the
     policy-iteration solve and is kept for callers.)
     """
-    sig2 = params.sigma**2
-    nu = params.r - params.delta - 0.5 * sig2
+    r, sig2 = params.r, params.sigma**2
+    nu = r - params.delta - 0.5 * sig2
     prev = None
     sweeps = 0
     for n in _level_sizes(grid.n_points):
         h, dx = _log_grid(grid.h_min, grid.h_max, n, cashflows.kinks)
         lower = 0.5 * sig2 / dx**2 - 0.5 * nu / dx   # weight of V_{i-1}
         upper = 0.5 * sig2 / dx**2 + 0.5 * nu / dx   # weight of V_{i+1}
-        diag = sig2 / dx**2 + params.r
-        if lower <= 0.0 or upper <= 0.0:
+        diag = sig2 / dx**2 + r
+        den = diag - lower * math.exp(-dx) - upper * math.exp(dx)
+        if lower <= 0.0 or upper <= 0.0 or den <= 0.0:
             if n < grid.n_points:
                 continue
             raise InvalidParams(
@@ -175,25 +187,28 @@ def psor_value(params: ModelParams, cashflows: PerpetualCashflows, grid: GridSpe
             )
 
         f = np.asarray(cashflows.payoff(h), dtype=float)
-        q = np.asarray(cashflows.coupon(h), dtype=float)
-        top = min(float(f[-1]), float(q.max()) / params.r)
-        if prev is None:
-            stop = np.zeros(n, dtype=bool)
-        else:
-            h_prev, stop_prev = prev
-            stop = np.interp(np.log(h), np.log(h_prev), stop_prev.astype(float)) >= 0.5
-        f_list, q_list = f.tolist(), q.tolist()
+        rhs = np.array(cashflows.coupon(h), dtype=float)
+        root = math.sqrt(diag * diag - 4.0 * lower * upper)
+        kb, kt = 2.0 * upper / (diag + root), 2.0 * lower / (diag + root)
+        s = (rhs[1] - rhs[0]) / (h[1] - h[0])
+        part = (rhs[0] - s * h[0]) / r + s / den * h[:2]   # P_0 and P_1
+        rhs[0], rhs[-1] = part[0] - kb * part[1], (1.0 - kt) * rhs[-1] / r
+        stop = np.zeros(n, dtype=bool) if prev is None else np.interp(np.log(h), *prev) >= 0.5
+        f_list, rhs_list = f.tolist(), rhs.tolist()
         for _ in range(n):
-            values = np.array(_policy_solve(stop.tolist(), f_list, q_list, lower, diag, upper, top))
+            values = np.array(_policy_solve(stop.tolist(), f_list, rhs_list, lower, diag, upper, kb, kt))
             sweeps += 1
-            av = diag * values[1:-1] - lower * values[:-2] - upper * values[2:]
-            improved = values[1:-1] - f[1:-1] >= av - q[1:-1]
-            if np.array_equal(improved, stop[1:-1]):
+            av = values.copy()   # A V, with the end rows' own left-hand sides
+            av[1:-1] = diag * values[1:-1] - lower * values[:-2] - upper * values[2:]
+            av[0] -= kb * values[1]
+            av[-1] -= kt * values[-2]
+            improved = values - f >= av - rhs
+            if np.array_equal(improved, stop):
                 break
-            stop[1:-1] = improved
+            stop = improved
         else:
             raise NotConverged(f"policy iteration did not settle within {n} iterations on {n} nodes")
-        prev = (h, stop)
+        prev = (np.log(h), stop)
 
     stopping = (f - values) <= 1e-12 * (1.0 + np.abs(f))
     intervals = []
@@ -211,22 +226,6 @@ def psor_value(params: ModelParams, cashflows: PerpetualCashflows, grid: GridSpe
         grid=h, values=values, stopping=stopping,
         stop_intervals=tuple(intervals), sweeps=sweeps,
     )
-
-
-def grid_window(solved: SolvedContract) -> tuple[float, float]:
-    """Top node of a :func:`psor_value` grid for checking ``solved``, and the
-    top of the window from 0.05 on which ``mortval oracle-check`` compares them."""
-    bounds = solved.boundaries
-    if "h3" in bounds:
-        # Top node inside the prepayment band, where the boundary data are
-        # exact in both branches of min(f, sup-coupon/r).
-        h_max = 0.5 * (bounds["h2"] + bounds["h3"])
-        return h_max, min(3.0, 0.99 * h_max)
-    if "h2" in bounds:
-        return max(3.0, 2.0 * bounds["h2"]), 3.0  # inside the top prepay region
-    # No stopping set above: the top condition is only asymptotic, and its
-    # error reaches the window like (3 / h_max)^{p1}; pad until that is 1e-3.
-    return max(12.0, 3.0 * 1e3 ** (1.0 / solved.exponents.p1)), 3.0
 
 
 def _linear_pieces(
@@ -505,25 +504,23 @@ class Triangle(NamedTuple):
 
 
 def oracle_triangle(params: ModelParams, spec: ContractSpec, h: float, n_points: int, n_paths: int, seed: int,
-                    span: tuple[float, float] | None = None,
-                    window: tuple[float, float] | None = None) -> Triangle:
+                    window: tuple[float, float] = (0.05, 3.0)) -> Triangle:
     """Check the closed form of ``spec`` against the three oracles, each within its gate.
 
-    The grid runs on ``span`` and is compared on ``window`` (by default :func:`grid_window`'s,
-    from 2e-3 and 0.05); with its top node above an APRM band edge h3, its one stopping
-    interval above par must end within a cell of h3.  The policy oracle values (h1, h2), or
-    (h3, None) at and above h3; Monte Carlo values the contract without prepayment.
+    The grid runs from 2e-3 to twice the highest of ``window``'s top and the solved boundaries,
+    and is compared with the closed form on ``window``; with an APRM band edge h3, its one
+    stopping interval above par must end within a cell of h3.  The policy oracle values
+    (h1, h2), or (h3, None) at and above h3; Monte Carlo values the contract without prepayment.
     """
     solved = solve_contract(params, spec)
     cashflows = perpetual_cashflows(spec, params)
-    h_max, window_top = grid_window(solved)
-    grid = psor_value(params, cashflows, GridSpec(*(span or (2e-3, h_max)), n_points=n_points))
-    w_lo, w_hi = window or (0.05, window_top)
-    on = (grid.grid >= w_lo) & (grid.grid <= w_hi)
+    h_max = 2.0 * max([window[1], *solved.boundaries.values()])
+    grid = psor_value(params, cashflows, GridSpec(2e-3, h_max, n_points=n_points))
+    on = (grid.grid >= window[0]) & (grid.grid <= window[1])
     grid_gap = float(np.max(np.abs(grid.values[on] - solved.value(grid.grid[on]))))
     verdicts = [Verdict("grid sup-gap", grid_gap, GRID_TOL)]
     h1, h2, h3 = (solved.boundaries.get(name) for name in ("h1", "h2", "h3"))
-    if h3 is not None and grid.grid[-1] > h3:
+    if h3 is not None:
         bands = [top for bottom, top in grid.stop_intervals if bottom > 1.0]
         edge_gap = abs(math.log(bands[0] / h3)) if len(bands) == 1 else math.inf
         verdicts.append(Verdict("grid band-edge log-gap to h3", edge_gap, math.log(grid.grid[1] / grid.grid[0])))

@@ -182,24 +182,24 @@ def test_criterion_5_spreads_and_max_rates():
 # --- criterion 6: oracle triangle -----------------------------------------
 
 ORACLE_ROWS = [
-    # label, params, spec, grid window (lo, hi), grid span (lo, hi)
-    ("frm low-benefit", P45, ContractSpec(kind=ContractKind.FRM, m=M0), (0.1, 3.0), (0.02, 4.5)),
-    ("abm low-benefit", P45, ContractSpec(kind=ContractKind.ABM, m=M0), (0.1, 3.0), (0.002, 4.5)),
-    ("abm tiny-benefit", P30, ContractSpec(kind=ContractKind.ABM, m=M0), (0.1, 3.0), (0.02, 4.5)),
-    ("aprm low-rate", P45, ContractSpec(kind=ContractKind.APRM, m=M0, alpha=0.05), (0.05, 15.65), (0.002, 63.0)),
-    ("aprm mid-rate", P45, ContractSpec(kind=ContractKind.APRM, m=0.047, alpha=0.05), (0.05, 29.9), (0.02, 120.0)),
-    ("aprm mid-rate big-sharing", P45, ContractSpec(kind=ContractKind.APRM, m=0.047, alpha=0.6), (0.05, 3.0), (0.02, 15.0)),
-    ("aprm high-rate", P45, ContractSpec(kind=ContractKind.APRM, m=0.06, alpha=0.05), (0.05, 42.8), (0.02, 171.0)),
+    # label, params, spec, grid window (lo, hi)
+    ("frm low-benefit", P45, ContractSpec(kind=ContractKind.FRM, m=M0), (0.1, 3.0)),
+    ("abm low-benefit", P45, ContractSpec(kind=ContractKind.ABM, m=M0), (0.1, 3.0)),
+    ("abm tiny-benefit", P30, ContractSpec(kind=ContractKind.ABM, m=M0), (0.1, 3.0)),
+    ("aprm low-rate", P45, ContractSpec(kind=ContractKind.APRM, m=M0, alpha=0.05), (0.05, 15.65)),
+    ("aprm mid-rate", P45, ContractSpec(kind=ContractKind.APRM, m=0.047, alpha=0.05), (0.05, 29.9)),
+    ("aprm mid-rate big-sharing", P45, ContractSpec(kind=ContractKind.APRM, m=0.047, alpha=0.6), (0.05, 3.0)),
+    ("aprm high-rate", P45, ContractSpec(kind=ContractKind.APRM, m=0.06, alpha=0.05), (0.05, 42.8)),
 ]
 
 
 def test_criterion_6_oracle_triangle():
     start = time.perf_counter()
     failures = []
-    for label, params, spec, window, grid_span in ORACLE_ROWS:
-        triangle = oracle_triangle(params, spec, 1.0, 2001, MC_PATHS, MC_SEED, span=grid_span, window=window)
+    for label, params, spec, window in ORACLE_ROWS:
+        triangle = oracle_triangle(params, spec, 1.0, 2001, MC_PATHS, MC_SEED, window=window)
         failures += [f"{label}: {v.name} {v.gap:.2e} > {v.tol:.2e}" for v in triangle.verdicts if not v.ok]
-        # every row with a band has its edge h3 below the top node, so it is checked
+        # every row with a band has its edge h3 checked
         want = 3 + ("h3" in solve_contract(params, spec).boundaries)
         if len(triangle.verdicts) != want:
             failures.append(f"{label}: {len(triangle.verdicts)} verdicts, want {want}")
@@ -215,7 +215,7 @@ def test_criterion_7_property_suite():
     start = time.perf_counter()
     failures = []
 
-    for label, params, spec, _, _ in ORACLE_ROWS:
+    for label, params, spec, _ in ORACLE_ROWS:
         solved = solve_contract(params, spec)
         cashflows = perpetual_cashflows(spec, params)
         top = max(50.0, 3.0 * solved.boundaries.get("h3", 1.0))

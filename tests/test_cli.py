@@ -3,9 +3,18 @@ import json
 import numpy as np
 import pytest
 
-from mortval import ContractKind, ContractSpec, ModelParams, endogenous_spread, foreclosure, solve_contract
+from mortval import (
+    ContractKind,
+    ContractSpec,
+    GridSpec,
+    ModelParams,
+    endogenous_spread,
+    foreclosure,
+    perpetual_cashflows,
+    psor_value,
+    solve_contract,
+)
 from mortval.cli import _COMMANDS, _FLAGS, main
-from mortval.oracle import grid_window, oracle_triangle
 
 BASE = ["--r", "0.017825", "--delta", "0.045", "--sigma", "0.1125", "--b0", "0.9", "--m", "0.0326"]
 
@@ -351,17 +360,17 @@ class TestOracleCheck:
         assert "(tol 5.000e-04) ok" in out
 
     def test_grid_window_without_stopping_above_par(self):
-        # A payment-adjusted draw that only stops below par and has p1 = 1.78:
-        # with the top node fixed at 12 the asymptotic top condition put the
-        # grid 5.5e-3 off the closed form inside the window.
+        # A payment-adjusted draw that only stops below par and has p1 = 1.78,
+        # on the benchmark's grid with its top node at 12: the top row held at
+        # min(f, sup-coupon / r) put the grid 5.5e-3 off the closed form on
+        # [0.05, 3].  The discrete far field needs no padding.
         params = ModelParams(r=0.02839, delta=0.02635, sigma=0.18797, b0=0.869)
         spec = ContractSpec(kind=ContractKind.APRM, m=0.04736, alpha=0.357)
         solved = solve_contract(params, spec)
         assert "h2" not in solved.boundaries
-        h_max, window_top = grid_window(solved)
-        assert h_max > 12.0 and window_top == 3.0
-        triangle = oracle_triangle(params, spec, 1.0, 2001, 10_000, 1)
-        assert all(v.ok for v in triangle.verdicts), triangle.verdicts
+        grid = psor_value(params, perpetual_cashflows(spec, params), GridSpec(2e-3, 12.0, 2001))
+        on = (grid.grid >= 0.05) & (grid.grid <= 3.0)
+        assert np.max(np.abs(grid.values[on] - solved.value(grid.grid[on]))) <= 1e-4
 
     def test_above_the_band_checks_the_policy_from_h3(self, capsys):
         # Above h3 the contract stops only on a fall to h3, so the policy
@@ -370,5 +379,7 @@ class TestOracleCheck:
                                     "--n-points", "501", "--n-paths", "10000"])
         assert code == 0, out
         assert "FAIL" not in out
-        # The grid tops out inside the band, far below h = 50: no node's value is printed.
+        # The grid tops out at twice h3, far below h = 50: no node's value is
+        # printed, and the grid's band edge is checked against h3.
         assert "grid none (h outside its nodes 0.0020 to " in out and "node h=" not in out
+        assert "grid band-edge log-gap to h3" in out

@@ -12,6 +12,7 @@ from mortval import (
     InvalidThresholds,
     ModelParams,
     PerpetualCashflows,
+    ValuationError,
     mc_cashflow_value,
     no_prepay_cashflows,
     perpetual_cashflows,
@@ -347,3 +348,49 @@ def test_path_oracles_take_one_price_rule(params_low_benefit, frm_cashflows, h):
             threshold_policy_value(params_low_benefit, frm_cashflows, policy, h)
         with pytest.raises(InvalidParams):
             mc_cashflow_value(params_low_benefit, frm_cashflows, policy, h, 10_000, 200.0, 1)
+
+
+def _grid_box_design(n: int = 300, seed: int = 909):
+    """A Latin hypercube over r .005-.08, delta .005-.1, sigma .05-.45,
+    b0 .3-1, m from 1.05 r to 3 r and alpha 0-.6, the kinds in rotation."""
+    rng = np.random.default_rng(seed)
+    lo = np.array([0.005, 0.005, 0.05, 0.3, 1.05, 0.0])
+    hi = np.array([0.08, 0.1, 0.45, 1.0, 3.0, 0.6])
+    strata = rng.permuted(np.tile(np.arange(n), (6, 1)), axis=1)
+    draws = lo[:, None] + (hi - lo)[:, None] * (strata + rng.random((6, n))) / n
+    kinds = list(ContractKind)
+    for i, (r, delta, sigma, b0, factor, alpha) in enumerate(draws.T):
+        kind = kinds[i % 3]
+        spec = ContractSpec(kind, r * factor, alpha if kind is ContractKind.APRM else 0.0)
+        yield ModelParams(r, delta, sigma, b0), spec
+
+
+def test_grid_and_policy_oracles_over_a_box():
+    # Each draw raises a ValuationError or passes the grid and policy legs of
+    # the oracle triangle on the triangle's span: the grid within 1e-3 of the
+    # closed form on [0.05, 3], the policy oracle within 1e-8 at h = 1, and
+    # each boundary inside the span within a cell of an edge of the grid's
+    # stopping set.
+    bad = []
+    for params, spec in _grid_box_design():
+        try:
+            solved = solve_contract(params, spec)
+            cf = perpetual_cashflows(spec, params)
+            grid = psor_value(params, cf, GridSpec(2e-3, 2.0 * max([3.0, *solved.boundaries.values()])))
+        except ValuationError:
+            continue
+        h = grid.grid
+        on = (h >= 0.05) & (h <= 3.0)
+        gap = np.max(np.abs(grid.values[on] - solved.value(h[on])))
+        if not gap <= 1e-3:
+            bad.append(f"{spec} at {params}: grid gap {gap:.2e}")
+        bounds = solved.boundaries
+        policy = threshold_policy_value(params, cf, (bounds.get("h1"), bounds.get("h2")), 1.0)
+        if not abs(policy - solved.value(1.0)) <= 1e-8:
+            bad.append(f"{spec} at {params}: policy gap {abs(policy - solved.value(1.0)):.2e}")
+        cell = math.log(h[1] / h[0])
+        edges = np.log([edge for interval in grid.stop_intervals for edge in interval])
+        for name, b in bounds.items():
+            if h[0] < b < h[-1] and not np.min(np.abs(edges - math.log(b)), initial=math.inf) <= cell:
+                bad.append(f"{spec} at {params}: {name} = {b:.4g} not within a cell of {grid.stop_intervals}")
+    assert not bad, f"{len(bad)} failures, the first: {bad[:3]}"

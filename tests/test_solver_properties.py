@@ -194,3 +194,32 @@ def test_wide_box_returns_pasted_finite_contracts_or_typed_errors():
                 if not np.isfinite(adjusted):
                     bad.append(f"foreclosure at {params}, m={m}: {adjusted}")
     assert not bad, f"{len(bad)} failures, the first: {bad[:3]}"
+
+
+# Markets (r, delta, sigma, b0, m, alpha) outside the wide box where a power
+# or quotient of the closed form leaves the float range: the APRM band
+# equation overflows (a) or divides by a product that underflowed to 0 (d),
+# h1 = (p1 ratio)^{1/(p1-1)} underflows to 0 at p1 = 1.0001 (b), and at
+# sigma = .0035 beta2 and the ABM's pasting equation overflow (c).
+FLOAT_FAULTS = {
+    "a": (.007036334715247404, .0004067010124769873, .01474631115168455, .0702230305639583,
+          .007036334715253152, 1.4190504629790758e-218),
+    "b": (.00017383317852632613, .00015499837994353987, .5986994690369721, .6686905226137378,
+          .00017383318004801626, 1.0555523810548128e-211),
+    "c": (.053688558747390785, .03625645172592631, .0035244742506698153, .7759378470039378,
+          .053688558747414315, 2.4518058400534542e-111),
+    "d": (.00014508149355996167, .008313470053784867, 1.2529274902795045, .7965294853280752,
+          .0036803543331040867, 1.929e-320),
+}
+
+
+@pytest.mark.parametrize("market, solve", [
+    ("a", "aprm"), ("b", "aprm"), ("c", "abm"), ("c", "aprm"), ("c", "regime"), ("d", "aprm"),
+])
+def test_float_range_faults_raise_unsupported_regime(market, solve):
+    r, delta, sigma, b0, m, alpha = FLOAT_FAULTS[market]
+    params = ModelParams(r, delta, sigma, b0)
+    call = {"abm": lambda: solve_abm(params, m), "aprm": lambda: solve_aprm(params, m, alpha),
+            "regime": lambda: aprm_regime(params, m)}[solve]
+    with pytest.raises(UnsupportedRegime, match="float range"):
+        call()
