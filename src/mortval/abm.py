@@ -33,6 +33,8 @@ otherwise it is the one root in m of G(m) = g(1/B0; m) on
 
 from __future__ import annotations
 
+import sys
+
 from .contracts import RATE_CAP, require_positive_spread
 from .errors import NoBracket, UnsupportedRegime, float_faults_unsupported
 from .model import Exponents, ModelParams, compute_exponents
@@ -53,7 +55,13 @@ def _top_pasting(load: float, lo: float, h2: float, p1: float, p2: float) -> tup
 def _low_pasting(load: float, ratio: float, h1: float, hi: float, p1: float, p2: float) -> tuple[float, float]:
     """Power terms on (h1, hi), pasted to the prepayment at h1 where the coupon's
     particular solution is steeper than the payoff by ``load * ratio``: the
-    h^{p1} term's value at hi and the h^{-p2} term's value at h1."""
+    h^{p1} term's value at hi and the h^{-p2} term's value at h1.
+
+    An h1 below the normal float range raises ``UnsupportedRegime``: the
+    h^{-p2} term's value there, a multiple of h1, has lost its digits, and
+    its slope at h1 with them."""
+    if h1 < sys.float_info.min:
+        raise UnsupportedRegime(f"lower prepayment boundary h1 = {h1} is below the normal float range")
     return (
         -(1.0 + p2) / (p1 + p2) * load * ratio * h1 / (h1 / hi) ** p1,
         -(p1 - 1.0) / (p1 + p2) * load * ratio * h1,

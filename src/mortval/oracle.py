@@ -6,7 +6,11 @@ Three routes, each built on different machinery than the solvers:
   min{L_H V - r V + c, f - V} = 0 in log-price coordinates, with end rows
   that continue the scheme exactly beyond the grid, and solves the
   resulting linear complementarity problem exactly, by Howard policy
-  iteration on nested grids (a finite number of tridiagonal solves).
+  iteration on nested grids.  Each policy is evaluated in closed form:
+  the stencil has constant coefficients and the coupon is affine between
+  kinks, so the never-stopping value is a particular solution plus a few
+  columns of the inverse matrix, and each continuation run adds the
+  stencil's two geometric modes fitted to the payoff at its ends.
 * :func:`threshold_policy_value` computes the exact expected discounted
   cashflow of a *given* two-threshold stopping policy from the power
   solutions h^{p1}, h^{-p2} of the pricing ODE (no optimization anywhere).
@@ -70,8 +74,9 @@ class GridSpec:
 class OracleResult:
     """Grid values of the discrete obstacle problem and its stopping set.
 
-    ``sweeps`` counts the policy iterations (one tridiagonal solve each)
-    summed over all grid levels.
+    ``sweeps`` counts the policy iterations summed over all grid levels,
+    each one closed-form evaluation of a stopping set; ``stopping`` is the
+    last level's policy and ``stop_intervals`` the node spans of its runs.
     """
 
     grid: np.ndarray
@@ -107,35 +112,112 @@ def _level_sizes(n: int) -> list[int]:
     return sizes[::-1]
 
 
-def _policy_solve(
-    stop: list[bool], f: list[float], rhs: list[float], lower: float, diag: float, upper: float, kb: float, kt: float,
-) -> list[float]:
-    """Thomas solve of one policy's tridiagonal system.
+def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last index of each run of True in ``mask``."""
+    padded = np.zeros(len(mask) + 2, dtype=bool)
+    padded[1:-1] = mask
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    return edges[::2], edges[1::2] - 1
 
-    Stopped rows read V_i = f_i, the others
-    diag V_i - lower V_{i-1} - upper V_{i+1} = rhs_i, or at the ends
-    V_0 - kb V_1 = rhs_0 and V_N - kt V_{N-1} = rhs_N.  Forward elimination
-    leaves V_i = d_i + g_i V_{i+1}.
+
+class _Level(NamedTuple):
+    """One grid level of n nodes: its stencil, end-row roots, right-hand side,
+    held-forever value, and ``green`` with green[n + d] = kt^d for d >= 0 and
+    kb^-d for d <= 0."""
+
+    lower: float
+    diag: float
+    upper: float
+    kb: float
+    kt: float
+    rhs: np.ndarray
+    held: np.ndarray
+    green: np.ndarray
+
+
+def _level(params: ModelParams, cashflows: PerpetualCashflows, h: np.ndarray, dx: float) -> _Level | None:
+    """The scheme on nodes ``h``, or None when the grid is too coarse for the drift.
+
+    ``held`` is built as ``psor_value`` describes: the pieces' particular
+    solution P plus (rhs - A P)_j times column j of A^{-1} for each row j
+    that P misses.  Column j is C green[n - j + i] over the rows i, with
+    C = 1 / (diag - lower kb - upper kt) = 1 / root for an interior row and
+    1 / (1 - kb kt) = (diag + root) / (2 root) for an end row.
     """
+    r, sig2 = params.r, params.sigma**2
+    nu = r - params.delta - 0.5 * sig2
+    lower = 0.5 * sig2 / dx**2 - 0.5 * nu / dx   # weight of V_{i-1}
+    upper = 0.5 * sig2 / dx**2 + 0.5 * nu / dx   # weight of V_{i+1}
+    diag = sig2 / dx**2 + r
+    # r and den as the rounded stencil sums them, without cancellation: the
+    # held value moves by about eps diag / min(r, den) relative with them,
+    # so it must solve the rows as rounded.
+    rate = math.fsum((diag, -lower, -upper))
+    den = math.fsum((rate, -lower * math.expm1(-dx), -upper * math.expm1(dx)))
+    if lower <= 0.0 or upper <= 0.0 or den <= 0.0:
+        return None
+    root = math.sqrt(rate * (diag + lower + upper) + (upper - lower) ** 2)   # of diag^2 - 4 lower upper
+    kb, kt = 2.0 * upper / (diag + root), 2.0 * lower / (diag + root)
+    n = len(h)
+    steps = np.arange(n + 1.0)
+    green = np.concatenate((np.exp(math.log(kb) * steps[:0:-1]), np.exp(math.log(kt) * steps)))
+
+    q = np.asarray(cashflows.coupon(h), dtype=float)
+    x0 = math.log(h[0])
+    cuts = sorted({0, n - 1} | {round((math.log(k) - x0) / dx) for k in cashflows.kinks if h[0] < k < h[-1]})
+    tol = 1e-12 * np.max(np.abs(q))
+    part = np.empty(n)
+    for lo, hi in zip(cuts, cuts[1:]):
+        s = (q[hi] - q[lo]) / (h[hi] - h[lo])
+        a = q[lo] - s * h[lo]
+        if np.any(np.abs(a + s * h[lo : hi + 1] - q[lo : hi + 1]) > tol):
+            raise InvalidParams(f"the coupon is not affine between the kinks {cashflows.kinks} on the grid nodes")
+        part[lo : hi + 1] = a / rate + s / den * h[lo : hi + 1]
+        if lo == 0:   # the bottom row continues the first piece's particular below the grid
+            bottom = part[0] - kb * (a / rate + s / den * h[1])
+    rhs = q.copy()
+    rhs[0], rhs[-1] = bottom, (1.0 - kt) * q[-1] / r
+
+    level = _Level(lower, diag, upper, kb, kt, rhs, part, green)
+    miss = rhs - _apply(level, part)
+    held = part.copy()
+    for j in {0, n - 1} | {i for k in cuts[1:-1] for i in (k - 1, k)}:
+        scale = 0.5 * (diag + root) / root if j in (0, n - 1) else 1.0 / root
+        held += scale * miss[j] * green[n - j : 2 * n - j]
+    return level._replace(held=held)
+
+
+def _apply(level: _Level, v: np.ndarray) -> np.ndarray:
+    """A v, the end rows reading v_0 - kb v_1 and v_N - kt v_{N-1}."""
+    av = v.copy()
+    av[1:-1] = level.diag * v[1:-1] - level.lower * v[:-2] - level.upper * v[2:]
+    av[0] -= level.kb * v[1]
+    av[-1] -= level.kt * v[-2]
+    return av
+
+
+def _policy_value(level: _Level, stop: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The solution of one policy's system: V = f on stopped rows, A V = rhs elsewhere.
+
+    On a continuation run [s, e] of L nodes V = held + A kt^{i-s+1} + B kb^{e+1-i},
+    both modes solving the interior rows' homogeneous recurrence; V_{s-1} = f_{s-1}
+    and V_{e+1} = f_{e+1} fix A and B through a 2x2 system with determinant
+    1 - (kt kb)^{L+1}.  The end rows annul the mode that grows towards them, so
+    a run touching the bottom has A = 0 and one touching the top B = 0.
+    """
+    held, green = level.held, level.green
     n = len(f)
-    g = [0.0] * n
-    d = [0.0] * n
-    gi, di = (0.0, f[0]) if stop[0] else (kb, rhs[0])
-    g[0], d[0] = gi, di
-    for i in range(1, n - 1):
-        if stop[i]:
-            gi, di = 0.0, f[i]
-        else:
-            den = diag - lower * gi
-            gi, di = upper / den, (rhs[i] + lower * di) / den
-        g[i] = gi
-        d[i] = di
-    v = f[-1] if stop[-1] else (rhs[-1] + kt * di) / (1.0 - kt * gi)
-    d[-1] = v
-    for i in range(n - 2, -1, -1):
-        v = d[i] + g[i] * v
-        d[i] = v
-    return d
+    values = np.where(stop, f, held)
+    for s, e in zip(*_runs(~stop)):
+        span = e - s + 2   # L + 1
+        u = float(f[s - 1] - held[s - 1]) if s > 0 else 0.0
+        w = float(f[e + 1] - held[e + 1]) if e < n - 1 else 0.0
+        cb = float(green[n - span]) if s > 0 else 0.0       # kb^{L+1}: the B mode at s - 1
+        ct = float(green[n + span]) if e < n - 1 else 0.0   # kt^{L+1}: the A mode at e + 1
+        det = 1.0 - ct * cb
+        a, b = (u - cb * w) / det, (w - ct * u) / det
+        values[s : e + 1] += a * green[n + 1 : n + span] + b * green[n - span + 1 : n]
+    return values
 
 
 def psor_value(params: ModelParams, cashflows: PerpetualCashflows, grid: GridSpec) -> OracleResult:
@@ -153,6 +235,19 @@ def psor_value(params: ModelParams, cashflows: PerpetualCashflows, grid: GridSpe
     previous level's stopping set; levels too coarse for the drift are
     skipped.
 
+    Each policy's system is solved in closed form, as the stencil has
+    constant coefficients and the coupon is affine between kink nodes.
+    The never-stopping value ``held`` is computed once per level: a
+    particular solution a / r + s h / den on each coupon piece, with a and
+    s read off the coupon at the piece's end nodes, plus closed-form
+    columns of A^{-1} (C kt^{i-j} below row j and C kb^{j-i} above it) for
+    the rows the particular misses: the end rows and rows k - 1 and k at
+    each kink node k.  Each continuation run [s, e] of a policy then adds
+    A kt^{i-s+1} + B kb^{e+1-i}, the two solutions of the homogeneous
+    recurrence, with A and B set by the payoff at the stopped nodes on
+    either side.  A coupon that strays from its pieces at a node raises
+    ``InvalidParams``.
+
     The end rows stop or continue on the bounded solution of the same
     stencil beyond the grid, where the coupon is affine, a + s h, below the
     first kink and constant, c, above the last: V_0 - kb V_1 = P_0 - kb P_1
@@ -164,45 +259,28 @@ def psor_value(params: ModelParams, cashflows: PerpetualCashflows, grid: GridSpe
     its end: the top node above every upper boundary or inside a stopping
     region that extends to infinity, the bottom node likewise towards 0.
 
-    ``sweeps`` of the result is the total number of policy iterations.
-    Each level is capped at its node count, which an M-matrix never
-    reaches; hitting it raises ``NotConverged``.  (The name predates the
-    policy-iteration solve and is kept for callers.)
+    ``sweeps`` of the result is the total number of policy iterations, and
+    ``stopping`` the last policy.  Each level is capped at its node count,
+    which an M-matrix never reaches; hitting it raises ``NotConverged``.
+    (The name predates the policy-iteration solve and is kept for callers.)
     """
-    r, sig2 = params.r, params.sigma**2
-    nu = r - params.delta - 0.5 * sig2
     prev = None
     sweeps = 0
     for n in _level_sizes(grid.n_points):
         h, dx = _log_grid(grid.h_min, grid.h_max, n, cashflows.kinks)
-        lower = 0.5 * sig2 / dx**2 - 0.5 * nu / dx   # weight of V_{i-1}
-        upper = 0.5 * sig2 / dx**2 + 0.5 * nu / dx   # weight of V_{i+1}
-        diag = sig2 / dx**2 + r
-        den = diag - lower * math.exp(-dx) - upper * math.exp(dx)
-        if lower <= 0.0 or upper <= 0.0 or den <= 0.0:
+        level = _level(params, cashflows, h, dx)
+        if level is None:
             if n < grid.n_points:
                 continue
             raise InvalidParams(
                 f"grid too coarse for the drift (dx={dx:.3g}); increase n_points or shrink the window"
             )
-
         f = np.asarray(cashflows.payoff(h), dtype=float)
-        rhs = np.array(cashflows.coupon(h), dtype=float)
-        root = math.sqrt(diag * diag - 4.0 * lower * upper)
-        kb, kt = 2.0 * upper / (diag + root), 2.0 * lower / (diag + root)
-        s = (rhs[1] - rhs[0]) / (h[1] - h[0])
-        part = (rhs[0] - s * h[0]) / r + s / den * h[:2]   # P_0 and P_1
-        rhs[0], rhs[-1] = part[0] - kb * part[1], (1.0 - kt) * rhs[-1] / r
         stop = np.zeros(n, dtype=bool) if prev is None else np.interp(np.log(h), *prev) >= 0.5
-        f_list, rhs_list = f.tolist(), rhs.tolist()
         for _ in range(n):
-            values = np.array(_policy_solve(stop.tolist(), f_list, rhs_list, lower, diag, upper, kb, kt))
+            values = _policy_value(level, stop, f)
             sweeps += 1
-            av = values.copy()   # A V, with the end rows' own left-hand sides
-            av[1:-1] = diag * values[1:-1] - lower * values[:-2] - upper * values[2:]
-            av[0] -= kb * values[1]
-            av[-1] -= kt * values[-2]
-            improved = values - f >= av - rhs
+            improved = values - f >= _apply(level, values) - level.rhs
             if np.array_equal(improved, stop):
                 break
             stop = improved
@@ -210,22 +288,8 @@ def psor_value(params: ModelParams, cashflows: PerpetualCashflows, grid: GridSpe
             raise NotConverged(f"policy iteration did not settle within {n} iterations on {n} nodes")
         prev = (np.log(h), stop)
 
-    stopping = (f - values) <= 1e-12 * (1.0 + np.abs(f))
-    intervals = []
-    start = None
-    for i, flag in enumerate(stopping):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            intervals.append((float(h[start]), float(h[i - 1])))
-            start = None
-    if start is not None:
-        intervals.append((float(h[start]), float(h[-1])))
-
-    return OracleResult(
-        grid=h, values=values, stopping=stopping,
-        stop_intervals=tuple(intervals), sweeps=sweeps,
-    )
+    intervals = tuple((float(h[s]), float(h[e])) for s, e in zip(*_runs(stop)))
+    return OracleResult(grid=h, values=values, stopping=stop, stop_intervals=intervals, sweeps=sweeps)
 
 
 def _linear_pieces(

@@ -23,7 +23,7 @@ from mortval import (
     solve_frm,
     threshold_policy_value,
 )
-from mortval.oracle import oracle_triangle
+from mortval.oracle import _level, _log_grid, _policy_value, oracle_triangle
 from mortval.options import solve_contract, solve_no_prepay
 
 from conftest import B0, M0, R0, SIGMA0
@@ -36,6 +36,13 @@ def frm_cashflows(params_low_benefit):
 
 def identity(x):
     return np.asarray(x, dtype=float)
+
+
+def _stencil(params, dx):
+    """lower, diag, upper of the central-difference stencil of L_H - r in log price."""
+    sig2 = params.sigma**2
+    nu = params.r - params.delta - 0.5 * sig2
+    return 0.5 * sig2 / dx**2 - 0.5 * nu / dx, sig2 / dx**2 + params.r, 0.5 * sig2 / dx**2 + 0.5 * nu / dx
 
 
 class TestPsor:
@@ -99,8 +106,10 @@ class TestPsor:
 
     @pytest.mark.parametrize("spec, h_max", [
         (ContractSpec(kind=ContractKind.FRM, m=M0), 4.5),
+        (ContractSpec(kind=ContractKind.ABM, m=M0), 4.5),
+        (ContractSpec(kind=ContractKind.APRM, m=M0, alpha=0.05), 20.0),
         (ContractSpec(kind=ContractKind.APRM, m=0.06, alpha=0.05), 171.0),
-    ], ids=["frm low-benefit", "aprm high-rate"])
+    ], ids=["frm low-benefit", "abm low-benefit", "aprm low-benefit", "aprm high-rate"])
     def test_values_solve_the_discrete_lcp(self, params_low_benefit, spec, h_max):
         params = params_low_benefit
         cf = perpetual_cashflows(spec, params)
@@ -108,25 +117,28 @@ class TestPsor:
         result = psor_value(params, cf, grid)
         assert result.sweeps <= grid.n_points
 
-        # rebuild the central-difference stencil of L_H - r from the nodes
-        h, v = result.grid, result.values
-        dx = np.log(h[1] / h[0])
-        sig2 = params.sigma**2
-        nu = params.r - params.delta - 0.5 * sig2
-        lower = 0.5 * sig2 / dx**2 - 0.5 * nu / dx
-        upper = 0.5 * sig2 / dx**2 + 0.5 * nu / dx
-        diag = sig2 / dx**2 + params.r
-        f = np.asarray(cf.payoff(h), dtype=float)[1:-1]
-        q = np.asarray(cf.coupon(h), dtype=float)[1:-1]
-        av = diag * v[1:-1] - lower * v[:-2] - upper * v[2:]
+        # rebuild the central-difference stencil of L_H - r at the solver's spacing
+        h, dx = _log_grid(grid.h_min, grid.h_max, grid.n_points, cf.kinks)
+        assert np.array_equal(h, result.grid)
+        v = result.values
+        lower, diag, upper = _stencil(params, dx)
+        f = np.asarray(cf.payoff(h), dtype=float)
+        q = np.asarray(cf.coupon(h), dtype=float)
+        av = np.empty_like(v)
+        av[1:-1] = diag * v[1:-1] - lower * v[:-2] - upper * v[2:]
+        # the far-field end rows V_0 - kb V_1 = q_0 and V_N - kt V_{N-1} = q_N
+        level = _level(params, cf, h, dx)
+        av[0], av[-1] = v[0] - level.kb * v[1], v[-1] - level.kt * v[-2]
+        q[0], q[-1] = level.rhs[0], level.rhs[-1]
 
-        # complementarity at every interior node, both slacks in value units
-        stop_slack = f - v[1:-1]
-        continue_slack = (q - av) / diag
-        tol = 1e-10 * (1.0 + np.abs(f))
+        # complementarity at every node, both slacks in value units
+        stop_slack = f - v
+        continue_slack = (q - av) / np.r_[1.0, np.full(len(h) - 2, diag), 1.0]
+        tol = 1e-12 * (1.0 + np.abs(f))
         assert np.all(stop_slack >= -tol)
         assert np.all(continue_slack >= -tol)
         assert np.all(np.abs(np.minimum(stop_slack, continue_slack)) <= tol)
+        assert np.array_equal(result.stopping, stop_slack == 0.0)
 
     # Draws of the benchmark's grid workload on which projected SOR did not
     # converge within 20 000 sweeps (parameters rounded as printed).
@@ -146,6 +158,58 @@ class TestPsor:
             GridSpec(h_min=0.0, h_max=1.0)
         with pytest.raises(InvalidParams):
             GridSpec(h_min=0.1, h_max=1.0, n_points=50)
+
+
+def _masks(n, rng):
+    """Stopping sets: random at three densities, none, all, one-node runs,
+    and continuation runs touching each end."""
+    touching = np.zeros(n, dtype=bool)
+    touching[n // 3 : 2 * n // 3] = True
+    ends = np.ones(n, dtype=bool)
+    ends[[0, -1]] = False
+    yield from (rng.random(n) < p for p in (0.1, 0.5, 0.9))
+    yield from (np.zeros(n, dtype=bool), np.ones(n, dtype=bool), np.arange(n) % 2 == 0, ~touching, touching, ends)
+
+
+class TestPolicyEvaluation:
+    # Each level's closed-form evaluation of a stopping set against a dense
+    # solve of the same system: V = f on stopped rows, the stencil elsewhere,
+    # and the far-field rows V_0 - kb V_1 = rhs_0 and V_N - kt V_{N-1} = rhs_N.
+    @pytest.mark.parametrize("kind, h_min, h_max, n", [
+        (ContractKind.FRM, 0.02, 4.5, 101),
+        (ContractKind.ABM, 0.05, 3.0, 201),
+        (ContractKind.APRM, 0.02, 12.0, 301),
+        (ContractKind.ABM, B0 * 0.9995, 3.0, 151),    # the kink on node 1
+        (ContractKind.APRM, 0.05, 1.0005, 151),       # the kink on node n - 2
+        (ContractKind.ABM, 0.05, 0.8, 121),           # the kink above the top: the top piece has a slope
+    ], ids=["frm", "abm", "aprm", "kink-node-1", "kink-node-n-2", "kink-above-top"])
+    def test_matches_a_dense_solve(self, params_low_benefit, kind, h_min, h_max, n):
+        params = params_low_benefit
+        spec = ContractSpec(kind, M0, 0.05 if kind is ContractKind.APRM else 0.0)
+        cf = perpetual_cashflows(spec, params)
+        h, dx = _log_grid(h_min, h_max, n, cf.kinks)
+        level = _level(params, cf, h, dx)
+        lower, diag, upper = _stencil(params, dx)
+        assert (level.lower, level.diag, level.upper) == (lower, diag, upper)
+        assert np.array_equal(level.rhs[1:-1], cf.coupon(h[1:-1]))
+        f = np.asarray(cf.payoff(h), dtype=float)
+        stops = np.array(list(_masks(n, np.random.default_rng(n))))
+        a = np.diag(np.full(n, diag)) - np.diag(np.full(n - 1, lower), -1) - np.diag(np.full(n - 1, upper), 1)
+        a[0, :2] = 1.0, -level.kb
+        a[-1, -2:] = -level.kt, 1.0
+        systems = np.where(stops[:, :, None], np.eye(n), a)
+        wants = np.linalg.solve(systems, np.where(stops, f, level.rhs)[:, :, None])[:, :, 0]
+        for stop, want in zip(stops, wants):
+            got = _policy_value(level, stop, f)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), stop.astype(int)
+
+    def test_coupon_that_is_not_affine_between_kinks_is_refused(self, params_low_benefit, frm_cashflows):
+        cf = PerpetualCashflows(
+            coupon=lambda h: 0.03 * np.sqrt(np.asarray(h, dtype=float)),
+            payoff=frm_cashflows.payoff, prepay_amount=frm_cashflows.prepay_amount, kinks=frm_cashflows.kinks,
+        )
+        with pytest.raises(InvalidParams, match="not affine"):
+            psor_value(params_low_benefit, cf, GridSpec(h_min=0.02, h_max=4.5, n_points=501))
 
 
 class TestThresholdPolicy:

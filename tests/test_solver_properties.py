@@ -26,6 +26,7 @@ from mortval import (
     solve_aprm,
     solve_frm,
 )
+from mortval.abm import _low_pasting
 from mortval.solution import Action
 
 from conftest import check_pasting
@@ -199,8 +200,9 @@ def test_wide_box_returns_pasted_finite_contracts_or_typed_errors():
 # Markets (r, delta, sigma, b0, m, alpha) outside the wide box where a power
 # or quotient of the closed form leaves the float range: the APRM band
 # equation overflows (a) or divides by a product that underflowed to 0 (d),
-# h1 = (p1 ratio)^{1/(p1-1)} underflows to 0 at p1 = 1.0001 (b), and at
-# sigma = .0035 beta2 and the ABM's pasting equation overflow (c).
+# h1 = (p1 ratio)^{1/(p1-1)} underflows to 0 at p1 = 1.0001 (b) or to a
+# subnormal 2.4e-320, whose pasting slope read inf, at p1 = 1.0015 (e), and
+# at sigma = .0035 beta2 and the ABM's pasting equation overflow (c).
 FLOAT_FAULTS = {
     "a": (.007036334715247404, .0004067010124769873, .01474631115168455, .0702230305639583,
           .007036334715253152, 1.4190504629790758e-218),
@@ -210,11 +212,12 @@ FLOAT_FAULTS = {
           .053688558747414315, 2.4518058400534542e-111),
     "d": (.00014508149355996167, .008313470053784867, 1.2529274902795045, .7965294853280752,
           .0036803543331040867, 1.929e-320),
+    "e": (.000267, .000179, .487, .321, .000267 * (1.0 + 8e-15), 1.4e-266),
 }
 
 
 @pytest.mark.parametrize("market, solve", [
-    ("a", "aprm"), ("b", "aprm"), ("c", "abm"), ("c", "aprm"), ("c", "regime"), ("d", "aprm"),
+    ("a", "aprm"), ("b", "aprm"), ("c", "abm"), ("c", "aprm"), ("c", "regime"), ("d", "aprm"), ("e", "aprm"),
 ])
 def test_float_range_faults_raise_unsupported_regime(market, solve):
     r, delta, sigma, b0, m, alpha = FLOAT_FAULTS[market]
@@ -223,3 +226,15 @@ def test_float_range_faults_raise_unsupported_regime(market, solve):
             "regime": lambda: aprm_regime(params, m)}[solve]
     with pytest.raises(UnsupportedRegime, match="float range"):
         call()
+
+
+def test_low_pasting_refuses_a_subnormal_h1():
+    # The ABM's two-sided branch pastes through the same helper as the
+    # APRM's, so it refuses the same h1; at market (e) it already finds no
+    # sign change for its lower boundary and raises.
+    r, delta, sigma, b0, m, _ = FLOAT_FAULTS["e"]
+    with pytest.raises(ValuationError):
+        solve_abm(ModelParams(r, delta, sigma, b0), m)
+    for h1 in (0.0, 5e-324, 2.3997e-320):
+        with pytest.raises(UnsupportedRegime, match="below the normal float range"):
+            _low_pasting(1.0, 0.5, h1, b0, 1.0015, 0.0022)
