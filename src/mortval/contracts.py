@@ -86,10 +86,11 @@ class PerpetualCashflows:
     """Evaluable cashflow functions of a perpetual contract.
 
     ``coupon``, ``payoff`` and ``prepay_amount`` accept scalars or numpy
-    arrays.  ``payoff(h) = min(h, prepay_amount(h))`` is the lump sum the
-    bank receives at termination.  ``kinks`` lists the interior points
-    where coupon or payoff change slope; grid and policy oracles place
-    these on nodes / piece edges.
+    arrays; the oracles take a scalar result, such as a constant coupon's,
+    as that value at every price.  ``payoff(h) = min(h, prepay_amount(h))``
+    is the lump sum the bank receives at termination.  ``kinks`` lists the
+    interior points where coupon or payoff change slope; grid and policy
+    oracles place these on nodes / piece edges.
     """
 
     coupon: Callable[[np.ndarray], np.ndarray]

@@ -52,6 +52,7 @@ _DT = 1.0 / 52.0      # McResult.dt, nominal: no estimate takes a time step
 # 20 000 paths (SE 6e-5 to 1.1e-4); 64 reaches SE 2.1e-4.
 _TIME_STRATA = 256
 _STRATA_SLAB = 32     # strata drawn per vectorized slab; divides _TIME_STRATA
+_ROWS = 1024          # antithetic pairs per in-place pass: 256 KB per (rows, slab) buffer
 _COARSE_NODES = 126   # smallest level of the nested policy-iteration solve
 
 
@@ -84,6 +85,19 @@ class OracleResult:
     stopping: np.ndarray
     stop_intervals: tuple[tuple[float, float], ...]
     sweeps: int
+
+
+def _evaluate(f, h) -> np.ndarray:
+    """``f(h)`` as a float array shaped like ``h``: a cashflow that returns a
+    scalar, such as a constant coupon, takes that value at every price."""
+    h = np.asarray(h, dtype=float)
+    values = np.asarray(f(h), dtype=float)
+    if values.shape == h.shape:
+        return values
+    try:
+        return np.broadcast_to(values, h.shape)
+    except ValueError:
+        raise InvalidParams(f"a cashflow returned shape {values.shape} for prices of shape {h.shape}") from None
 
 
 def _log_grid(h_min: float, h_max: float, n: int, kinks: tuple[float, ...]) -> tuple[np.ndarray, float]:
@@ -162,7 +176,7 @@ def _level(params: ModelParams, cashflows: PerpetualCashflows, h: np.ndarray, dx
     steps = np.arange(n + 1.0)
     green = np.concatenate((np.exp(math.log(kb) * steps[:0:-1]), np.exp(math.log(kt) * steps)))
 
-    q = np.asarray(cashflows.coupon(h), dtype=float)
+    q = _evaluate(cashflows.coupon, h)
     x0 = math.log(h[0])
     cuts = sorted({0, n - 1} | {round((math.log(k) - x0) / dx) for k in cashflows.kinks if h[0] < k < h[-1]})
     tol = 1e-12 * np.max(np.abs(q))
@@ -275,7 +289,7 @@ def psor_value(params: ModelParams, cashflows: PerpetualCashflows, grid: GridSpe
             raise InvalidParams(
                 f"grid too coarse for the drift (dx={dx:.3g}); increase n_points or shrink the window"
             )
-        f = np.asarray(cashflows.payoff(h), dtype=float)
+        f = _evaluate(cashflows.payoff, h)
         stop = np.zeros(n, dtype=bool) if prev is None else np.interp(np.log(h), *prev) >= 0.5
         for _ in range(n):
             values = _policy_value(level, stop, f)
@@ -298,19 +312,25 @@ def _linear_pieces(
     """(intercept, slope) of the coupon on each cell between ``edges``.
 
     The perpetual coupons are piecewise linear with breaks only at the
-    published kinks, so two probes per cell recover each piece exactly.
+    published kinks, so two probes per cell recover each piece exactly.  A
+    third probe checks the piece: a coupon that leaves it by more than
+    1e-12 of the largest probe, the grid's tolerance, raises ``InvalidParams``.
     """
     pieces = []
     for a, b in zip(edges, edges[1:]):
         if math.isinf(b):
             t1 = 2.0 * a if a > 0.0 else 1.0
-            t2 = 2.0 * t1
+            t2, t3 = 2.0 * t1, 4.0 * t1
         else:
             t1 = a + (b - a) / 3.0
             t2 = a + 2.0 * (b - a) / 3.0
-        c1, c2 = float(cashflows.coupon(t1)), float(cashflows.coupon(t2))
+            t3 = 0.5 * (a + b)
+        c1, c2, c3 = (float(_evaluate(cashflows.coupon, t)) for t in (t1, t2, t3))
         slope = (c2 - c1) / (t2 - t1)
-        pieces.append((c1 - slope * t1, slope))
+        intercept = c1 - slope * t1
+        if abs(intercept + slope * t3 - c3) > 1e-12 * max(abs(c1), abs(c2), abs(c3)):
+            raise InvalidParams(f"the coupon is not affine between the kinks {cashflows.kinks} and thresholds")
+        pieces.append((intercept, slope))
     return pieces
 
 
@@ -336,14 +356,15 @@ def threshold_policy_value(
     coefficients follow from a small linear system with value and slope
     matching at the coupon kinks.  Nothing here depends on the closed-form
     solvers, so agreement with them at their own boundaries is a genuine
-    cross-check.
+    cross-check.  A coupon that is not affine between the kinks raises
+    ``InvalidParams``.
     """
     lower, upper = thresholds
     _check_thresholds(lower, upper)
     h = checked_price(h)
 
     if (lower is not None and h <= lower) or (upper is not None and h >= upper):
-        return float(cashflows.payoff(h))
+        return float(_evaluate(cashflows.payoff, h))
 
     lo = 0.0 if lower is None else lower
     hi = math.inf if upper is None else upper
@@ -369,7 +390,7 @@ def threshold_policy_value(
     else:
         mat[row, 0] = lower**p1
         mat[row, 1] = lower**-p2
-        rhs[row] = float(cashflows.payoff(lower)) - particular(0, lower)
+        rhs[row] = float(_evaluate(cashflows.payoff, lower)) - particular(0, lower)
     row += 1
 
     for i, k in enumerate(edges[1:-1]):
@@ -389,7 +410,7 @@ def threshold_policy_value(
     else:
         mat[row, size - 2] = upper**p1
         mat[row, size - 1] = upper**-p2
-        rhs[row] = float(cashflows.payoff(upper)) - particular(n_pieces - 1, upper)
+        rhs[row] = float(_evaluate(cashflows.payoff, upper)) - particular(n_pieces - 1, upper)
 
     coef = np.linalg.solve(mat, rhs)
     # Zero the pinned modes exactly: h^{p1} or h^{-p2} would amplify LU rounding.
@@ -477,7 +498,7 @@ def mc_cashflow_value(
         note += "; threshold crossing by the Brownian-bridge probability"
         if (lower is not None and h <= lower) or (upper is not None and h >= upper):
             return McResult(
-                estimate=float(cashflows.payoff(h)), std_error=0.0, tail_bound=0.0,
+                estimate=float(_evaluate(cashflows.payoff, h)), std_error=0.0, tail_bound=0.0,
                 n_paths=2 * n_pairs, horizon=horizon, dt=_DT, note=note,
             )
 
@@ -512,31 +533,61 @@ def _integral(rng, params, cashflows, bp, h, level):
     c(e^y) + p (r f(L) - c(e^y)), p the bridge's crossing probability.
     (x - l)(y - l) keeps its value when all three log-prices change sign,
     so one expression serves an upper threshold as well as a lower one.
-    The strata are drawn ``_STRATA_SLAB`` at a time, the uniforms of a
-    slab before its normals.
+
+    The strata go ``_STRATA_SLAB`` at a time: a slab's uniforms are drawn
+    into one reused buffer and turned into times in place, then its pairs
+    are taken ``_ROWS`` at a time, each chunk drawing its normals and
+    running every pass in place on buffers that stay in cache.  The
+    generator fills its output in order, so the draws are those of one
+    (bp, slab) array of uniforms followed by one of normals per slab, and
+    each element takes the same operations in the same order, up and down
+    samples evaluated together as one (2, rows, slab) stack.
     """
     mu = params.r - params.delta - 0.5 * params.sigma**2
     x = math.log(h)
     if level is not None:
         ell = math.log(level)
-        stop = params.r * float(cashflows.payoff(level))
-
-        def crossed(c, y, t):
-            p = np.exp(np.minimum(-2.0 * (x - ell) * (y - ell) / (params.sigma**2 * t), 0.0))
-            return c + p * (stop - c)
-
+        scale = -2.0 * (x - ell)
+        stop = params.r * float(_evaluate(cashflows.payoff, level))
+    times = np.empty((bp, _STRATA_SLAB))
+    # Flat buffers, so a chunk's views are contiguous however many rows it has.
+    size = min(bp, _ROWS) * _STRATA_SLAB
+    z_buf, s_buf = np.empty(size), np.empty(size)
+    y_buf, e_buf, w_buf = np.empty(2 * size), np.empty(2 * size), np.empty(2 * size)
     total = np.zeros(bp)
     for k0 in range(0, _TIME_STRATA, _STRATA_SLAB):
-        u = rng.random((bp, _STRATA_SLAB))
+        rng.random(out=times)
         # K - k - U is exact and positive, so the top stratum's time is finite.
-        t = np.log((_TIME_STRATA - np.arange(k0, k0 + _STRATA_SLAB) - u) / _TIME_STRATA) / -params.r
-        spread = rng.standard_normal((bp, _STRATA_SLAB)) * (params.sigma * np.sqrt(t))
-        centre = x + mu * t
-        y_up, y_down = centre + spread, centre - spread
-        c_up, c_down = cashflows.coupon(np.exp(y_up)), cashflows.coupon(np.exp(y_down))
-        if level is not None:
-            c_up, c_down = crossed(c_up, y_up, t), crossed(c_down, y_down, t)
-        total += np.sum(c_up + c_down, axis=1)
+        np.subtract(_TIME_STRATA - np.arange(k0, k0 + _STRATA_SLAB), times, out=times)
+        times /= _TIME_STRATA
+        np.log(times, out=times)
+        times /= -params.r
+        for r0 in range(0, bp, _ROWS):
+            t = times[r0 : r0 + _ROWS]
+            n, shape = t.size, (2, *t.shape)
+            spread, sd = z_buf[:n].reshape(t.shape), s_buf[:n].reshape(t.shape)
+            y, e = y_buf[: 2 * n].reshape(shape), e_buf[: 2 * n].reshape(shape)
+            rng.standard_normal(out=spread)
+            np.sqrt(t, out=sd)
+            sd *= params.sigma
+            spread *= sd
+            np.multiply(mu, t, out=y[0])
+            y[0] += x                               # the centre, x + mu t
+            np.subtract(y[0], spread, out=y[1])
+            y[0] += spread
+            c = _evaluate(cashflows.coupon, np.exp(y, out=e))
+            if level is not None:
+                y -= ell
+                y *= scale
+                np.multiply(params.sigma**2, t, out=sd)
+                y /= sd
+                np.minimum(y, 0.0, out=y)
+                p = np.exp(y, out=y)
+                w = np.subtract(stop, c, out=w_buf[: 2 * n].reshape(shape))
+                w *= p
+                c = np.add(c, w, out=w)             # c + p (stop - c)
+            np.add(c[0], c[1], out=spread)         # the normals' buffer takes the pair sums
+            total[r0 : r0 + len(t)] += np.sum(spread, axis=1)
     return total / (2 * _TIME_STRATA * params.r)
 
 

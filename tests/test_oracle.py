@@ -23,6 +23,7 @@ from mortval import (
     solve_frm,
     threshold_policy_value,
 )
+from mortval import oracle
 from mortval.oracle import _level, _log_grid, _policy_value, oracle_triangle
 from mortval.options import solve_contract, solve_no_prepay
 
@@ -264,6 +265,17 @@ class TestThresholdPolicy:
             value = threshold_policy_value(params_low_benefit, cf, (solved.boundaries["h3"], None), h)
             assert abs(value - solved.value(h)) <= 1e-12, h
 
+    def test_coupon_that_is_not_affine_between_kinks_is_refused(self, params_low_benefit, frm_cashflows):
+        # The chord through two probes of 0.03 sqrt(h) would value the policy
+        # (0.5, 1.4) at 0.79528 and holding forever at 1.03733, with no error.
+        cf = PerpetualCashflows(
+            coupon=lambda h: 0.03 * np.sqrt(np.asarray(h, dtype=float)),
+            payoff=frm_cashflows.payoff, prepay_amount=frm_cashflows.prepay_amount, kinks=frm_cashflows.kinks,
+        )
+        for policy in ((0.5, 1.4), (None, None), (0.5, None), (None, 1.4)):
+            with pytest.raises(InvalidParams, match="not affine"):
+                threshold_policy_value(params_low_benefit, cf, policy, 1.0)
+
     def test_validation(self, params_low_benefit, frm_cashflows):
         with pytest.raises(InvalidThresholds):
             threshold_policy_value(params_low_benefit, frm_cashflows, (1.4, 0.5), 1.0)
@@ -350,6 +362,41 @@ class TestMonteCarlo:
                 gap = abs(result.estimate - exact)
                 assert gap <= 3.0 * result.std_error, (policy, seed, gap / result.std_error)
 
+    @pytest.mark.parametrize("bp", [8192, 1808, 5000])
+    def test_integral_matches_the_slab_loop_bit_for_bit(self, params_low_benefit, bp):
+        # The chunked in-place passes take the same draws and the same
+        # operations per element as one (bp, slab) array per step of the
+        # loop below, so the pair values agree to the bit; both sides run on
+        # this CPU, whatever its SIMD kernels.  1808 and 5000 pairs end in a
+        # partial row chunk, 1808 as the last block of 20 000 paths does.
+        p, h = params_low_benefit, 1.3
+
+        def slab_loop(rng, cashflows, level):
+            mu, x, K = p.r - p.delta - 0.5 * p.sigma**2, math.log(h), oracle._TIME_STRATA
+            total = np.zeros(bp)
+            for k0 in range(0, K, oracle._STRATA_SLAB):
+                u = rng.random((bp, oracle._STRATA_SLAB))
+                t = np.log((K - np.arange(k0, k0 + oracle._STRATA_SLAB) - u) / K) / -p.r
+                spread = rng.standard_normal((bp, oracle._STRATA_SLAB)) * (p.sigma * np.sqrt(t))
+                centre = x + mu * t
+                y_up, y_down = centre + spread, centre - spread
+                c_up, c_down = cashflows.coupon(np.exp(y_up)), cashflows.coupon(np.exp(y_down))
+                if level is not None:
+                    ell, stop = math.log(level), p.r * float(cashflows.payoff(level))
+                    p_up, p_down = (np.exp(np.minimum(-2.0 * (x - ell) * (y - ell) / (p.sigma**2 * t), 0.0))
+                                    for y in (y_up, y_down))
+                    c_up, c_down = c_up + p_up * (stop - c_up), c_down + p_down * (stop - c_down)
+                total += np.sum(c_up + c_down, axis=1)
+            return total / (2 * K * p.r)
+
+        frm = ContractSpec(kind=ContractKind.FRM, m=M0)
+        abm = perpetual_cashflows(ContractSpec(kind=ContractKind.ABM, m=M0), p)
+        h1 = solve_no_prepay(p, frm).boundaries["h1"]
+        for cashflows, level in ((abm, None), (no_prepay_cashflows(frm, p), h1), (abm, 1.5)):
+            got = oracle._integral(np.random.default_rng(2024), p, cashflows, bp, h, level)
+            want = slab_loop(np.random.default_rng(2024), cashflows, level)
+            assert got.tobytes() == want.tobytes(), level
+
     def test_validation(self, params_low_benefit, frm_cashflows):
         with pytest.raises(InvalidParams):
             mc_cashflow_value(params_low_benefit, frm_cashflows, None, 1.0, 5_000, 200.0, 1)
@@ -412,6 +459,26 @@ def test_path_oracles_take_one_price_rule(params_low_benefit, frm_cashflows, h):
             threshold_policy_value(params_low_benefit, frm_cashflows, policy, h)
         with pytest.raises(InvalidParams):
             mc_cashflow_value(params_low_benefit, frm_cashflows, policy, h, 10_000, 200.0, 1)
+
+
+def test_scalar_cashflows_value_as_arrays_in_every_oracle(params_low_benefit):
+    # A cashflow may return a scalar for an array of prices.  A coupon of 0.03
+    # with a payoff of 100, never worth stopping for, is the annuity 0.03 / r
+    # in all three oracles.
+    cf = PerpetualCashflows(coupon=lambda h: 0.03, payoff=lambda h: 100.0, prepay_amount=lambda h: 100.0)
+    annuity = 0.03 / R0
+    grid = psor_value(params_low_benefit, cf, GridSpec(h_min=0.02, h_max=4.5, n_points=501))
+    assert not grid.stopping.any()
+    assert np.max(np.abs(grid.values - annuity)) <= 1e-9 * annuity
+    assert threshold_policy_value(params_low_benefit, cf, (None, None), 1.0) == pytest.approx(annuity, rel=1e-12)
+    mc = mc_cashflow_value(params_low_benefit, cf, None, 1.0, 10_000, 200.0, 1)
+    assert mc.estimate == pytest.approx(annuity, rel=1e-12) and mc.std_error <= 1e-12
+    # A result that does not broadcast to the prices is refused, with a typed error.
+    bad = PerpetualCashflows(coupon=lambda h: np.zeros(3), payoff=cf.payoff, prepay_amount=cf.payoff)
+    with pytest.raises(InvalidParams, match="shape"):
+        psor_value(params_low_benefit, bad, GridSpec(h_min=0.02, h_max=4.5, n_points=501))
+    with pytest.raises(InvalidParams, match="shape"):
+        mc_cashflow_value(params_low_benefit, bad, None, 1.0, 10_000, 200.0, 1)
 
 
 def _grid_box_design(n: int = 300, seed: int = 909):
