@@ -5,7 +5,12 @@ fixed-rate (FRM), adjustable-balance (ABM), and adjustable-payment-rate
 (APRM) mortgages, together with option decompositions, foreclosure-cost
 adjustments, endogenous rate spreads, and independent numerical oracles
 (grid/variational, hitting-time, Monte Carlo).
+
+Only the oracles need numpy.  ``mortval.oracle`` and the names it exports
+here are imported on first access, so the closed forms load without it.
 """
+
+import importlib
 
 from .abm import solve_abm, solve_abm_no_prepay
 from .aprm import AprmRegime, RateRegime, aprm_regime, solve_aprm, solve_aprm_no_prepay
@@ -46,7 +51,6 @@ from .foreclosure import (
 from .frm import solve_frm, solve_frm_no_prepay
 from .model import Exponents, ModelParams, characteristic_residual, compute_exponents
 from .options import default_option_value, prepay_option_value, solve_contract, solve_no_prepay
-from .oracle import GridSpec, McResult, OracleResult, mc_cashflow_value, psor_value, threshold_policy_value
 from .rootfind import find_root_bracketed, grow_bracket
 from .solution import Action, Region, SolvedContract
 
@@ -110,3 +114,19 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+_ORACLE_EXPORTS = ("GridSpec", "McResult", "OracleResult", "mc_cashflow_value", "psor_value",
+                   "threshold_policy_value")
+
+
+def __getattr__(name: str):
+    # ``importlib`` rather than ``from . import oracle``: that statement looks
+    # the name up on this package first, which lands here again.
+    if name == "oracle" or name in _ORACLE_EXPORTS:
+        oracle = importlib.import_module(".oracle", __name__)
+        return oracle if name == "oracle" else getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), "oracle", *_ORACLE_EXPORTS})

@@ -9,10 +9,9 @@ Errors exit with code 2 and a machine-readable {"error": ..., "detail":
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
-
-import numpy as np
 
 from .aprm import aprm_regime
 from .contracts import ContractKind, ContractSpec, abm_state, aprm_state, contract_spec, frm_schedule
@@ -21,11 +20,23 @@ from .foreclosure import equivalent_foreclosure_cost, frm_value_with_foreclosure
 from .model import ModelParams
 from .options import prepay_option_value, solve_contract
 
-# Only ``oracle_triangle`` is used here; the other three stay bound because
-# the tracer in perfbench/tracing.py wraps them through this module's namespace.
-from .oracle import mc_cashflow_value, oracle_triangle, psor_value, threshold_policy_value  # noqa: F401
-
 _SIG_DIGITS = 12
+
+
+def _oracle_forwarder(name: str):
+    """A function that calls ``mortval.oracle.<name>``, importing the oracles
+    (and numpy) on its first call rather than with this module."""
+    def forward(*args, **kwargs):
+        return getattr(importlib.import_module(".oracle", __package__), name)(*args, **kwargs)
+
+    forward.__name__ = forward.__qualname__ = name
+    return forward
+
+
+# No command calls these three.  The tracer in perfbench/tracing.py wraps them
+# through this module's namespace; they go once it stops (ROADMAP item 1).
+psor_value, threshold_policy_value, mc_cashflow_value = map(
+    _oracle_forwarder, ("psor_value", "threshold_policy_value", "mc_cashflow_value"))
 
 
 def _round_floats(obj):
@@ -146,6 +157,18 @@ _QUANTITIES = {
 }
 
 
+def _abscissae(x_min: float, x_max: float, steps: int) -> list[float]:
+    """``steps + 1`` evenly spaced points from ``x_min`` to ``x_max``, in the
+    operations of ``numpy.linspace``, so with its bits: i * step + x_min and
+    the end exactly, or (i / steps) * (x_max - x_min) + x_min where the step
+    underflows to 0."""
+    delta = x_max - x_min
+    step = delta / steps
+    if step == 0.0:
+        return [i / steps * delta + x_min for i in range(steps)] + [x_max]
+    return [i * step + x_min for i in range(steps)] + [x_max]
+
+
 def _cmd_sweep(ns) -> int:
     if not (ns.steps >= 1 and ns.x_min < ns.x_max):
         raise ValuationError(f"need steps >= 1 and x-min < x-max, got {ns.steps}, [{ns.x_min}, {ns.x_max}]")
@@ -156,7 +179,7 @@ def _cmd_sweep(ns) -> int:
     kinds = [ContractKind(k.strip()) for k in (ns.contract or "frm,abm,aprm").split(",")]
     base = {"h": ns.h, "m": ns.m, "alpha": ns.alpha, "phi": ns.phi}
     row = row_maker(params, kinds, base)
-    xs = np.linspace(ns.x_min, ns.x_max, ns.steps + 1)
+    xs = _abscissae(ns.x_min, ns.x_max, ns.steps)
     rows = [row({**base, ns.x: x}) for x in xs]
 
     def fmt(v):
@@ -164,7 +187,7 @@ def _cmd_sweep(ns) -> int:
 
     sys.stdout.write("x\t" + "\t".join(names(kinds)) + "\n")
     for x, values in zip(xs, rows):
-        sys.stdout.write(fmt(float(x)) + "\t" + "\t".join(fmt(v) for v in values) + "\n")
+        sys.stdout.write(fmt(x) + "\t" + "\t".join(fmt(v) for v in values) + "\n")
     return 0
 
 
@@ -179,6 +202,10 @@ def _cmd_alpha_star(ns) -> int:
 
 
 def _cmd_oracle_check(ns) -> int:
+    import numpy as np
+
+    from .oracle import oracle_triangle
+
     t = oracle_triangle(_params_from(ns), _spec_from(ns), ns.h, ns.n_points, ns.n_paths, ns.seed)
     grid = t.grid.grid
     if grid[0] <= ns.h <= grid[-1]:

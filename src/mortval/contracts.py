@@ -22,13 +22,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .errors import InvalidSpec, InvalidTime, NegativeSpread
 from .model import ModelParams
 from .solution import checked_price
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ContractKind(str, Enum):
@@ -101,6 +102,8 @@ class PerpetualCashflows:
 
 def perpetual_cashflows(spec: ContractSpec, params: ModelParams) -> PerpetualCashflows:
     """Build the perpetual coupon/payoff/prepayment functions of ``spec``."""
+    import numpy as np
+
     require_positive_spread(spec.m, params)
     m, b0, alpha = spec.m, params.b0, spec.alpha
 
@@ -137,6 +140,8 @@ def perpetual_cashflows(spec: ContractSpec, params: ModelParams) -> PerpetualCas
 
 def no_prepay_cashflows(spec: ContractSpec, params: ModelParams) -> PerpetualCashflows:
     """Cashflows of ``spec`` without prepayment: its coupon, and a stop hands over h."""
+    import numpy as np
+
     full = perpetual_cashflows(spec, params)
 
     def house(h):

@@ -8,14 +8,12 @@ contract.  Both are costs to the bank and nonnegative.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .abm import solve_abm, solve_abm_no_prepay
 from .aprm import solve_aprm, solve_aprm_no_prepay
 from .contracts import ContractKind, ContractSpec
 from .frm import solve_frm, solve_frm_no_prepay
 from .model import ModelParams
-from .solution import SolvedContract, checked_prices
+from .solution import SolvedContract, checked_price, checked_prices
 
 
 def solve_contract(params: ModelParams, spec: ContractSpec) -> SolvedContract:
@@ -48,6 +46,11 @@ def default_option_value(params: ModelParams, spec: ContractSpec, h):
     """
     if spec.kind is ContractKind.FRM:
         return params.b0 - solve_contract(params, spec).value(h)
+    if isinstance(h, float):
+        checked_price(h)
+        return 0.0
+    import numpy as np
+
     arr = np.zeros_like(checked_prices(h))
     return float(arr) if arr.ndim == 0 else arr
 

@@ -21,12 +21,13 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .errors import InvalidParams, UnsupportedRegime
 from .model import Exponents
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Action(str, Enum):
@@ -36,12 +37,20 @@ class Action(str, Enum):
 
 
 def _power_term(coeff: float, h, exponent: float, anchor: float):
-    """coeff * (h/anchor)**exponent."""
-    return coeff * np.exp(exponent * np.log(h / anchor))
+    """coeff * (h/anchor)**exponent, with ``math`` for a float ``h`` and
+    numpy's ufuncs for a float array, which may hold h = 0."""
+    if type(h) is float:
+        return coeff * math.exp(exponent * math.log(h / anchor))
+    import numpy as np
+
+    with np.errstate(divide="ignore"):
+        return coeff * np.exp(exponent * np.log(h / anchor))
 
 
 def checked_prices(h) -> np.ndarray:
     """``h`` as a float array, once every price in it is positive and finite."""
+    import numpy as np
+
     h_arr = np.asarray(h, dtype=float)
     ok = (h_arr > 0.0) & (h_arr < np.inf)
     if not ok.all():
@@ -80,11 +89,16 @@ class Region(NamedTuple):
         """Derivative of the given order (0, 1 or 2) of this piece at ``h``.
 
         A Python float ``h`` must be a positive price.  It is evaluated
-        without arrays but with the same operations and numpy ufuncs, so
-        the result is the number the array path gives.
+        with ``math``, anything else as a float array with numpy's ufuncs,
+        in the same operations.  The two agree bit for bit where numpy's
+        ``exp`` and ``log`` round as the C library's do; its AVX-512
+        kernels do not always, so there the array path may differ from
+        the float path in the last bits.
         """
         scalar = type(h) is float
         if not scalar:
+            import numpy as np
+
             h = np.asarray(h, dtype=float)
         if order == 0:
             out = self.k0 + self.k1 * h
@@ -98,11 +112,7 @@ class Region(NamedTuple):
             if coeff != 0.0:
                 for j in range(order):
                     coeff *= (p - j) / anchor   # falling factorial p (p-1) ... over anchor^order
-                if scalar:
-                    out = out + _power_term(coeff, h, p - order, anchor)
-                else:
-                    with np.errstate(divide="ignore"):  # an array may hold h = 0
-                        out = out + _power_term(coeff, h, p - order, anchor)
+                out = out + _power_term(coeff, h, p - order, anchor)
         return out
 
 
@@ -155,6 +165,8 @@ class SolvedContract:
 
     def region_index(self, h):
         """Index of the region owning each price in ``h``."""
+        import numpy as np
+
         idx = np.searchsorted(self._cuts, h)
         return int(idx) if np.ndim(idx) == 0 else idx
 
@@ -180,6 +192,8 @@ class SolvedContract:
         if not isinstance(h, float):
             h = checked_prices(h)
             if h.ndim:
+                import numpy as np
+
                 idx = self.region_index(h)
                 out = np.empty_like(h)
                 for i, reg in enumerate(self.regions):
@@ -204,7 +218,7 @@ class SolvedContract:
             "regions": [
                 {
                     "lo": reg.lo,
-                    "hi": None if np.isinf(reg.hi) else reg.hi,
+                    "hi": None if math.isinf(reg.hi) else reg.hi,
                     "action": reg.action.value,
                     "coeffs": {"c_p1": reg.c_p1, "c_p2": reg.c_p2, "k0": reg.k0, "k1": reg.k1},
                 }

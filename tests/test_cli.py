@@ -1,4 +1,9 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +19,7 @@ from mortval import (
     psor_value,
     solve_contract,
 )
-from mortval.cli import _COMMANDS, _FLAGS, main
+from mortval.cli import _COMMANDS, _FLAGS, _QUANTITIES, _abscissae, main
 
 BASE = ["--r", "0.017825", "--delta", "0.045", "--sigma", "0.1125", "--b0", "0.9", "--m", "0.0326"]
 
@@ -383,3 +388,62 @@ class TestOracleCheck:
         # printed, and the grid's band edge is checked against h3.
         assert "grid none (h outside its nodes 0.0020 to " in out and "node h=" not in out
         assert "grid band-edge log-gap to h3" in out
+
+
+class TestWithoutNumpy:
+    # A range for each sweep axis, at BASE.
+    SPANS = {"h": ("0.8", "1.2"), "m": ("0.03", "0.05"), "alpha": ("0", "0.05"), "phi": ("0.2", "0.4")}
+    SCHEDULE = ["--m", "0.0326", "--b0", "0.9", "--T", "30", "--t", "10", "--h", "1.4", "--alpha", "0.05"]
+    CHILD = """
+import contextlib, io, json, sys
+from mortval.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(main(argv))
+json.dump({"codes": codes, "numpy": "numpy" in sys.modules}, sys.stdout)
+"""
+
+    def test_commands_without_an_oracle_never_import_numpy(self):
+        argvs = [
+            ["solve", "--contract", "frm", *BASE],
+            ["solve", "--contract", "abm", "--format", "csv", *BASE],
+            ["solve", "--contract", "frm", "--phi", "0.3", *BASE],
+        ]
+        for quantity, (axes, _, _) in _QUANTITIES.items():
+            for x in sorted(axes):
+                lo, hi = self.SPANS[x]
+                argvs.append(["sweep", "--quantity", quantity, "--x", x, "--x-min", lo, "--x-max", hi,
+                              "--steps", "2", "--alpha", "0.05", *BASE])
+        argvs += [["alpha-star", *BASE]] + [["schedule", "--kind", k, *self.SCHEDULE] for k in ("frm", "abm", "aprm")]
+        argvs.append(["solve", "--contract", "frm", *BASE[:-1], "0.01"])  # NegativeSpread
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-c", self.CHILD, json.dumps(argvs)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"codes": [0] * (len(argvs) - 1) + [2], "numpy": False}
+
+
+class TestAbscissae:
+    @staticmethod
+    def assert_linspace_bits(x_min, x_max, steps):
+        want = np.linspace(x_min, x_max, steps + 1).tolist()
+        assert [x.hex() for x in _abscissae(x_min, x_max, steps)] == [x.hex() for x in want]
+
+    @pytest.mark.parametrize("x_min,x_max,steps", [
+        (0.05, 0.6, 50),                          # the README's spread sweep
+        (0.5, 1.5, 1),
+        (1.0, math.nextafter(1.0, 2.0), 7),       # one ulp wide
+        (0.0, 5e-324, 3),                         # the step underflows to 0
+        (-1e-321, 1e-321, 4000),                  # and again, across zero
+    ])
+    def test_numpy_linspace_bits(self, x_min, x_max, steps):
+        self.assert_linspace_bits(x_min, x_max, steps)
+
+    def test_numpy_linspace_bits_at_random(self):
+        rng = np.random.default_rng(30)
+        for _ in range(200):
+            x_min = float(rng.uniform(-2.0, 2.0) * 10.0 ** rng.integers(-8, 4))
+            x_max = x_min + max(abs(x_min), 1e-3) * 10.0 ** rng.uniform(-15.0, 2.0)
+            self.assert_linspace_bits(x_min, max(x_max, math.nextafter(x_min, math.inf)), int(rng.integers(1, 400)))

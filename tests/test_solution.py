@@ -1,4 +1,7 @@
+import functools
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from mortval import ContractKind, ContractSpec, InvalidParams, ModelParams, solv
 from mortval.solution import Action
 
 from conftest import B0, M0, R0, SIGMA0
+from dispatch import in_child, without_avx512
 
 PARAMS = ModelParams(r=R0, delta=0.045, sigma=SIGMA0, b0=B0)
 FRM, ABM, APRM = ContractKind.FRM, ContractKind.ABM, ContractKind.APRM
@@ -30,15 +34,44 @@ SOLVED.update({
 })
 
 
-@pytest.mark.parametrize("name", sorted(SOLVED))
-def test_scalar_lookup_matches_array_at_edges(name):
-    solved = SOLVED[name]
+def _edge_prices(solved) -> list[float]:
+    """Every region edge and its two float neighbours, and 257 prices from 0.01 to 50."""
     edges = [reg.hi for reg in solved.regions[:-1]]
     h = [x for e in edges for x in (math.nextafter(e, 0.0), e, math.nextafter(e, math.inf))]
-    h += np.geomspace(0.01, 50.0, 257).tolist()
-    for fn in (solved.value, solved.derivative):
-        vec = fn(np.array(h))
-        assert [fn(x).hex() for x in h] == [float(v).hex() for v in vec]
+    return h + np.geomspace(0.01, 50.0, 257).tolist()
+
+
+def _scalar_and_array_bits() -> dict:
+    """For each contract: the value and slope at ``_edge_prices``, in float hex,
+    from one float call per price and from one array call."""
+    out = {}
+    for name, solved in SOLVED.items():
+        h = _edge_prices(solved)
+        out[name] = [
+            ([fn(x).hex() for x in h], [float(v).hex() for v in fn(np.array(h))])
+            for fn in (solved.value, solved.derivative)
+        ]
+    return out
+
+
+@functools.cache
+def _bits_without_avx512() -> dict:
+    return in_child(__file__)
+
+
+@pytest.mark.parametrize("name", sorted(SOLVED))
+def test_scalar_lookup_matches_array_at_edges(name):
+    # Floats take ``math`` and arrays numpy's ufuncs; they give the same
+    # bits where numpy rounds as the C library does, so without AVX-512.
+    for scalar, array in _bits_without_avx512()[name]:
+        assert scalar == array
+
+
+@pytest.mark.parametrize("name", sorted(SOLVED))
+def test_scalar_and_array_lookups_pick_the_same_region(name):
+    solved = SOLVED[name]
+    h = _edge_prices(solved)
+    assert [solved.regions[i] for i in solved.region_index(np.array(h))] == [solved.region_at(x) for x in h]
 
 
 @pytest.mark.parametrize("name", sorted(SOLVED))
@@ -87,3 +120,8 @@ def test_every_scalar_type_gives_the_float_result(name):
             assert solved.value(same).hex() == want.hex()
         assert solved.region_at(np.float64(h)) is solved.region_at(h)
     assert solved.value(2).hex() == solved.value(2.0).hex()
+
+
+if __name__ == "__main__":
+    without_avx512()
+    json.dump(_scalar_and_array_bits(), sys.stdout)
