@@ -33,52 +33,29 @@ otherwise it is the one root in m of G(m) = g(1/B0; m) on
 
 from __future__ import annotations
 
-import sys
-
 from .contracts import RATE_CAP, require_positive_spread
 from .errors import NoBracket, UnsupportedRegime, float_faults_unsupported
 from .model import Exponents, ModelParams, compute_exponents
 from .rootfind import find_root_bracketed, grow_bracket
-from .solution import Action, Region, SolvedContract
+from .solution import CONTINUE, PREPAY, SolvedContract, build
 
 INF = float("inf")
 
 
-def _top_pasting(load: float, lo: float, h2: float, p1: float, p2: float) -> tuple[float, float]:
-    """Power terms on (lo, h2), pasted to the prepayment payoff at h2, where the
-    coupon's value held forever, m B0 / r, exceeds B0 by ``load``: the h^{p1}
-    term's value at h2 and the h^{-p2} term's value at lo."""
-    scale = load / (p1 + p2)
-    return -p2 * scale, -p1 * scale / (lo / h2) ** p2
-
-
-def _low_pasting(load: float, ratio: float, h1: float, hi: float, p1: float, p2: float) -> tuple[float, float]:
-    """Power terms on (h1, hi), pasted to the prepayment at h1 where the coupon's
-    particular solution is steeper than the payoff by ``load * ratio``: the
-    h^{p1} term's value at hi and the h^{-p2} term's value at h1.
-
-    An h1 below the normal float range raises ``UnsupportedRegime``: the
-    h^{-p2} term's value there, a multiple of h1, has lost its digits, and
-    its slope at h1 with them."""
-    if h1 < sys.float_info.min:
-        raise UnsupportedRegime(f"lower prepayment boundary h1 = {h1} is below the normal float range")
-    return (
-        -(1.0 + p2) / (p1 + p2) * load * ratio * h1 / (h1 / hi) ** p1,
-        -(p1 - 1.0) / (p1 + p2) * load * ratio * h1,
-    )
-
-
-def _held_forever(s: float, k: float, params: ModelParams, ex: Exponents) -> SolvedContract:
-    """A coupon s min(k, h) held forever; value and slope paste at the kink k."""
-    p1, p2 = ex.p1, ex.p2
-    slope = s / params.delta
-    c1 = -(1.0 + p2) / (p1 * (p1 + p2)) * slope * k
-    c2 = -(p1 - 1.0) / (p2 * (p1 + p2)) * slope * k
-    regions = (
-        Region(0.0, k, Action.CONTINUE, c_p1=c1, k1=slope),
-        Region(k, INF, Action.CONTINUE, c_p2=c2, k0=s * k / params.r),
-    )
-    return SolvedContract(regions=regions, boundaries={}, exponents=ex)
+def _skeleton(balance: float, scale: float, m: float, bounds: dict, alpha: float = 0.0) -> tuple:
+    """Pieces of a contract paying scale m min(balance, h) while held, prepaid for
+    scale min(balance, h) + alpha (h - balance)^+ below h1 and on [h2, h3) where
+    ``bounds`` has them: the ABM has scale 1 and balance B0, the APRM the reverse."""
+    h1, h2, h3 = bounds.get("h1", 0.0), bounds.get("h2", INF), bounds.get("h3", INF)
+    capped = m * scale * balance
+    pieces = ((h1, balance, CONTINUE, 0.0, m * scale), (balance, h2, CONTINUE, capped, 0.0))
+    if "h1" in bounds:
+        pieces = ((0.0, h1, PREPAY, 0.0, scale),) + pieces
+    if "h2" in bounds:
+        pieces += ((h2, h3, PREPAY, scale * balance - alpha * balance, alpha),)
+    if "h3" in bounds:
+        pieces += ((h3, INF, CONTINUE, capped, 0.0),)
+    return pieces
 
 
 def _two_sided(y: float, m: float, r: float, delta: float, p1: float, p2: float) -> tuple[float, float]:
@@ -95,27 +72,15 @@ def _y_bar(m: float, r: float, delta: float, p1: float, p2: float) -> float:
     return ((p2 / (1.0 + p2) * (1.0 / r - 1.0 / m)) / ((p1 - 1.0) / (p1 * delta) - 1.0 / m)) ** (1.0 / p1)
 
 
-@float_faults_unsupported
-def solve_abm(params: ModelParams, m: float) -> SolvedContract:
-    """Value function and optimal prepayment boundaries of the ABM."""
-    m = require_positive_spread(m, params)
-    ex = compute_exponents(params)
+def _boundaries(m: float, r: float, delta: float, ex: Exponents, balance: float) -> dict:
+    """The ABM's prepayment boundaries at ``balance``: h2, and h1 when m > delta."""
     p1, p2 = ex.p1, ex.p2
-    r, delta, b0 = params.r, params.delta, params.b0
-
     if m <= delta:
         try:
-            h2 = b0 * ((1.0 / r - (1.0 - 1.0 / p1) / delta) / (1.0 / r - 1.0 / m)) ** (1.0 / p2)
+            h2 = balance * ((1.0 / r - (1.0 - 1.0 / p1) / delta) / (1.0 / r - 1.0 / m)) ** (1.0 / p2)
         except OverflowError:
             raise UnsupportedRegime(f"prepayment boundary exceeds floating-point range at m={m}") from None
-        ct1, ct2 = _top_pasting(m * b0 * (1.0 / r - 1.0 / m), b0, h2, p1, p2)
-        c1 = ct1 * (b0 / h2) ** p1 - m * b0 / (p1 + p2) * ((1.0 + p2) / delta - p2 / r)
-        regions = (
-            Region(0.0, b0, Action.CONTINUE, c_p1=c1, k1=m / delta),
-            Region(b0, h2, Action.CONTINUE, c_p1=ct1, c_p2=ct2, k0=m * b0 / r),
-            Region(h2, INF, Action.PREPAY, k0=b0),
-        )
-        return SolvedContract(regions=regions, boundaries={"h2": h2}, exponents=ex)
+        return {"h2": h2}
 
     def g(y: float) -> float:
         return _two_sided(y, m, r, delta, p1, p2)[1]
@@ -124,25 +89,24 @@ def solve_abm(params: ModelParams, m: float) -> SolvedContract:
     if m > p1 * delta / (p1 - 1.0):
         y_hi = _y_bar(m, r, delta, p1, p2)
     else:
-        _, y_hi = grow_bracket(g, y_lo, 2.0, cap=1e6 * b0)
+        _, y_hi = grow_bracket(g, y_lo, 2.0, cap=1e6 * balance)
     if not (g(y_lo) < 0.0 <= g(y_hi)):
         raise NoBracket(
             f"lower-boundary equation has unexpected signs: g({y_lo})={g(y_lo)}, g({y_hi})={g(y_hi)}"
         )
     y_hat = find_root_bracketed(g, y_lo, y_hi)
     x_hat = _two_sided(y_hat, m, r, delta, p1, p2)[0]
-    h1, h2 = b0 * x_hat, b0 * y_hat
+    return {"h1": balance * x_hat, "h2": balance * y_hat}
 
-    ct1, ct2 = _top_pasting(m * b0 * (1.0 / r - 1.0 / m), b0, h2, p1, p2)
-    c1, c2 = _low_pasting(1.0, m / delta - 1.0, h1, b0, p1, p2)
 
-    regions = (
-        Region(0.0, h1, Action.PREPAY, k1=1.0),
-        Region(h1, b0, Action.CONTINUE, c_p1=c1, c_p2=c2, k1=m / delta),
-        Region(b0, h2, Action.CONTINUE, c_p1=ct1, c_p2=ct2, k0=m * b0 / r),
-        Region(h2, INF, Action.PREPAY, k0=b0),
-    )
-    return SolvedContract(regions=regions, boundaries={"h1": h1, "h2": h2}, exponents=ex)
+@float_faults_unsupported
+def solve_abm(params: ModelParams, m: float) -> SolvedContract:
+    """Value function and optimal prepayment boundaries of the ABM."""
+    m = require_positive_spread(m, params)
+    ex = compute_exponents(params)
+    r, delta, b0 = params.r, params.delta, params.b0
+    bounds = _boundaries(m, r, delta, ex, b0)
+    return build(_skeleton(b0, 1.0, m, bounds), bounds, ex, r, delta)
 
 
 def solve_abm_no_prepay(params: ModelParams, m: float) -> SolvedContract:
@@ -158,7 +122,7 @@ def solve_abm_no_prepay(params: ModelParams, m: float) -> SolvedContract:
     B = -((p1-1)/(p2 (p1+p2))) (m/delta) B0, both negative.
     """
     m = require_positive_spread(m, params)
-    return _held_forever(m, params.b0, params, compute_exponents(params))
+    return build(_skeleton(params.b0, 1.0, m, {}), {}, compute_exponents(params), params.r, params.delta)
 
 
 @float_faults_unsupported

@@ -42,10 +42,8 @@ from .contracts import require_positive_spread
 from .errors import InvalidSpec, NoBracket, UnsupportedRegime, float_faults_unsupported
 from .model import Exponents, ModelParams, compute_exponents
 from .rootfind import find_root_bracketed
-from .solution import Action, Region, SolvedContract
+from .solution import SolvedContract, build
 from . import abm as _abm
-
-INF = float("inf")
 
 
 class RateRegime(str, Enum):
@@ -163,32 +161,13 @@ def solve_aprm_no_prepay(params: ModelParams, m: float) -> SolvedContract:
     match at 1 through the exponent identity.
     """
     m = require_positive_spread(m, params)
-    return _abm._held_forever(m * params.b0, 1.0, params, compute_exponents(params))
+    return _build(params, m, 0.0, {}, compute_exponents(params))
 
 
-def _band_pasting(alpha: float, h2: float, h3: float, p1: float, p2: float) -> tuple[float, float]:
-    """Power terms on (1, h2), pasted to the band payoff at h2: the h^{p1} term's
-    value at h2 and the h^{-p2} term's value at 1."""
-    return (
-        -(1.0 + p2) / (p1 + p2) * alpha * (h3 - h2),
-        alpha / (p1 + p2) * h2**p2 * ((p1 - 1.0) * h2 - p1 * (1.0 + p2) / p2 * h3),
-    )
-
-
-def _solve_aprm_zero_alpha(params: ModelParams, m: float, ex: Exponents) -> SolvedContract:
-    # With no sharing penalty the APRM problem is the ABM problem with unit
-    # balance, scaled by B0: coupon m B0 min(1,h), payoff B0 min(1,h).
-    unit = ModelParams(r=params.r, delta=params.delta, sigma=params.sigma, b0=1.0)
-    base = _abm.solve_abm(unit, m)
-    b0 = params.b0
-    regions = tuple(
-        Region(
-            reg.lo, reg.hi, reg.action,
-            c_p1=b0 * reg.c_p1, c_p2=b0 * reg.c_p2, k0=b0 * reg.k0, k1=b0 * reg.k1,
-        )
-        for reg in base.regions
-    )
-    return SolvedContract(regions=regions, boundaries=dict(base.boundaries), exponents=ex)
+def _build(params: ModelParams, m: float, alpha: float, bounds: dict, ex: Exponents) -> SolvedContract:
+    """The APRM at ``bounds``: the ABM on a unit balance scaled by B0, plus any band."""
+    skeleton = _abm._skeleton(1.0, params.b0, m, bounds, alpha)
+    return build(skeleton, bounds, ex, params.r, params.delta)
 
 
 @float_faults_unsupported
@@ -208,7 +187,6 @@ def solve_aprm(params: ModelParams, m: float, alpha: float) -> SolvedContract:
     regime, _, beta = _regime_beta(params, m, ex)
     p1, p2 = ex.p1, ex.p2
     r, delta, b0 = params.r, params.delta, params.b0
-    load = m * b0 / delta
 
     if regime is RateRegime.HIGH_RATE and alpha >= b0:
         raise UnsupportedRegime(
@@ -218,25 +196,17 @@ def solve_aprm(params: ModelParams, m: float, alpha: float) -> SolvedContract:
     if beta is not None and _shares_enough(params, m, beta, ex, alpha):
         if regime is RateRegime.LOW_RATE:
             # Never stop: the contract is worth its held-forever value.
-            return _abm._held_forever(m * b0, 1.0, params, ex)
+            return _build(params, m, alpha, {}, ex)
         # Mid rate, alpha >= alpha*: only the low-state boundary remains.
-        ratio = 1.0 - delta / m
-        h1 = (p1 * ratio) ** (1.0 / (p1 - 1.0))
-        k1, k2 = _abm._low_pasting(load, ratio, h1, 1.0, p1, p2)
-        kt2 = k2 * h1**p2 - (p1 - 1.0) / (p2 * (p1 + p2)) * load
-        regions = (
-            Region(0.0, h1, Action.PREPAY, k1=b0),
-            Region(h1, 1.0, Action.CONTINUE, c_p1=k1, c_p2=k2, k1=load),
-            Region(1.0, INF, Action.CONTINUE, c_p2=kt2, k0=m * b0 / r),
-        )
-        return SolvedContract(regions=regions, boundaries={"h1": h1}, exponents=ex)
+        h1 = (p1 * (1.0 - delta / m)) ** (1.0 / (p1 - 1.0))
+        return _build(params, m, alpha, {"h1": h1}, ex)
 
     if alpha == 0.0:
-        return _solve_aprm_zero_alpha(params, m, ex)
+        # With no sharing penalty the APRM is the ABM on a unit balance.
+        return _build(params, m, alpha, _abm._boundaries(m, r, delta, ex, 1.0), ex)
 
     # A high-state prepayment band [h2, h3] exists.
     h3 = p2 / (1.0 + p2) * (m * b0 / alpha * (1.0 / r - 1.0 / m) + 1.0)
-    c_outer = -(alpha / p2) * h3
 
     if regime is RateRegime.LOW_RATE:
         def chi(h: float) -> float:
@@ -249,18 +219,7 @@ def solve_aprm(params: ModelParams, m: float, alpha: float) -> SolvedContract:
                 f"band equation has unexpected signs on ({lo}, {hi}): {chi(lo)}, {chi(hi)}"
             )
         h2 = find_root_bracketed(chi, lo, hi)
-
-        ct1, ct2 = _band_pasting(alpha, h2, h3, p1, p2)
-        c1 = ct1 * h2**-p1 - (1.0 + p2) / (p1 * (p1 + p2)) * load
-        regions = (
-            Region(0.0, 1.0, Action.CONTINUE, c_p1=c1, k1=load),
-            Region(1.0, h2, Action.CONTINUE, c_p1=ct1, c_p2=ct2, k0=m * b0 / r),
-            Region(h2, h3, Action.PREPAY, k0=b0 - alpha, k1=alpha),
-            Region(h3, INF, Action.CONTINUE, c_p2=c_outer, k0=m * b0 / r),
-        )
-        return SolvedContract(
-            regions=regions, boundaries={"h2": h2, "h3": h3}, exponents=ex
-        )
+        return _build(params, m, alpha, {"h2": h2, "h3": h3}, ex)
 
     # Mid- and high-rate regimes share the five-region structure and the
     # same (decreasing) pasting equation for h2.
@@ -296,17 +255,4 @@ def solve_aprm(params: ModelParams, m: float, alpha: float) -> SolvedContract:
         )
     h2 = find_root_bracketed(chi, lo, hi)
     h1 = (p1 * ratio / (1.0 + penalty_scale * p1 * h2**-p1 * (h3 - h2))) ** (1.0 / (p1 - 1.0))
-
-    c1, c2 = _abm._low_pasting(load, ratio, h1, 1.0, p1, p2)
-    ct1, ct2 = _band_pasting(alpha, h2, h3, p1, p2)
-
-    regions = (
-        Region(0.0, h1, Action.PREPAY, k1=b0),
-        Region(h1, 1.0, Action.CONTINUE, c_p1=c1, c_p2=c2, k1=load),
-        Region(1.0, h2, Action.CONTINUE, c_p1=ct1, c_p2=ct2, k0=m * b0 / r),
-        Region(h2, h3, Action.PREPAY, k0=b0 - alpha, k1=alpha),
-        Region(h3, INF, Action.CONTINUE, c_p2=c_outer, k0=m * b0 / r),
-    )
-    return SolvedContract(
-        regions=regions, boundaries={"h1": h1, "h2": h2, "h3": h3}, exponents=ex
-    )
+    return _build(params, m, alpha, {"h1": h1, "h2": h2, "h3": h3}, ex)

@@ -16,14 +16,16 @@ endogenous rate spread that equates values at a fixed phi.  A sweep over
 phi goes through ``spread_solver``, which solves the FRM, ``max_rate`` and
 the rate bracket once per target rather than once per point.  Each spread
 is then a few safeguarded Newton steps on the target's rate, each one
-solve: the slope dV/dm comes from that solve by the envelope theorem
-(``_rate_slope``).  ``max_rate`` solves no contract for the ABM and the
+solve: by the envelope theorem the slope dV/dm is that solve's value less
+the value of what it collects at the exit of its continuation component,
+over m (``_rate_slope``).  ``max_rate`` solves no contract for the ABM and the
 APRM; the FRM's is still a bisection.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, NamedTuple
 
 from .abm import _max_rate
@@ -36,9 +38,9 @@ from .errors import Degenerate, InvalidPhi, InvalidSpec, NanResidual, NoBracket
 from .frm import solve_frm
 from .model import ModelParams
 from .options import solve_contract
-from . import rootfind
+from . import frm, rootfind
 from .rootfind import find_root_bracketed
-from .solution import Action, Region, SolvedContract
+from .solution import CONTINUE, SolvedContract, _one_piece, _power_term, build
 
 
 def _solve(params: ModelParams, kind: ContractKind, m: float, alpha: float) -> SolvedContract:
@@ -50,18 +52,11 @@ def _require_target(kind: ContractKind) -> None:
         raise InvalidSpec(f"comparison target must be ABM or APRM, got {kind}")
 
 
-def _loss_weight(solved: SolvedContract) -> SolvedContract:
+def _loss_weight(params: ModelParams, solved: SolvedContract) -> SolvedContract:
     """Coefficient of phi in the adjusted value of the FRM ``solved``:
     h1 * P[hit h1 before h2], on the FRM's regions."""
-    h1, h2 = solved.boundaries["h1"], solved.boundaries["h2"]
-    ex = solved.exponents
-    span = -math.expm1((ex.p1 + ex.p2) * math.log(h1 / h2))
-    regions = (
-        Region(0.0, h1, Action.DEFAULT, k1=1.0),
-        Region(h1, h2, Action.CONTINUE, c_p1=-h1 * (h1 / h2) ** ex.p2 / span, c_p2=h1 / span),
-        Region(h2, math.inf, Action.PREPAY),
-    )
-    return SolvedContract(regions=regions, boundaries=solved.boundaries, exponents=ex)
+    skeleton = frm._skeleton(solved.boundaries, 0.0, 0.0)
+    return build(skeleton, solved.boundaries, solved.exponents, params.r, params.delta)
 
 
 def _require_phi(phi: float) -> None:
@@ -72,7 +67,7 @@ def _require_phi(phi: float) -> None:
 def _frm_terms(params: ModelParams, m: float, h):
     """The frictionless FRM value at h and the coefficient of phi there."""
     solved = solve_frm(params, m)
-    return solved.value(h), _loss_weight(solved).value(h)
+    return solved.value(h), _loss_weight(params, solved).value(h)
 
 
 def frm_value_with_foreclosure(params: ModelParams, m: float, phi: float, h):
@@ -105,7 +100,7 @@ def equivalent_foreclosure_cost(
     """
     require_positive_spread(m_common, params)
     solved_frm = solve_frm(params, m_common)
-    weight = _loss_weight(solved_frm).value(h)
+    weight = _loss_weight(params, solved_frm).value(h)
     if weight == 0.0:
         raise Degenerate(
             f"no foreclosure cost can equate values at h={h} >= prepayment boundary {solved_frm.boundaries['h2']}"
@@ -160,13 +155,20 @@ def spread_solver(
         if fixed is None:
             fixed = _spread_bracket(params, m_f, phi, target, alpha, h)
         _require_phi(phi)
-        value, weight, lo, hi, v_lo, v_hi, stops_hi = fixed
+        value, weight, lo, hi, v_lo, v_hi, top = fixed
         want = float(value - phi * weight)
+        # v_hi sums four terms, none above its anchored coefficient, in about
+        # eight rounded steps (per power term a quotient, log, product and
+        # exp, then the sums), each off by at most eps/2 of a term.
+        if v_hi < want <= v_hi + 4.0 * sys.float_info.epsilon * (
+            abs(top.k0) + abs(top.k1) * h + abs(top.c_p1) + abs(top.c_p2)
+        ):
+            want = v_hi
         if not (v_lo <= want <= v_hi):
             raise NoBracket(
                 f"adjusted FRM value {want} outside the target's attainable range [{v_lo}, {v_hi}]"
             )
-        if want == v_hi and stops_hi:
+        if want == v_hi and top.action is not CONTINUE:
             # The target stops at h from some rate below hi on, so its value
             # is flat there and every rate in that stretch equates it.
             raise Degenerate(
@@ -189,32 +191,28 @@ def _rate_slope(solved: SolvedContract, m: float, h: float) -> float:
     payoff collected at exit does not.  On the continuation component (a, b)
     holding h that gives
 
-        dV/dm = (V(h) - V(a) P_a(h) - V(b) P_b(h)) / m,
+        dV/dm = (V(h) - E(h)) / m,
 
-    with P_a(h) = (a/h)^{p2} (1 - (h/b)^{p1+p2}) / (1 - (a/b)^{p1+p2}) and
-    P_b(h) = (h/b)^{p1} (1 - (a/h)^{p1+p2}) / (1 - (a/b)^{p1+p2}) the
-    discounted chances of leaving through a and b; P_a = 0 when a = 0 and
-    P_b = 0 when b is infinite.  They are taken in ratios below 1, so no
-    boundary overflows them.  The slope is 0 in a stopping region.
+    where E, the value of what is collected at exit, solves the pricing
+    ODE with no coupon on (a, b), equals V at a and b, and stays bounded at
+    an end at 0 or inf: ``solution._one_piece`` with payoffs V(a) and V(b).
+    Its powers are of ratios below 1, so no boundary overflows them.  The
+    slope is 0 in a stopping region.
     """
     ends = solved.component_at(h)
     if ends is None:
         return 0.0
     a, b = ends
     p1, p2 = solved.exponents.p1, solved.exponents.p2
+    v_a = solved.value(a) if a > 0.0 else 0.0
+    v_b = solved.value(b) if b < math.inf else 0.0
+    c_p1, c_p2 = _one_piece(a, b, v_a, v_b - v_a, p1, p2)
+    h = float(h)
     exit_value = 0.0
-    if a > 0.0 and b < math.inf:
-        log_ah, log_hb = math.log(a) - math.log(h), math.log(h) - math.log(b)
-        k = p1 + p2
-        span = -math.expm1(k * (log_ah + log_hb))
-        exit_value = (
-            solved.value(a) * math.exp(p2 * log_ah) * -math.expm1(k * log_hb)
-            + solved.value(b) * math.exp(p1 * log_hb) * -math.expm1(k * log_ah)
-        ) / span
-    elif a > 0.0:
-        exit_value = solved.value(a) * (a / h) ** p2
-    elif b < math.inf:
-        exit_value = solved.value(b) * (h / b) ** p1
+    if c_p1 != 0.0:
+        exit_value += _power_term(c_p1, h, p1, b)
+    if c_p2 != 0.0:
+        exit_value += _power_term(c_p2, h, -p2, a)
     return (solved.value(h) - exit_value) / m
 
 
@@ -273,8 +271,8 @@ def _rate_root(
 
 def _spread_bracket(params: ModelParams, m_f: float, phi: float, target: ContractKind, alpha: float, h: float):
     """The part of a spread free of phi: the FRM value and loss weight at
-    h, the rate bracket (lo, hi), the target's values at its ends and
-    whether the target stops at h at the top end.
+    h, the rate bracket (lo, hi), the target's values at its ends and its
+    region holding h at the top end.
 
     ``phi`` is only checked, at the point where ``endogenous_spread`` checks it.
     """
@@ -292,8 +290,7 @@ def _spread_bracket(params: ModelParams, m_f: float, phi: float, target: Contrac
         raise NoBracket(
             f"target value is not increasing in the rate across ({lo}, {hi}): {v_lo} vs {v_hi}"
         )
-    stops_hi = solved_hi.region_at(h).action is not Action.CONTINUE
-    return value, weight, lo, hi, v_lo, v_hi, stops_hi
+    return value, weight, lo, hi, v_lo, v_hi, solved_hi.region_at(h)
 
 
 def max_rate(params: ModelParams, kind: ContractKind, alpha: float = 0.0) -> float:
@@ -323,7 +320,7 @@ def max_rate(params: ModelParams, kind: ContractKind, alpha: float = 0.0) -> flo
         return RATE_CAP
 
     def continues(m: float) -> bool:
-        return solve_frm(params, m).region_at(1.0).action is Action.CONTINUE
+        return solve_frm(params, m).region_at(1.0).action is CONTINUE
 
     lo = params.r * (1.0 + 1e-9)
     if not continues(lo):

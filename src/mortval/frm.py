@@ -51,13 +51,12 @@ from __future__ import annotations
 
 import math
 
-from .abm import _top_pasting
 from .contracts import require_positive_spread
 from .errors import NoBracket, UnsupportedRegime
 from .model import ModelParams, compute_exponents
 from . import rootfind
 from .rootfind import find_root_bracketed
-from .solution import Action, Region, SolvedContract
+from .solution import CONTINUE, DEFAULT, PREPAY, SolvedContract, build
 
 INF = float("inf")
 
@@ -93,14 +92,22 @@ def _pasting_root(k: float, p1: float, p2: float, log_1pa: float) -> float:
     return find_root_bracketed(lambda t: _pasting(t, k, p1, p2, top)[0], lo, hi)
 
 
+def _skeleton(bounds: dict, coupon: float, balance: float) -> tuple:
+    """Default below h1, ``coupon`` while held, ``balance`` from any h2 in ``bounds``."""
+    h1, h2 = bounds["h1"], bounds.get("h2", INF)
+    pieces = ((0.0, h1, DEFAULT, 0.0, 1.0), (h1, h2, CONTINUE, coupon, 0.0))
+    return pieces + ((h2, INF, PREPAY, balance, 0.0),) if "h2" in bounds else pieces
+
+
 def solve_frm(params: ModelParams, m: float) -> SolvedContract:
     """Value function and optimal default/prepayment boundaries of the FRM.
 
     Regions: default on (0, h1], continue on (h1, h2), prepay on [h2, inf)
     with 0 < h1 < B0 < h2.  On the continuation region
     V(h) = C1 (h/h2)^{p1} + C2 (h1/h)^{p2} + m B0 / r with C1, C2 < 0
-    obtained from the pasting conditions at h2.  A prepayment boundary past
-    the float range raises ``UnsupportedRegime``.
+    obtained from value matching at h1 and h2; smooth pasting at both then
+    holds to root tolerance.  A prepayment boundary past the float range
+    raises ``UnsupportedRegime``.
     """
     m = require_positive_spread(m, params)
     ex = compute_exponents(params)
@@ -119,18 +126,8 @@ def solve_frm(params: ModelParams, m: float) -> SolvedContract:
         h2 = h1 * math.exp((log_1pa + math.log1p(k * em1)) / p2)
     except OverflowError:
         raise UnsupportedRegime(f"prepayment boundary exceeds floating-point range at m={m}") from None
-    # Pasting at h2; smooth pasting at h1 then holds to root tolerance.
-    # The load m B0 (1/r - 1/m) is taken as B0 (m - r)/r, free of the
-    # cancellation in 1/r - 1/m, as A is: at a tiny spread that keeps
-    # the pasting at h1 as accurate as h2.
-    c1, c2 = _top_pasting(b0 * (m - r) / r, h1, h2, p1, p2)
-
-    regions = (
-        Region(0.0, h1, Action.DEFAULT, k1=1.0),
-        Region(h1, h2, Action.CONTINUE, c_p1=c1, c_p2=c2, k0=m * b0 / r),
-        Region(h2, INF, Action.PREPAY, k0=b0),
-    )
-    return SolvedContract(regions=regions, boundaries={"h1": h1, "h2": h2}, exponents=ex)
+    bounds = {"h1": h1, "h2": h2}
+    return build(_skeleton(bounds, m * b0, b0), bounds, ex, r, params.delta)
 
 
 def solve_frm_no_prepay(params: ModelParams, m: float) -> SolvedContract:
@@ -141,14 +138,6 @@ def solve_frm_no_prepay(params: ModelParams, m: float) -> SolvedContract:
     """
     m = require_positive_spread(m, params)
     ex = compute_exponents(params)
-    p1, p2 = ex.p1, ex.p2
     b0 = params.b0
-
-    h1 = (p1 - 1.0) / p1 * m * b0 / params.delta
-    c2 = -h1 / p2
-
-    regions = (
-        Region(0.0, h1, Action.DEFAULT, k1=1.0),
-        Region(h1, INF, Action.CONTINUE, c_p2=c2, k0=m * b0 / params.r),
-    )
-    return SolvedContract(regions=regions, boundaries={"h1": h1}, exponents=ex)
+    bounds = {"h1": (ex.p1 - 1.0) / ex.p1 * m * b0 / params.delta}
+    return build(_skeleton(bounds, m * b0, b0), bounds, ex, params.r, params.delta)

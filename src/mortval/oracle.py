@@ -40,6 +40,7 @@ from .errors import (
     InvalidParams,
     InvalidThresholds,
     NotConverged,
+    float_faults_unsupported,
 )
 from .model import ModelParams, compute_exponents
 from .options import solve_contract, solve_no_prepay
@@ -341,6 +342,7 @@ def _check_thresholds(lower: float | None, upper: float | None) -> None:
         raise InvalidThresholds(f"need lower < upper, got ({lower}, {upper})")
 
 
+@float_faults_unsupported
 def threshold_policy_value(
     params: ModelParams,
     cashflows: PerpetualCashflows,
@@ -357,7 +359,8 @@ def threshold_policy_value(
     matching at the coupon kinks.  Nothing here depends on the closed-form
     solvers, so agreement with them at their own boundaries is a genuine
     cross-check.  A coupon that is not affine between the kinks raises
-    ``InvalidParams``.
+    ``InvalidParams``, and a power of a threshold past the float range
+    ``UnsupportedRegime``.
     """
     lower, upper = thresholds
     _check_thresholds(lower, upper)

@@ -13,14 +13,24 @@ Each power term is anchored at the region end where it is largest, so its
 coefficient is its value there (a nonzero c_p1 needs a finite hi, a
 nonzero c_p2 a positive lo), and only ratios of region ends are raised
 to a power.
+
+Every solver finds its free boundaries; :func:`build` fills the
+coefficients from a skeleton of pieces (lo, hi, action, a, s), where a + s h
+is the coupon while held and the payoff where stopped.  A held piece takes
+the particular solution a/r + s h/delta, and the power terms of each held
+run (one piece, or two meeting at a coupon kink) follow from value matching
+at its free ends, boundedness at 0 and inf, and value and slope continuity
+at the kink (Dixit and Pindyck, *Investment under Uncertainty*, ch. 4).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .errors import InvalidParams, UnsupportedRegime
@@ -34,6 +44,10 @@ class Action(str, Enum):
     DEFAULT = "default"
     CONTINUE = "continue"
     PREPAY = "prepay"
+
+
+# Bound once: each ``Action.X`` lookup costs about 0.15 us on Python 3.11.
+DEFAULT, CONTINUE, PREPAY = Action.DEFAULT, Action.CONTINUE, Action.PREPAY
 
 
 def _power_term(coeff: float, h, exponent: float, anchor: float):
@@ -140,24 +154,24 @@ class SolvedContract:
         # coefficients; a coefficient fault is raised once the order holds.
         cuts = []
         unrepresentable = None
+        inf, isfinite = math.inf, math.isfinite
         left_lo = left_hi = left_action = None
         for lo, hi, action, c_p1, c_p2, k0, k1 in regs:
             if left_action is not None:
                 assert lo == left_hi and left_lo < left_hi
-                right_owns = left_action is Action.CONTINUE and action is not Action.CONTINUE
-                cuts.append(math.nextafter(left_hi, -math.inf) if right_owns else left_hi)
-            assert (c_p1 == 0.0 or hi < math.inf) and (c_p2 == 0.0 or lo > 0.0)
+                right_owns = left_action is CONTINUE and action is not CONTINUE
+                cuts.append(math.nextafter(left_hi, -inf) if right_owns else left_hi)
+            assert (c_p1 == 0.0 or hi < inf) and (c_p2 == 0.0 or lo > 0.0)
             if unrepresentable is None and not (
-                math.isfinite(c_p1) and math.isfinite(c_p2) and math.isfinite(k0) and math.isfinite(k1)
+                isfinite(c_p1) and isfinite(c_p2) and isfinite(k0) and isfinite(k1)
             ):
                 unrepresentable = (lo, hi)
             left_lo, left_hi, left_action = lo, hi, action
         object.__setattr__(self, "_cuts", tuple(cuts))
         if unrepresentable is not None:
             # A coefficient is its term's value at a region end.  It is
-            # non-finite only when a builder's input already left float range,
-            # or a term moved to its far end was divided by a subnormal
-            # (lo/hi)^p; no market of the wide-box test reaches either.
+            # non-finite only when the builder's input already left float
+            # range; no market of the wide-box test reaches that.
             raise UnsupportedRegime(
                 f"value-function coefficients exceed floating-point range on "
                 f"({unrepresentable[0]}, {unrepresentable[1]})"
@@ -179,11 +193,11 @@ class SolvedContract:
         where ``h`` lies in a stopping region.  a may be 0 and b infinite."""
         regs = self.regions
         i = j = bisect_left(self._cuts, checked_price(float(h)))
-        if regs[i].action is not Action.CONTINUE:
+        if regs[i].action is not CONTINUE:
             return None
-        while i > 0 and regs[i - 1].action is Action.CONTINUE:
+        while i > 0 and regs[i - 1].action is CONTINUE:
             i -= 1
-        while j + 1 < len(regs) and regs[j + 1].action is Action.CONTINUE:
+        while j + 1 < len(regs) and regs[j + 1].action is CONTINUE:
             j += 1
         return regs[i].lo, regs[j].hi
 
@@ -227,3 +241,85 @@ class SolvedContract:
             "boundaries": dict(self.boundaries),
             "exponents": {"p1": self.exponents.p1, "p2": self.exponents.p2},
         }
+
+
+# The builder makes Regions by tuple.__new__, skipping namedtuple's __new__ (0.25 us).
+_region = partial(tuple.__new__, Region)
+
+
+def _log_ratio(lo: float, hi: float) -> float:
+    """log(lo/hi) for region ends lo < hi, -inf for an end at 0 or inf.  Within
+    a factor 2, lo - hi is exact, so log1p keeps the last bits of a narrow region."""
+    if lo == 0.0 or hi == math.inf:
+        return -math.inf
+    return math.log1p((lo - hi) / hi) if 2.0 * lo > hi else math.log(lo) - math.log(hi)
+
+
+def _one_piece(lo: float, hi: float, g_lo: float, rise: float, p1: float, p2: float) -> tuple[float, float]:
+    """(c_p1, c_p2) on (lo, hi) whose power terms sum to g_lo at lo and to g_lo +
+    rise at hi, g being 0 at an end at 0 or inf.  Written in the rise and in
+    1 - (lo/hi)^p, they keep a narrow region's digits where the rise is far below g."""
+    log_ratio = _log_ratio(lo, hi)
+    span = -math.expm1((p1 + p2) * log_ratio)
+    return (
+        (-math.expm1(p2 * log_ratio) * g_lo + rise) / span,
+        (-math.expm1(p1 * log_ratio) * g_lo - math.exp(p1 * log_ratio) * rise) / span,
+    )
+
+
+def build(
+    skeleton: tuple, boundaries: Mapping[str, float], exponents: Exponents, r: float, delta: float
+) -> SolvedContract:
+    """The contract with the pieces ``skeleton``, pasted as in the module docstring."""
+    p1, p2 = exponents.p1, exponents.p2
+    regions, run, left = [], [], None
+    for piece in skeleton:
+        if piece[2] is CONTINUE:
+            run.append(piece)
+            continue
+        if run:
+            regions += _paste(run, left, piece, p1, p2, r, delta)
+            run = []
+        lo, hi, action, a, s = piece
+        regions.append(_region((lo, hi, action, 0.0, 0.0, a, s)))
+        left = piece
+    if run:
+        regions += _paste(run, left, None, p1, p2, r, delta)
+    return SolvedContract(regions=tuple(regions), boundaries=boundaries, exponents=exponents)
+
+
+def _paste(run: list, left, right, p1: float, p2: float, r: float, delta: float) -> list:
+    """Regions of the one or two held pieces ``run`` between the stopping pieces
+    ``left`` and ``right`` (None at 0 and inf).  A free end below the normal float
+    range raises ``UnsupportedRegime``: its power term has lost its digits."""
+    lo, hi, action, a, s = run[0]
+    _, top, _, a_top, s_top = run[-1]
+    if (left and lo < sys.float_info.min) or (right and top < sys.float_info.min):
+        raise UnsupportedRegime(f"a free boundary of ({lo}, {top}) is below the normal float range")
+    k0, k1, k0_top, k1_top = a / r, s / delta, a_top / r, s_top / delta
+    # g: payoff minus particular solution at each free end, 0 at 0 and inf.
+    f_lo = left[3] + left[4] * lo if left else 0.0
+    f_hi = right[3] + right[4] * top if right else 0.0
+    g_lo = f_lo - (k0 + k1 * lo) if left else 0.0
+    g_hi = f_hi - (k0_top + k1_top * top) if right else 0.0
+    if len(run) == 1:
+        # With two free ends the rise comes from the payoffs, free of the
+        # particular solution's rounding.
+        rise = f_hi - f_lo - k1 * (hi - lo) if left and right else g_hi - g_lo
+        c_p1, c_p2 = _one_piece(lo, hi, g_lo, rise, p1, p2)
+        return [_region((lo, hi, action, c_p1, c_p2, k0, k1))]
+    # Two pieces meet at the kink hi: B1 = g_lo - A1 u1 and A2 = g_hi - B2 v2
+    # leave value and h V' continuity there as two equations in A1 and B2.
+    low, high = _log_ratio(lo, hi), _log_ratio(hi, top)
+    u1, v1, q1 = math.exp(p1 * low), math.exp(p2 * low), -math.expm1((p1 + p2) * low)
+    u2, v2, q2 = math.exp(p1 * high), math.exp(p2 * high), -math.expm1((p1 + p2) * high)
+    rise1, rise2 = p1 + p2 * u1 * v1, p2 + p1 * u2 * v2
+    rhs_value = k0_top + k1_top * hi - (k0 + k1 * hi) + g_hi * u2 - g_lo * v1
+    rhs_slope = (k1_top - k1) * hi + p1 * g_hi * u2 + p2 * g_lo * v1
+    det = q1 * rise2 + q2 * rise1
+    a1 = (rhs_value * rise2 + rhs_slope * q2) / det
+    b2 = (rhs_slope * q1 - rhs_value * rise1) / det
+    return [
+        _region((lo, hi, action, a1, g_lo - a1 * u1, k0, k1)),
+        _region((hi, top, action, g_hi - b2 * v2, b2, k0_top, k1_top)),
+    ]

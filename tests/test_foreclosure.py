@@ -183,6 +183,32 @@ class TestEndogenousSpread:
             with pytest.raises(Degenerate):
                 spread(phi)
 
+    # Wide-box markets (r, delta, sigma, b0, m_f) where the FRM prepays at
+    # h = 1, so the adjusted FRM is worth B0 exactly, and the ABM at its top
+    # rate, whose h2 lies a few ulp above 1, is worth B0 up to the rounding
+    # of its evaluation.  Each once raised NoBracket or returned a spread by
+    # that rounding.
+    ROUNDING_AT_THE_TOP = (
+        (0.09477954396299781, 0.11000583550204734, 0.5845806905146614, 0.16661675285714098, 0.3665117467071639),
+        (0.03510290729072247, 0.10223760836742299, 0.4620258514666775, 0.33290586959570906, 0.15522568536940273),
+        (0.06028804699642893, 0.1191228146877652, 0.31491765044751674, 0.05757430985634624, 0.118921121170039),
+        (0.013088363043699619, 0.044900888246064696, 0.4831765670410282, 0.21607054201130232, 0.3100314602403421),
+        (0.025416718605693674, 0.025682023489344966, 0.3981145745674176, 0.10394322524869744, 0.17994563801856703),
+    )
+
+    @pytest.mark.parametrize("market", ROUNDING_AT_THE_TOP)
+    def test_value_at_the_top_up_to_rounding_is_the_top(self, market):
+        *mkt, m_f = market
+        params = ModelParams(*mkt)
+        assert solve_frm(params, m_f).region_at(1.0).action is Action.PREPAY
+        top = max_rate(params, ContractKind.ABM)
+        try:
+            spread = endogenous_spread(params, m_f, 0.3, ContractKind.ABM)
+        except Degenerate:
+            assert solve_abm(params, top).region_at(1.0).action is not Action.CONTINUE
+        else:
+            assert abs(m_f + spread / 1e4 - top) <= rootfind._REL_TOL * top
+
 
 class TestSpreadSolver:
     @pytest.mark.parametrize("target,alpha", [(ContractKind.ABM, 0.0), (ContractKind.APRM, 0.05)])

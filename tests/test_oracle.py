@@ -12,6 +12,7 @@ from mortval import (
     InvalidThresholds,
     ModelParams,
     PerpetualCashflows,
+    UnsupportedRegime,
     ValuationError,
     mc_cashflow_value,
     no_prepay_cashflows,
@@ -281,6 +282,15 @@ class TestThresholdPolicy:
             threshold_policy_value(params_low_benefit, frm_cashflows, (1.4, 0.5), 1.0)
         with pytest.raises(InvalidThresholds):
             threshold_policy_value(params_low_benefit, frm_cashflows, (-1.0, 2.0), 1.0)
+
+    def test_threshold_power_past_float_range_is_a_typed_error(self):
+        # A wide-box FRM whose h2 is 1.6e12: the unanchored basis forms
+        # h2^{p1}, which overflows; the oracle says so as a ValuationError.
+        params = ModelParams(0.029238479507935594, 0.11572979639657417, 0.08182883232762994, 0.7883325899472953)
+        spec = ContractSpec(kind=ContractKind.FRM, m=0.029240044220984713)
+        bounds = solve_contract(params, spec).boundaries
+        with pytest.raises(UnsupportedRegime, match="float range"):
+            threshold_policy_value(params, perpetual_cashflows(spec, params), (bounds["h1"], bounds["h2"]), 1.0)
 
 
 # The six Monte Carlo cases of the acceptance oracle triangle: the FRM stops

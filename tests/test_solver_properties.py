@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mortval import (
+    ContractKind,
     ModelParams,
     NoBracket,
     UnsupportedRegime,
@@ -24,10 +25,14 @@ from mortval import (
     frm_value_with_foreclosure,
     solve_abm,
     solve_aprm,
+    solve_contract,
     solve_frm,
+    threshold_policy_value,
 )
-from mortval.abm import _low_pasting
-from mortval.solution import Action
+from mortval.abm import _skeleton
+from mortval.contracts import contract_spec, perpetual_cashflows
+from mortval.model import Exponents
+from mortval.solution import build
 
 from conftest import check_pasting
 
@@ -162,10 +167,10 @@ def _wide_box_markets(n: int = 2000, seed: int = 4242):
     return [(ModelParams(*market[:4]), float(market[4])) for market in zip(r, delta, sigma, b0, m)]
 
 
-WIDE_SOLVES = {
-    "frm": solve_frm,
-    "abm": solve_abm,
-    **{f"aprm alpha={a}": (lambda a: lambda p, m: solve_aprm(p, m, a))(a) for a in (0.0, 0.05, 0.3)},
+WIDE_SPECS = {
+    "frm": (ContractKind.FRM, 0.0),
+    "abm": (ContractKind.ABM, 0.0),
+    **{f"aprm alpha={a}": (ContractKind.APRM, a) for a in (0.0, 0.05, 0.3)},
 }
 
 
@@ -173,12 +178,15 @@ def test_wide_box_returns_pasted_finite_contracts_or_typed_errors():
     # Each solve returns a contract that pastes and is finite on a wide price
     # grid, or raises a ValuationError; so does the foreclosure-adjusted value
     # of every FRM that returns.  Any other exception fails the test as raised.
+    # The policy oracle, an independent LU in an unanchored basis, values the
+    # solver's own boundaries at h = 1, below any h3, as the builder does.
     grid = np.geomspace(1e-3, 1e3, 64)
     bad = []
     for params, m in _wide_box_markets():
-        for name, solve in WIDE_SOLVES.items():
+        for name, (kind, alpha) in WIDE_SPECS.items():
+            spec = contract_spec(kind, m, alpha)
             try:
-                solved = solve(params, m)
+                solved = solve_contract(params, spec)
             except ValuationError:
                 continue
             try:
@@ -187,6 +195,16 @@ def test_wide_box_returns_pasted_finite_contracts_or_typed_errors():
                 bad.append(f"{name} at {params}, m={m}: {exc}")
             if not np.isfinite(solved.value(grid)).all():
                 bad.append(f"{name} at {params}, m={m}: non-finite value")
+            bounds = solved.boundaries
+            try:
+                policy = threshold_policy_value(
+                    params, perpetual_cashflows(spec, params), (bounds.get("h1"), bounds.get("h2")), 1.0
+                )
+            except UnsupportedRegime:
+                policy = None
+            value = solved.value(1.0)
+            if policy is not None and not abs(policy - value) <= 1e-12 * max(1.0, abs(value)):
+                bad.append(f"{name} at {params}, m={m}: policy value {policy} vs {value} at h = 1")
             if name == "frm":
                 try:
                     adjusted = frm_value_with_foreclosure(params, m, 0.3, 1.0)
@@ -228,13 +246,14 @@ def test_float_range_faults_raise_unsupported_regime(market, solve):
         call()
 
 
-def test_low_pasting_refuses_a_subnormal_h1():
-    # The ABM's two-sided branch pastes through the same helper as the
-    # APRM's, so it refuses the same h1; at market (e) it already finds no
-    # sign change for its lower boundary and raises.
+def test_build_refuses_a_subnormal_free_boundary():
+    # Every solver pastes through the one builder, so each refuses the same
+    # h1; at market (e) the ABM already finds no sign change for its lower
+    # boundary and raises.
     r, delta, sigma, b0, m, _ = FLOAT_FAULTS["e"]
     with pytest.raises(ValuationError):
         solve_abm(ModelParams(r, delta, sigma, b0), m)
     for h1 in (0.0, 5e-324, 2.3997e-320):
+        bounds = {"h1": h1, "h2": 2.0 * b0}
         with pytest.raises(UnsupportedRegime, match="below the normal float range"):
-            _low_pasting(1.0, 0.5, h1, b0, 1.0015, 0.0022)
+            build(_skeleton(b0, 1.0, m, bounds), bounds, Exponents(1.0015, 0.0022), r, delta)
