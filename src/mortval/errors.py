@@ -68,6 +68,14 @@ class InvalidHorizon(ValuationError):
     """Monte Carlo horizon below 200 years (checked, though no estimate uses it)."""
 
 
+def _shown(arg) -> str:
+    """Repr of a number, None or ``ModelParams``, a tuple's items, else the type's name (no address)."""
+    from .model import ModelParams  # model imports this module
+    if type(arg) is tuple:
+        return f"({', '.join(map(_shown, arg))})"
+    return repr(arg) if arg is None or isinstance(arg, (int, float, ModelParams)) else type(arg).__name__
+
+
 def float_faults_unsupported(solve):
     """``solve`` with an ``OverflowError`` or ``ZeroDivisionError`` raised as
     ``UnsupportedRegime``: a power or quotient of the closed form left the
@@ -78,6 +86,7 @@ def float_faults_unsupported(solve):
         try:
             return solve(*args, **kwargs)
         except (OverflowError, ZeroDivisionError) as exc:
-            raise UnsupportedRegime(f"{solve.__name__} leaves the float range at {args}: {exc}") from None
+            detail = f"{solve.__name__} leaves the float range at {_shown(args)}: {exc!r}"
+            raise UnsupportedRegime(detail) from None
 
     return guarded

@@ -34,7 +34,7 @@ from .abm import _max_rate
 from .abm import solve_abm  # noqa: F401
 from .aprm import solve_aprm  # noqa: F401
 from .contracts import RATE_CAP, ContractKind, contract_spec, require_positive_spread
-from .errors import Degenerate, InvalidPhi, InvalidSpec, NanResidual, NoBracket
+from .errors import Degenerate, InvalidPhi, InvalidSpec, NoBracket
 from .frm import solve_frm
 from .model import ModelParams
 from .options import solve_contract
@@ -222,51 +222,23 @@ def _rate_root(
 ) -> float:
     """Rate in [lo, hi] at which the target is worth ``want`` at h.
 
-    f(m) = V(h; m) - want rises from f_lo < 0 to f_hi > 0.  Safeguarded
-    Newton steps on ``_rate_slope`` start from m0 (or the midpoint when m0
-    lies outside the bracket).  Each residual's sign shrinks the bracket,
-    and a step that leaves it, or a slope that is not positive, is replaced
-    by bisection.  V is concave in m (the borrower takes the least of
-    values affine in m), so after at most one step past the root the
-    iterates climb to it from below.  The iteration stops by
-    ``find_root_bracketed``'s rule: the residual within
-    max(_ABS_TOL, _REL_TOL |f_hi - f_lo|) and the Newton step, the distance
-    to the root it predicts, within _REL_TOL max(m, 1); it then returns the
-    stepped rate.  After ``rootfind._NEWTON_STEPS`` steps without that, Brent
-    finishes on the shrunken bracket.  The iterates depend only on the
-    inputs, so equal calls return equal bits.
+    f(m) = V(h; m) - want rises from f_lo <= 0 to f_hi >= 0.
+    ``rootfind.safeguarded_newton`` steps on ``_rate_slope`` from m0, or the
+    midpoint when m0 lies outside the bracket, and Brent finishes if need be.
+    V is concave in m (the borrower takes the least of values affine in m),
+    so after at most one step past the root the iterates climb to it from
+    below.  Equal calls return equal bits.
     """
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    f_tol = max(rootfind._ABS_TOL, rootfind._REL_TOL * (f_hi - f_lo))
-    m = m0 if lo < m0 < hi else 0.5 * (lo + hi)
-    for _ in range(rootfind._NEWTON_STEPS):
+    def value_and_slope(m: float) -> tuple[float, float]:
         solved = _solve(params, target, m, alpha)
-        f = solved.value(h) - want
-        if f != f:
-            raise NanResidual(f"target value is NaN at the rate {m} inside [{lo}, {hi}]")
-        if f == 0.0:
-            return m
-        if f < 0.0:
-            lo = m
-        else:
-            hi = m
-        slope = _rate_slope(solved, m, h)
-        if slope > 0.0:
-            stepped = m - f / slope
-            if abs(f) <= f_tol and abs(stepped - m) <= rootfind._REL_TOL * max(m, 1.0):
-                return stepped if lo <= stepped <= hi else m
-            if lo < stepped < hi:
-                m = stepped
-                continue
-        m = 0.5 * (lo + hi)
+        return solved.value(h) - want, _rate_slope(solved, m, h)
 
     def gap(m: float) -> float:
         return _solve(params, target, m, alpha).value(h) - want
 
-    return find_root_bracketed(gap, lo, hi)
+    m0 = m0 if lo < m0 < hi else 0.5 * (lo + hi)
+    m, lo, hi = rootfind.safeguarded_newton(value_and_slope, m0, lo, hi, f_lo, f_hi)
+    return find_root_bracketed(gap, lo, hi) if m is None else m
 
 
 def _spread_bracket(params: ModelParams, m_f: float, phi: float, target: ContractKind, alpha: float, h: float):

@@ -37,14 +37,9 @@ the root in the limit of a vanishing spread (A -> inf), where the root
 runs into the end of the domain.  q(tau0) > 1 - k, so F(tau0) > 0: tau0
 lies above the root, or is clamped to 0.
 
-*Iteration.*  Newton steps from tau0.  On a convex increasing F started
-above the root they fall monotonically onto it; the bracket still shrinks
-on each residual's sign, and a step that leaves it is replaced by
-bisection.  The iteration stops by ``find_root_bracketed``'s rule: the
-residual within max(_ABS_TOL, _REL_TOL (F(0) - F(tau_lo))) and the step
-within _REL_TOL max(|tau|, 1); it returns the stepped iterate.  After
-``rootfind._NEWTON_STEPS`` steps without that, ``find_root_bracketed``
-finishes on the shrunken bracket.
+*Iteration.*  ``rootfind.safeguarded_newton`` from tau0: on a convex
+increasing F started above the root, Newton steps fall monotonically onto
+it.  ``find_root_bracketed`` finishes if need be.
 """
 
 from __future__ import annotations
@@ -70,26 +65,13 @@ def _pasting(tau: float, k: float, p1: float, p2: float, top: float) -> tuple[fl
 def _pasting_root(k: float, p1: float, p2: float, log_1pa: float) -> float:
     """The root tau of F on (tau_lo, 0]; see the module docstring."""
     top = (p1 + p2) * log_1pa
-    lo, hi = -(1.0 + p1 / p2) * log_1pa, 0.0
+    lo = -(1.0 + p1 / p2) * log_1pa
     f_lo = _pasting(lo, k, p1, p2, top)[0]
     if not (f_lo < 0.0 < top):
         raise NoBracket(f"pasting equation has unexpected signs: F({lo})={f_lo}, F(0)={top}")
-    rel_tol = rootfind._REL_TOL
-    f_tol = max(rootfind._ABS_TOL, rel_tol * (top - f_lo))
-    tau = min(lo - p1 / p2 * math.log1p(-k), hi)
-    for _ in range(rootfind._NEWTON_STEPS):
-        f, slope = _pasting(tau, k, p1, p2, top)
-        if f == 0.0:
-            return tau
-        if f < 0.0:
-            lo = tau
-        else:
-            hi = tau
-        stepped = tau - f / slope
-        if abs(f) <= f_tol and abs(stepped - tau) <= rel_tol * max(abs(tau), 1.0):
-            return stepped if lo <= stepped <= hi else tau
-        tau = stepped if lo < stepped < hi else 0.5 * (lo + hi)
-    return find_root_bracketed(lambda t: _pasting(t, k, p1, p2, top)[0], lo, hi)
+    tau0 = min(lo - p1 / p2 * math.log1p(-k), 0.0)
+    tau, lo, hi = rootfind.safeguarded_newton(lambda t: _pasting(t, k, p1, p2, top), tau0, lo, 0.0, f_lo, top)
+    return find_root_bracketed(lambda t: _pasting(t, k, p1, p2, top)[0], lo, hi) if tau is None else tau
 
 
 def _skeleton(bounds: dict, coupon: float, balance: float) -> tuple:

@@ -1,10 +1,11 @@
 """Deterministic scalar root finding on a bracketing interval.
 
 All free-boundary equations in this package reduce to scalar roots of
-monotone functions on known brackets, so a single bracketed solver serves
-every caller.  The method is Brent-style: inverse quadratic / secant steps
-guarded by bisection, which keeps guaranteed convergence even where the
-boundary equations have steep power-law behaviour near a bracket endpoint.
+monotone functions on known brackets.  ``find_root_bracketed`` takes
+Brent-style steps guarded by bisection, which converge even where the
+boundary equations are steep near an end.  Where the slope comes with f,
+``safeguarded_newton`` takes Newton steps guarded by the bracket (``rtsafe``,
+Press et al., *Numerical Recipes*, 9.4) and stops by the same rule.
 """
 
 from __future__ import annotations
@@ -17,14 +18,11 @@ from .errors import MaxIterExceeded, NanResidual, NoBracket
 _EPS = 2.220446049250313e-16  # float64 machine epsilon
 
 # Residual tolerance relative to the bracket's value span |f(lo) - f(hi)|,
-# the absolute residual floor, and the iteration cap.  They are read at
-# call time.
+# the absolute residual floor, Brent's iteration cap and the steps
+# ``safeguarded_newton`` takes before it gives up.  They are read at call time.
 _REL_TOL = 1e-12
 _ABS_TOL = 1e-14
 _MAX_ITER = 200
-
-# Steps a safeguarded Newton iteration takes before it hands its shrunken
-# bracket to ``find_root_bracketed``.
 _NEWTON_STEPS = 8
 
 
@@ -56,7 +54,6 @@ def find_root_bracketed(f: Callable[[float], float], lo: float, hi: float) -> fl
         raise NoBracket(f"f has the same sign at both ends: f({lo})={fa}, f({hi})={fb}")
 
     f_tol = max(_ABS_TOL, _REL_TOL * abs(fa - fb))
-    rel_tol = _REL_TOL
     two_eps, half_eps = 2.0 * _EPS, 0.5 * _EPS
 
     # Classic Brent bookkeeping: b is the current best iterate, c the
@@ -77,7 +74,7 @@ def find_root_bracketed(f: Callable[[float], float], lo: float, hi: float) -> fl
         tol = two_eps * ab + half_eps
         m = 0.5 * (c - b)
         am = abs(m)
-        if am <= tol or fb == 0.0 or (afb <= f_tol and am <= rel_tol * max(ab, 1.0)):
+        if am <= tol or fb == 0.0 or (afb <= f_tol and am <= _REL_TOL * max(ab, 1.0)):
             return b
 
         if abs(e) < tol or afa <= afb:
@@ -113,6 +110,45 @@ def find_root_bracketed(f: Callable[[float], float], lo: float, hi: float) -> fl
             d = e = b - a
 
     raise MaxIterExceeded(f"no convergence within {_MAX_ITER} iterations")
+
+
+def safeguarded_newton(f_and_slope: Callable[[float], tuple[float, float]], x: float, lo: float, hi: float,
+                       f_lo: float, f_hi: float) -> tuple[float | None, float, float]:
+    """Newton steps from ``x`` on an increasing f with f_lo = f(lo) <= 0 <= f(hi) = f_hi.
+
+    ``f_and_slope(x)`` gives f(x) and f'(x).  Each residual's sign shrinks
+    [lo, hi]; a step that leaves it, or a slope <= 0, is replaced by
+    bisection; a NaN residual raises ``NanResidual``.  Returns (root, lo, hi).
+    The root is an end where f is 0, or the stepped iterate (x if that leaves
+    the bracket) once ``find_root_bracketed``'s rule holds: the residual within
+    max(_ABS_TOL, _REL_TOL (f_hi - f_lo)) and the step within _REL_TOL max(|x|, 1).
+    After ``_NEWTON_STEPS`` steps without that, it is None, for the caller to
+    finish on the shrunken [lo, hi].
+    """
+    if f_lo == 0.0:
+        return lo, lo, hi
+    if f_hi == 0.0:
+        return hi, lo, hi
+    f_tol = max(_ABS_TOL, _REL_TOL * (f_hi - f_lo))
+    for _ in range(_NEWTON_STEPS):
+        f, slope = f_and_slope(x)
+        if f != f:  # NaN
+            raise NanResidual(f"f is NaN at {x} inside [{lo}, {hi}]")
+        if f == 0.0:
+            return x, lo, hi
+        if f < 0.0:
+            lo = x
+        else:
+            hi = x
+        if slope > 0.0:
+            stepped = x - f / slope
+            if abs(f) <= f_tol and abs(stepped - x) <= _REL_TOL * max(abs(x), 1.0):
+                return (stepped if lo <= stepped <= hi else x), lo, hi
+            if lo < stepped < hi:
+                x = stepped
+                continue
+        x = 0.5 * (lo + hi)
+    return None, lo, hi
 
 
 def grow_bracket(

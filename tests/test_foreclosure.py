@@ -322,6 +322,27 @@ class TestNewtonSpread:
             endogenous_spread(params_low_benefit, M0, phi, target, alpha)
             assert len(calls) <= 8, (phi, len(calls))
 
+    @pytest.mark.parametrize("target,alpha", [(ContractKind.ABM, 0.0), (ContractKind.APRM, 0.05)])
+    def test_fallback_finishes_on_the_shrunken_bracket(self, params_low_benefit, monkeypatch, target, alpha):
+        phi = 0.3
+        expected = M0 + endogenous_spread(params_low_benefit, M0, phi, target, alpha) / 1e4
+        _, _, lo, hi, _, _, _ = foreclosure._spread_bracket(params_low_benefit, M0, phi, target, alpha, 1.0)
+        brackets = []
+        find_root = foreclosure.find_root_bracketed
+
+        def recorded(f, a, b):
+            brackets.append((a, b))
+            return find_root(f, a, b)
+
+        monkeypatch.setattr(rootfind, "_NEWTON_STEPS", 1)
+        monkeypatch.setattr(foreclosure, "find_root_bracketed", recorded)
+        got = M0 + endogenous_spread(params_low_benefit, M0, phi, target, alpha) / 1e4
+        # One step from m_f moves one end of the bracket onto m_f.
+        (a, b), = brackets
+        assert lo <= a < b <= hi and (a, b) != (lo, hi)
+        assert M0 in (a, b)
+        assert abs(got - expected) <= 2.0 * rootfind._REL_TOL * max(expected, 1.0)
+
     @pytest.mark.parametrize("rel", [1e-3, 1e-6, 1e-10, 1e-14, 1e-16])
     def test_near_flat_target_ends_in_the_bracket(self, params_low_benefit, rel):
         # The ABM's value at h = 1 flattens out as the rate nears max_rate,

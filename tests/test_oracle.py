@@ -293,6 +293,24 @@ class TestThresholdPolicy:
             threshold_policy_value(params, perpetual_cashflows(spec, params), (bounds["h1"], bounds["h2"]), 1.0)
 
 
+def test_float_fault_message_is_the_same_on_every_run():
+    # Each call builds new cashflow closures at new addresses.  The message
+    # names the function, the arguments (the cashflows by their type's name
+    # only) and the fault.
+    params = ModelParams(0.029238479507935594, 0.11572979639657417, 0.08182883232762994, 0.7883325899472953)
+    spec = ContractSpec(kind=ContractKind.FRM, m=0.029240044220984713)
+    bounds = solve_contract(params, spec).boundaries
+    messages = []
+    for _ in range(2):
+        with pytest.raises(UnsupportedRegime, match="float range") as info:
+            threshold_policy_value(params, perpetual_cashflows(spec, params), (bounds["h1"], bounds["h2"]), 1.0)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert "0x" not in messages[0]
+    assert messages[0].startswith("threshold_policy_value leaves the float range at (ModelParams(r=0.0292")
+    assert f"PerpetualCashflows, ({bounds['h1']!r}, {bounds['h2']!r}), 1.0): OverflowError" in messages[0]
+
+
 # The six Monte Carlo cases of the acceptance oracle triangle: the FRM stops
 # at its default boundary, the others have none and are held forever.
 MC_GATE_CASES = [
