@@ -1,25 +1,31 @@
-"""Closed-form perpetual adjustable-balance mortgage values.
+"""Closed-form perpetual adjustable-balance mortgage values, and the one
+pasting equation that the ABM and the APRM share.
 
 The balance cap removes the default motive; what remains is prepayment.
-Two shapes arise:
+On a unit balance, value matching and smooth pasting at the free
+boundaries (Dixit and Pindyck, *Investment under Uncertainty*, ch. 4)
+leave one scalar equation g(y) = 0 for the upper boundary h2 = y, and the
+lower boundary h1 = x(y) explicit:
 
-* m <= delta: holding costs never exceed the ownership benefit in low
-  states, so only an upper prepayment boundary h2 exists.  It is fully
-  explicit: h2 = B0 ((1/r - (1 - 1/p1)/delta) / (1/r - 1/m))^{1/p2}.
+    g(y) = (p1/(p1-1) (1/r - 1/m) + A (p1/(p1-1) - y)) y^{p2}
+           - (1/delta - 1/m) x(y)^{1+p2} - 1/(p2 delta),
+    x(y) = ((1/delta - 1/m) / (1/(p1 delta) + L(y) y^{-p1}))^{1/(p1-1)}.
 
-* m > delta: a lower prepayment boundary h1 < B0 appears as well.  With
-  h1 = B0 x and h2 = B0 y, eliminating the four pasting constants leaves
-  one scalar equation g(y) = 0, where
+The ABM has A = 0 and L = p2/(1+p2) (1/r - 1/m).  The APRM's sharing
+alpha (h - 1)^+ makes A = alpha/(m B0) and L(y) = A (h3 - y), h3 the
+band's outer edge (``aprm``).  No h1 exists at m <= delta, where x = 0.
+A balance B0 scales both boundaries.
 
-      g(y) = p1/(p1-1) (1/r - 1/m) y^{p2}
-             - (1/delta - 1/m) x(y)^{1+p2} - 1/(p2 delta),
-      x(y) = ((1/delta - 1/m)
-              / (1/(p1 delta) + p2/(1+p2) (1/r - 1/m) y^{-p1}))^{1/(p1-1)}.
-
-  g increases wherever x(y) < 1 < y; when m > p1 delta/(p1-1) that holds
-  only up to y_bar = ((p2/(1+p2))(1/r - 1/m) / ((p1-1)/(p1 delta) - 1/m))^{1/p1},
-  which then bounds the bracket, otherwise the bracket is grown
-  geometrically until g changes sign.
+* m <= delta, A = 0: h2 alone, explicit:
+  h2 = B0 ((1/r - (1 - 1/p1)/delta) / (1/r - 1/m))^{1/p2}.
+* otherwise: g increases wherever x(y) < 1 < y, so h2 is its root on
+  [1 + 1e-10, end], and h1 = B0 x(h2/B0).  The end is
+  - h3 when A > 0; at m >= m* = p1 delta/(p1-1), x reaches 1 first, and
+    the end shrinks to that point, the root of
+    A (h3 - y) y^{-p1} = ((p1-1)/p1 - delta/m)/delta;
+  - y_bar = ((p2/(1+p2))(1/r - 1/m) / ((p1-1)/(p1 delta) - 1/m))^{1/p1},
+    where x reaches 1, at A = 0 and m > m*;
+  - else grown geometrically until g changes sign.
 
 The largest rate at which the ABM holds at origination (``max_rate``)
 puts h2 = 1, i.e. y = 1/B0, into these equations.  When the rate is at
@@ -58,45 +64,72 @@ def _skeleton(balance: float, scale: float, m: float, bounds: dict, alpha: float
     return pieces
 
 
-def _two_sided(y: float, m: float, r: float, delta: float, p1: float, p2: float) -> tuple[float, float]:
-    """x(y) and g(y) of the two-sided pasting equations at rate m > delta."""
+def _pasting(m: float, r: float, delta: float, p1: float, p2: float, share: float = 0.0, h3: float = INF):
+    """x(y) and g(y) of the module docstring, on a unit balance, with the
+    sharing term ``share`` = A and the band edge ``h3`` (inf at A = 0)."""
     inv_gap_rm = 1.0 / r - 1.0 / m
     inv_gap_dm = 1.0 / delta - 1.0 / m
-    denom = 1.0 / (p1 * delta) + p2 / (1.0 + p2) * inv_gap_rm * y**-p1
-    x = (inv_gap_dm / denom) ** (1.0 / (p1 - 1.0))
-    return x, p1 / (p1 - 1.0) * inv_gap_rm * y**p2 - inv_gap_dm * x ** (1.0 + p2) - 1.0 / (p2 * delta)
+    kink = p1 / (p1 - 1.0)
+    lead0 = kink * inv_gap_rm
+    lift0 = p2 / (1.0 + p2) * inv_gap_rm
+    base = 1.0 / (p1 * delta)
+    tail = 1.0 / (p2 * delta)
+    root, power = 1.0 / (p1 - 1.0), 1.0 + p2
+    lower = inv_gap_dm > 0.0
+
+    def x(y: float) -> float:
+        if not lower:
+            return 0.0
+        lift = share * (h3 - y) if share else lift0
+        return (inv_gap_dm / (base + lift * y**-p1)) ** root
+
+    def g(y: float) -> float:
+        lead = lead0 + share * (kink - y) if share else lead0
+        return lead * y**p2 - inv_gap_dm * x(y) ** power - tail
+
+    return x, g
 
 
 def _y_bar(m: float, r: float, delta: float, p1: float, p2: float) -> float:
-    """The end of g's rising stretch when m > p1 delta/(p1-1)."""
+    """Where x reaches 1 at A = 0 and m > p1 delta/(p1-1), the end of g's rising stretch."""
     return ((p2 / (1.0 + p2) * (1.0 / r - 1.0 / m)) / ((p1 - 1.0) / (p1 * delta) - 1.0 / m)) ** (1.0 / p1)
 
 
-def _boundaries(m: float, r: float, delta: float, ex: Exponents, balance: float) -> dict:
-    """The ABM's prepayment boundaries at ``balance``: h2, and h1 when m > delta."""
+def _boundaries(m: float, r: float, delta: float, ex: Exponents, balance: float,
+                share: float = 0.0, h3: float = INF) -> dict:
+    """Prepayment boundaries at ``balance``: h2, h1 when m > delta, and the band
+    edge h3 when ``share`` > 0; ``share`` and ``h3`` are on a unit balance."""
     p1, p2 = ex.p1, ex.p2
-    if m <= delta:
+    if m <= delta and not share:
         try:
             h2 = balance * ((1.0 / r - (1.0 - 1.0 / p1) / delta) / (1.0 / r - 1.0 / m)) ** (1.0 / p2)
         except OverflowError:
             raise UnsupportedRegime(f"prepayment boundary exceeds floating-point range at m={m}") from None
         return {"h2": h2}
 
-    def g(y: float) -> float:
-        return _two_sided(y, m, r, delta, p1, p2)[1]
-
-    y_lo = 1.0 + 1e-10
-    if m > p1 * delta / (p1 - 1.0):
+    x, g = _pasting(m, r, delta, p1, p2, share, h3)
+    y_lo, m_star = 1.0 + 1e-10, p1 * delta / (p1 - 1.0)
+    if share:
+        if not h3 < INF:
+            raise UnsupportedRegime(f"band edge h3 exceeds the float range at m={m}")
+        y_hi = h3
+        if m >= m_star:
+            rhs = ((p1 - 1.0) / p1 - delta / m) / delta
+            y_hi = find_root_bracketed(lambda y: share * (h3 - y) * y**-p1 - rhs, 1.0, h3)
+    elif m > m_star:
         y_hi = _y_bar(m, r, delta, p1, p2)
     else:
         _, y_hi = grow_bracket(g, y_lo, 2.0, cap=1e6 * balance)
     if not (g(y_lo) < 0.0 <= g(y_hi)):
-        raise NoBracket(
-            f"lower-boundary equation has unexpected signs: g({y_lo})={g(y_lo)}, g({y_hi})={g(y_hi)}"
-        )
+        raise NoBracket(f"pasting equation has unexpected signs: g({y_lo})={g(y_lo)}, g({y_hi})={g(y_hi)}")
     y_hat = find_root_bracketed(g, y_lo, y_hi)
-    x_hat = _two_sided(y_hat, m, r, delta, p1, p2)[0]
-    return {"h1": balance * x_hat, "h2": balance * y_hat}
+    if y_hat >= h3:
+        raise NoBracket(f"the band [h2, h3] is empty at h3={h3}: alpha is alpha* up to rounding")
+    bounds = {"h1": balance * x(y_hat)} if m > delta else {}
+    bounds["h2"] = balance * y_hat
+    if share:
+        bounds["h3"] = balance * h3
+    return bounds
 
 
 @float_faults_unsupported
@@ -149,7 +182,7 @@ def _max_rate(params: ModelParams) -> float:
     y = 1.0 / b0
 
     def gap(m: float) -> float:
-        return _two_sided(y, m, r, delta, p1, p2)[1]
+        return _pasting(m, r, delta, p1, p2)[1](y)
 
     m_lo = max(delta, lo)
     g_lo = gap(m_lo)

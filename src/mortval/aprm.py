@@ -26,11 +26,17 @@ When a high-state prepayment band [h2, h3] exists, h3 and the outer
 piece are explicit,
 
     h3 = p2/(1+p2) ((m B0 / alpha)(1/r - 1/m) + 1),
-    V(h) = m B0 / r - (alpha/p2) h3 (h3/h)^{p2}   on (h3, inf),
+    V(h) = m B0 / r - (alpha/p2) h3 (h3/h)^{p2}   on (h3, inf).
 
-and h2 is the root of a scalar pasting equation chi(h) on (1, h3):
-increasing in the low regime, decreasing in the mid/high regimes (where
-the bracket's upper end shrinks to h0 <= h3 in the high regime).
+The APRM is the ABM on a unit balance, scaled by B0, plus the penalty.
+Value matching and smooth pasting at h1, h2 and h3 leave one equation
+chi(h2) = 0 for the band's lower edge.  With A = alpha/(m B0), A chi is
+the ABM's g of ``abm``, with two changes: its leading term gains
+A (p1/(p1-1) - y) y^{p2}, and x(y)'s p2/(1+p2)(1/r - 1/m) becomes
+A (h3 - y), which vanishes at h3.  So alpha = 0, where h3 is infinite, is
+the ABM, and every regime solves the one equation on [1 + 1e-10, end]:
+the end is h3, shrunk in the high regime to where the implied h1 reaches
+1.  Below delta the x term drops out, as no h1 exists.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .contracts import require_positive_spread
-from .errors import InvalidSpec, NoBracket, UnsupportedRegime, float_faults_unsupported
+from .errors import InvalidSpec, UnsupportedRegime, float_faults_unsupported
 from .model import Exponents, ModelParams, compute_exponents
 from .rootfind import find_root_bracketed
 from .solution import SolvedContract, build
@@ -201,58 +207,7 @@ def solve_aprm(params: ModelParams, m: float, alpha: float) -> SolvedContract:
         h1 = (p1 * (1.0 - delta / m)) ** (1.0 / (p1 - 1.0))
         return _build(params, m, alpha, {"h1": h1}, ex)
 
-    if alpha == 0.0:
-        # With no sharing penalty the APRM is the ABM on a unit balance.
-        return _build(params, m, alpha, _abm._boundaries(m, r, delta, ex, 1.0), ex)
-
-    # A high-state prepayment band [h2, h3] exists.
-    h3 = p2 / (1.0 + p2) * (m * b0 / alpha * (1.0 / r - 1.0 / m) + 1.0)
-
-    if regime is RateRegime.LOW_RATE:
-        def chi(h: float) -> float:
-            return h**p2 * (p1 / (p1 - 1.0) * (1.0 + p2) / p2 * h3 - h) - m * b0 / (p2 * alpha * delta)
-
-        shrink = 1e-12 * (h3 - 1.0)
-        lo, hi = 1.0 + shrink, h3 - shrink
-        if not (chi(lo) < 0.0 <= chi(hi)):
-            raise NoBracket(
-                f"band equation has unexpected signs on ({lo}, {hi}): {chi(lo)}, {chi(hi)}"
-            )
-        h2 = find_root_bracketed(chi, lo, hi)
-        return _build(params, m, alpha, {"h2": h2, "h3": h3}, ex)
-
-    # Mid- and high-rate regimes share the five-region structure and the
-    # same (decreasing) pasting equation for h2.
-    ratio = 1.0 - delta / m
-    penalty_scale = alpha * delta / (m * b0)
-    power = (1.0 + p2) / (p1 - 1.0)
-
-    def chi(h: float) -> float:
-        inner = p1 * ratio / (1.0 + penalty_scale * p1 * h**-p1 * (h3 - h))
-        return (
-            h**p2 * (h - p1 * (1.0 + p2) / ((p1 - 1.0) * p2) * h3)
-            + m * b0 / (alpha * delta) * (ratio * inner**power + 1.0 / p2)
-        )
-
-    hi_end = h3
-    if regime is RateRegime.HIGH_RATE:
-        # The admissible window shrinks to (1, h0], h0 the first point
-        # where the implied h1 would reach 1.  psi(1) > 0 holds exactly
-        # (it reduces to (B0/alpha - 1)/(1+p2) > 0), so the bracket can
-        # start at 1 even when the window is only 1e-7 wide at huge rates.
-        rhs = m * b0 / (alpha * delta) * ((p1 - 1.0) / p1 - delta / m)
-
-        def psi(h: float) -> float:
-            return h**-p1 * (h3 - h) - rhs
-
-        hi_end = find_root_bracketed(psi, 1.0, h3)
-
-    shrink = 1e-12 * (hi_end - 1.0)
-    lo, hi = 1.0 + shrink, hi_end - shrink
-    if not (chi(lo) > 0.0 >= chi(hi)):
-        raise NoBracket(
-            f"band equation has unexpected signs on ({lo}, {hi}): {chi(lo)}, {chi(hi)}"
-        )
-    h2 = find_root_bracketed(chi, lo, hi)
-    h1 = (p1 * ratio / (1.0 + penalty_scale * p1 * h2**-p1 * (h3 - h2))) ** (1.0 / (p1 - 1.0))
-    return _build(params, m, alpha, {"h1": h1, "h2": h2, "h3": h3}, ex)
+    # A band [h2, h3] with its edge h3 explicit, or at alpha = 0 the ABM on a
+    # unit balance: the one pasting equation of ``abm`` covers both.
+    h3 = p2 / (1.0 + p2) * (m * b0 / alpha * (1.0 / r - 1.0 / m) + 1.0) if alpha else _abm.INF
+    return _build(params, m, alpha, _abm._boundaries(m, r, delta, ex, 1.0, alpha / (m * b0), h3), ex)

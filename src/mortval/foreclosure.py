@@ -33,7 +33,7 @@ from .abm import _max_rate
 # tracer in perfbench/tracing.py wraps them through this module's namespace.
 from .abm import solve_abm  # noqa: F401
 from .aprm import solve_aprm  # noqa: F401
-from .contracts import RATE_CAP, ContractKind, contract_spec, require_positive_spread
+from .contracts import ABM, APRM, FRM, RATE_CAP, ContractKind, contract_spec, require_positive_spread
 from .errors import Degenerate, InvalidPhi, InvalidSpec, NoBracket
 from .frm import solve_frm
 from .model import ModelParams
@@ -48,7 +48,7 @@ def _solve(params: ModelParams, kind: ContractKind, m: float, alpha: float) -> S
 
 
 def _require_target(kind: ContractKind) -> None:
-    if kind is ContractKind.FRM:
+    if kind is FRM:
         raise InvalidSpec(f"comparison target must be ABM or APRM, got {kind}")
 
 
@@ -285,9 +285,9 @@ def max_rate(params: ModelParams, kind: ContractKind, alpha: float = 0.0) -> flo
       alpha = 0 the contract is the ABM with unit balance, whose h1 < 1 < h2.
     * FRM: bisection on the region of h = 1 (~103 solves).
     """
-    if kind is ContractKind.ABM:
+    if kind is ABM:
         return _max_rate(params)
-    if kind is ContractKind.APRM:
+    if kind is APRM:
         contract_spec(kind, RATE_CAP, alpha)
         return RATE_CAP
 

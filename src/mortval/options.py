@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .abm import solve_abm, solve_abm_no_prepay
 from .aprm import solve_aprm, solve_aprm_no_prepay
-from .contracts import ContractKind, ContractSpec
+from .contracts import ABM, FRM, ContractSpec
 from .frm import solve_frm, solve_frm_no_prepay
 from .model import ModelParams
 from .solution import SolvedContract, checked_price, checked_prices
@@ -18,18 +18,18 @@ from .solution import SolvedContract, checked_price, checked_prices
 
 def solve_contract(params: ModelParams, spec: ContractSpec) -> SolvedContract:
     """Dispatch to the closed-form solver for this contract kind."""
-    if spec.kind is ContractKind.FRM:
+    if spec.kind is FRM:
         return solve_frm(params, spec.m)
-    if spec.kind is ContractKind.ABM:
+    if spec.kind is ABM:
         return solve_abm(params, spec.m)
     return solve_aprm(params, spec.m, spec.alpha)
 
 
 def solve_no_prepay(params: ModelParams, spec: ContractSpec) -> SolvedContract:
     """Value of the contract with the prepayment right removed."""
-    if spec.kind is ContractKind.FRM:
+    if spec.kind is FRM:
         return solve_frm_no_prepay(params, spec.m)
-    if spec.kind is ContractKind.ABM:
+    if spec.kind is ABM:
         return solve_abm_no_prepay(params, spec.m)
     return solve_aprm_no_prepay(params, spec.m)
 
@@ -44,7 +44,7 @@ def default_option_value(params: ModelParams, spec: ContractSpec, h):
     price that is not positive and finite raises ``InvalidParams`` for
     every kind.
     """
-    if spec.kind is ContractKind.FRM:
+    if spec.kind is FRM:
         return params.b0 - solve_contract(params, spec).value(h)
     if isinstance(h, float):
         checked_price(h)

@@ -216,6 +216,16 @@ class TestZeroSharing:
         v_eps = solve_aprm(params_low_benefit, M0, 1e-7).value(1.0)
         assert abs(v0 - v_eps) <= 1e-5
 
+    def test_tiny_sharing_pastes_and_meets_zero_sharing(self):
+        # At alpha = 1e-12, h3 is 1.2e11: a shrink of the band's bracket
+        # relative to h3 would start it above the root h2 = 1.106.
+        params = ModelParams(r=0.0733, delta=0.0622, sigma=0.0757, b0=0.937)
+        tiny, zero = solve_aprm(params, 0.0841, 1e-12), solve_aprm(params, 0.0841, 0.0)
+        check_pasting(tiny)
+        assert tiny.boundaries["h3"] > 1e11
+        for key in ("h1", "h2"):
+            assert tiny.boundaries[key] == pytest.approx(zero.boundaries[key], rel=1e-9)
+
     def test_mid_rate_zero_sharing(self, params_low_benefit):
         solved = solve_aprm(params_low_benefit, M_MID, 0.0)
         assert "h3" not in solved.boundaries

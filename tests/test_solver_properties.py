@@ -175,11 +175,12 @@ WIDE_SPECS = {
 
 
 def test_wide_box_returns_pasted_finite_contracts_or_typed_errors():
-    # Each solve returns a contract that pastes and is finite on a wide price
-    # grid, or raises a ValuationError; so does the foreclosure-adjusted value
-    # of every FRM that returns.  Any other exception fails the test as raised.
-    # The policy oracle, an independent LU in an unanchored basis, values the
-    # solver's own boundaries at h = 1, below any h3, as the builder does.
+    # Each solve returns a contract that pastes, is finite and lies at or below
+    # its payoff on a wide price grid, or raises a ValuationError; so does the
+    # foreclosure-adjusted value of every FRM that returns.  Any other exception
+    # fails the test as raised.  The policy oracle, an independent LU in an
+    # unanchored basis, values the solver's own boundaries at h = 1, below any
+    # h3, as the builder does.
     grid = np.geomspace(1e-3, 1e3, 64)
     bad = []
     for params, m in _wide_box_markets():
@@ -193,12 +194,17 @@ def test_wide_box_returns_pasted_finite_contracts_or_typed_errors():
                 check_pasting(solved)
             except AssertionError as exc:
                 bad.append(f"{name} at {params}, m={m}: {exc}")
-            if not np.isfinite(solved.value(grid)).all():
+            values = solved.value(grid)
+            if not np.isfinite(values).all():
                 bad.append(f"{name} at {params}, m={m}: non-finite value")
+            cashflows = perpetual_cashflows(spec, params)
+            payoff = cashflows.payoff(grid)
+            if not (values <= payoff + 1e-9 * np.maximum(1.0, payoff)).all():
+                bad.append(f"{name} at {params}, m={m}: value above the payoff")
             bounds = solved.boundaries
             try:
                 policy = threshold_policy_value(
-                    params, perpetual_cashflows(spec, params), (bounds.get("h1"), bounds.get("h2")), 1.0
+                    params, cashflows, (bounds.get("h1"), bounds.get("h2")), 1.0
                 )
             except UnsupportedRegime:
                 policy = None
@@ -216,11 +222,12 @@ def test_wide_box_returns_pasted_finite_contracts_or_typed_errors():
 
 
 # Markets (r, delta, sigma, b0, m, alpha) outside the wide box where a power
-# or quotient of the closed form leaves the float range: the APRM band
-# equation overflows (a) or divides by a product that underflowed to 0 (d),
-# h1 = (p1 ratio)^{1/(p1-1)} underflows to 0 at p1 = 1.0001 (b) or to a
-# subnormal 2.4e-320, whose pasting slope read inf, at p1 = 1.0015 (e), and
-# at sigma = .0035 beta2 and the ABM's pasting equation overflow (c).
+# or quotient of the closed form leaves the float range: a power in the
+# pasting equation of the APRM's band overflows (a), the band edge h3 is inf
+# at a subnormal alpha (d), h1 = (p1 ratio)^{1/(p1-1)} underflows to 0 at
+# p1 = 1.0001 (b) or to a subnormal 2.4e-320, whose pasting slope read inf,
+# at p1 = 1.0015 (e), and at sigma = .0035 beta2 and the ABM's pasting
+# equation overflow (c).
 FLOAT_FAULTS = {
     "a": (.007036334715247404, .0004067010124769873, .01474631115168455, .0702230305639583,
           .007036334715253152, 1.4190504629790758e-218),
