@@ -25,7 +25,15 @@ A balance B0 scales both boundaries.
     A (h3 - y) y^{-p1} = ((p1-1)/p1 - delta/m)/delta;
   - y_bar = ((p2/(1+p2))(1/r - 1/m) / ((p1-1)/(p1 delta) - 1/m))^{1/p1},
     where x reaches 1, at A = 0 and m > m*;
-  - else grown geometrically until g changes sign.
+  - else (A = 0, delta < m <= m*, where g rises for ever) the largest
+    float: the root is taken of g(e^u) e^{-p2 u}, finite for every u, in
+    u = log y, and an h2 past the float range raises ``UnsupportedRegime``.
+
+This equation alone decides the APRM's band.  Below m*, with A > 0, the
+band is empty when h3 <= 1 + 1e-10, when g(h3) <= 0, or when the root
+lands on h3; this is alpha >= alpha* (``aprm``) up to rounding.  Then x's
+limit h1 = (p1 (1 - delta/m))^{1/(p1-1)} is the one boundary at m > delta,
+and there is none at m <= delta.
 
 The largest rate at which the ABM holds at origination (``max_rate``)
 puts h2 = 1, i.e. y = 1/B0, into these equations.  When the rate is at
@@ -39,13 +47,20 @@ otherwise it is the one root in m of G(m) = g(1/B0; m) on
 
 from __future__ import annotations
 
+import math
+import sys
+
 from .contracts import RATE_CAP, require_positive_spread
 from .errors import NoBracket, UnsupportedRegime, float_faults_unsupported
 from .model import Exponents, ModelParams, compute_exponents
-from .rootfind import find_root_bracketed, grow_bracket
+from .rootfind import find_root_bracketed
+# ``grow_bracket`` is unused here but stays bound: the tracer in
+# perfbench/tracing.py wraps it through this module's namespace (ROADMAP item 1a).
+from .rootfind import grow_bracket  # noqa: F401
 from .solution import CONTINUE, PREPAY, SolvedContract, build
 
 INF = float("inf")
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def _skeleton(balance: float, scale: float, m: float, bounds: dict, alpha: float = 0.0) -> tuple:
@@ -66,7 +81,8 @@ def _skeleton(balance: float, scale: float, m: float, bounds: dict, alpha: float
 
 def _pasting(m: float, r: float, delta: float, p1: float, p2: float, share: float = 0.0, h3: float = INF):
     """x(y) and g(y) of the module docstring, on a unit balance, with the
-    sharing term ``share`` = A and the band edge ``h3`` (inf at A = 0)."""
+    sharing term ``share`` = A and the band edge ``h3`` (inf at A = 0); and, at
+    A = 0, g(e^u) e^{-p2 u}, which stays finite up to y = e^u = DBL_MAX."""
     inv_gap_rm = 1.0 / r - 1.0 / m
     inv_gap_dm = 1.0 / delta - 1.0 / m
     kink = p1 / (p1 - 1.0)
@@ -87,7 +103,11 @@ def _pasting(m: float, r: float, delta: float, p1: float, p2: float, share: floa
         lead = lead0 + share * (kink - y) if share else lead0
         return lead * y**p2 - inv_gap_dm * x(y) ** power - tail
 
-    return x, g
+    def g_log(u: float) -> float:
+        y = math.exp(u)
+        return lead0 - (inv_gap_dm * x(y) ** power + tail) * y**-p2
+
+    return x, g, g_log
 
 
 def _y_bar(m: float, r: float, delta: float, p1: float, p2: float) -> float:
@@ -98,7 +118,8 @@ def _y_bar(m: float, r: float, delta: float, p1: float, p2: float) -> float:
 def _boundaries(m: float, r: float, delta: float, ex: Exponents, balance: float,
                 share: float = 0.0, h3: float = INF) -> dict:
     """Prepayment boundaries at ``balance``: h2, h1 when m > delta, and the band
-    edge h3 when ``share`` > 0; ``share`` and ``h3`` are on a unit balance."""
+    edge h3 when ``share`` > 0 leaves a band; ``share`` and ``h3`` are on a unit
+    balance."""
     p1, p2 = ex.p1, ex.p2
     if m <= delta and not share:
         try:
@@ -107,24 +128,32 @@ def _boundaries(m: float, r: float, delta: float, ex: Exponents, balance: float,
             raise UnsupportedRegime(f"prepayment boundary exceeds floating-point range at m={m}") from None
         return {"h2": h2}
 
-    x, g = _pasting(m, r, delta, p1, p2, share, h3)
+    x, g, g_log = _pasting(m, r, delta, p1, p2, share, h3)
     y_lo, m_star = 1.0 + 1e-10, p1 * delta / (p1 - 1.0)
-    if share:
-        if not h3 < INF:
-            raise UnsupportedRegime(f"band edge h3 exceeds the float range at m={m}")
-        y_hi = h3
-        if m >= m_star:
-            rhs = ((p1 - 1.0) / p1 - delta / m) / delta
-            y_hi = find_root_bracketed(lambda y: share * (h3 - y) * y**-p1 - rhs, 1.0, h3)
-    elif m > m_star:
-        y_hi = _y_bar(m, r, delta, p1, p2)
+    band = share > 0.0 and m < m_star  # a band, which may be empty
+    f, lo, hi = g, y_lo, h3
+    if share and not h3 < INF:
+        raise UnsupportedRegime(f"band edge h3 exceeds the float range at m={m}")
+    if share and m >= m_star:
+        rhs = ((p1 - 1.0) / p1 - delta / m) / delta
+        hi = find_root_bracketed(lambda y: share * (h3 - y) * y**-p1 - rhs, 1.0, h3)
+    elif not share and m > m_star:
+        hi = _y_bar(m, r, delta, p1, p2)
+    elif not share:
+        f, lo, hi = g_log, math.log(y_lo), _LOG_MAX
+    f_hi = f(hi)
+    if band and not (lo < hi and f_hi > 0.0):
+        y_hat = h3  # no root below h3
     else:
-        _, y_hi = grow_bracket(g, y_lo, 2.0, cap=1e6 * balance)
-    if not (g(y_lo) < 0.0 <= g(y_hi)):
-        raise NoBracket(f"pasting equation has unexpected signs: g({y_lo})={g(y_lo)}, g({y_hi})={g(y_hi)}")
-    y_hat = find_root_bracketed(g, y_lo, y_hi)
-    if y_hat >= h3:
-        raise NoBracket(f"the band [h2, h3] is empty at h3={h3}: alpha is alpha* up to rounding")
+        f_lo = f(lo)
+        if not f_lo < 0.0 <= f_hi:
+            if f is g_log and f_lo < 0.0:
+                raise UnsupportedRegime(f"prepayment boundary h2 exceeds the float range at m={m}")
+            raise NoBracket(f"pasting equation has unexpected signs: f({lo})={f_lo}, f({hi})={f_hi}")
+        root = find_root_bracketed(f, lo, hi)
+        y_hat = math.exp(root) if f is g_log else root
+    if band and y_hat >= h3:  # the band is empty
+        return {"h1": balance * (p1 * (1.0 - delta / m)) ** (1.0 / (p1 - 1.0))} if m > delta else {}
     bounds = {"h1": balance * x(y_hat)} if m > delta else {}
     bounds["h2"] = balance * y_hat
     if share:

@@ -97,8 +97,8 @@ class TestTwoBoundaryCase:
         check_pasting(solved)
 
     def test_bracket_regime_at_branch_point(self):
-        # Exactly at m = p1 delta/(p1-1) the grown bracket still applies;
-        # the two bracketing strategies must agree across the seam.
+        # Exactly at m = p1 delta/(p1-1) the open-ended bracket in log y still
+        # applies; the two bracketing strategies must agree across the seam.
         params = ModelParams(r=R0, delta=0.03, sigma=SIGMA0, b0=B0)
         from mortval import compute_exponents
 
@@ -109,6 +109,14 @@ class TestTwoBoundaryCase:
         assert below.boundaries["h2"] == pytest.approx(above.boundaries["h2"], rel=1e-6)
         assert below.boundaries["h1"] == pytest.approx(above.boundaries["h1"], rel=1e-6)
         check_pasting(below)
+
+    def test_boundary_far_above_the_balance(self):
+        # m just above r puts h2 near 9e15, far past any fixed multiple of
+        # B0: the open-ended bracket in log y reaches it.
+        params = ModelParams(r=0.0378, delta=0.029, sigma=0.318, b0=0.622)
+        solved = solve_abm(params, 0.0378 * (1.0 + 1e-9))
+        assert 1e15 < solved.boundaries["h2"] < 1e17
+        check_pasting(solved)
 
 
 def test_low_boundary_exists_iff_rate_exceeds_benefit(params_low_benefit):

@@ -7,7 +7,6 @@ from mortval import (
     ModelParams,
     NegativeSpread,
     UnsupportedRegime,
-    ValuationError,
     aprm_regime,
     perpetual_cashflows,
     solve_abm,
@@ -74,9 +73,10 @@ class TestRegime:
         assert 0.0 < regime.alpha_star < p2 * B0 * (M0 / R0 - 1.0)
 
     def test_solver_branch_agrees_with_the_threshold(self):
-        # solve_aprm decides alpha >= alpha* by the sign of g at alpha, not by
-        # comparing with the root.  Draws at and around alpha* may land on
-        # the other side of it, but only within the root's tolerance.
+        # solve_aprm decides the band by the sign of the pasting equation at
+        # h3, not by comparing alpha with the root alpha*.  Every solve
+        # returns; draws at and around alpha* may land on the other side of
+        # it, but only within the root's tolerance.
         rng = np.random.default_rng(21)
         compared = differ = 0
         for draw in rng.uniform((0.005, 0.005, 0.05, 0.1, 1.01), (0.08, 0.1, 0.6, 1.0, 3.0), (300, 5)):
@@ -91,15 +91,18 @@ class TestRegime:
                 alpha = float(alpha)
                 if not alpha < 1.0:
                     continue
-                try:
-                    solved = solve_aprm(params, m, alpha)
-                except ValuationError:
-                    continue  # the band equations at alpha just below alpha*
+                solved = solve_aprm(params, m, alpha)
                 compared += 1
                 if ("h2" not in solved.boundaries) != (alpha >= alpha_star):
                     differ += 1
                     assert abs(alpha - alpha_star) <= rootfind._REL_TOL * max(alpha_star, 1.0)
         assert compared >= 600
+
+    def test_one_ulp_below_the_threshold_has_no_band(self):
+        # The band equation is zero at h3 up to rounding here: the band is
+        # empty, and the contract is the held-forever one.
+        params = ModelParams(0.04041766210342577, 0.07732050218425135, 0.38351248736580196, 0.48717552634734973)
+        assert solve_aprm(params, 0.05618647726001073, 0.0011668058680941974).boundaries == {}
 
 
 class TestLowRate:

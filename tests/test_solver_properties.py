@@ -6,7 +6,7 @@ parameter choice: boundary ordering, negative continuation constants,
 value matching and smooth pasting, dominance by the payoff, and the
 sign structure of the stopping set.  A fixed Latin hypercube over a much
 wider box checks that every solve there either returns a pasted, finite
-contract or raises a ``ValuationError``.
+contract or raises ``UnsupportedRegime``.
 """
 
 import numpy as np
@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from mortval import (
     ContractKind,
     ModelParams,
-    NoBracket,
     UnsupportedRegime,
     ValuationError,
     aprm_regime,
@@ -54,17 +53,13 @@ def _rate(params: ModelParams, factor: float) -> float:
 
 
 def _solve_or_discard(solver, *args):
-    # Extreme draws can push boundary exponent products past float range,
-    # or (tiny p2) a prepayment boundary past the designed bracket cap of
-    # 1e6 * b0; both raise cleanly and are out of scope here.  Unexpected
-    # sign patterns in a pasting equation still fail the test.
+    # Extreme draws can push boundary exponent products past float range;
+    # they raise cleanly and are out of scope here.  Any other error fails
+    # the test.
     try:
         return solver(*args)
     except UnsupportedRegime:
         assume(False)
-    except NoBracket as exc:
-        assume("no sign change" not in str(exc))
-        raise
 
 
 @settings(max_examples=60, deadline=None)
@@ -176,9 +171,9 @@ WIDE_SPECS = {
 
 def test_wide_box_returns_pasted_finite_contracts_or_typed_errors():
     # Each solve returns a contract that pastes, is finite and lies at or below
-    # its payoff on a wide price grid, or raises a ValuationError; so does the
-    # foreclosure-adjusted value of every FRM that returns.  Any other exception
-    # fails the test as raised.  The policy oracle, an independent LU in an
+    # its payoff on a wide price grid, or raises UnsupportedRegime, a closed
+    # form past the float range; so does the foreclosure-adjusted value of
+    # every FRM that returns.  Any other exception fails the test as raised.  The policy oracle, an independent LU in an
     # unanchored basis, values the solver's own boundaries at h = 1, below any
     # h3, as the builder does.
     grid = np.geomspace(1e-3, 1e3, 64)
@@ -188,7 +183,7 @@ def test_wide_box_returns_pasted_finite_contracts_or_typed_errors():
             spec = contract_spec(kind, m, alpha)
             try:
                 solved = solve_contract(params, spec)
-            except ValuationError:
+            except UnsupportedRegime:
                 continue
             try:
                 check_pasting(solved)
@@ -214,7 +209,7 @@ def test_wide_box_returns_pasted_finite_contracts_or_typed_errors():
             if name == "frm":
                 try:
                     adjusted = frm_value_with_foreclosure(params, m, 0.3, 1.0)
-                except ValuationError:
+                except UnsupportedRegime:
                     continue
                 if not np.isfinite(adjusted):
                     bad.append(f"foreclosure at {params}, m={m}: {adjusted}")
@@ -226,7 +221,7 @@ def test_wide_box_returns_pasted_finite_contracts_or_typed_errors():
 # pasting equation of the APRM's band overflows (a), the band edge h3 is inf
 # at a subnormal alpha (d), h1 = (p1 ratio)^{1/(p1-1)} underflows to 0 at
 # p1 = 1.0001 (b) or to a subnormal 2.4e-320, whose pasting slope read inf,
-# at p1 = 1.0015 (e), and at sigma = .0035 beta2 and the ABM's pasting
+# at p1 = 1.0015 (e), and at sigma = .0035 beta2 and the APRM's band
 # equation overflow (c).
 FLOAT_FAULTS = {
     "a": (.007036334715247404, .0004067010124769873, .01474631115168455, .0702230305639583,
@@ -242,7 +237,7 @@ FLOAT_FAULTS = {
 
 
 @pytest.mark.parametrize("market, solve", [
-    ("a", "aprm"), ("b", "aprm"), ("c", "abm"), ("c", "aprm"), ("c", "regime"), ("d", "aprm"), ("e", "aprm"),
+    ("a", "aprm"), ("b", "aprm"), ("c", "aprm"), ("c", "regime"), ("d", "aprm"), ("e", "aprm"),
 ])
 def test_float_range_faults_raise_unsupported_regime(market, solve):
     r, delta, sigma, b0, m, alpha = FLOAT_FAULTS[market]
@@ -253,12 +248,21 @@ def test_float_range_faults_raise_unsupported_regime(market, solve):
         call()
 
 
+def test_abm_pastes_where_its_pasting_equation_overflows_in_y():
+    # At market (c), p2 is about 2 809, so y^{p2} overflows just above y = 1;
+    # the ABM roots the y^{-p2}-scaled equation in log y and returns.
+    r, delta, sigma, b0, m, _ = FLOAT_FAULTS["c"]
+    solved = solve_abm(ModelParams(r, delta, sigma, b0), m)
+    assert b0 < solved.boundaries["h2"]
+    check_pasting(solved)
+
+
 def test_build_refuses_a_subnormal_free_boundary():
     # Every solver pastes through the one builder, so each refuses the same
-    # h1; at market (e) the ABM already finds no sign change for its lower
-    # boundary and raises.
+    # h1; at market (e) the ABM's h2 already lies past the float range, and
+    # it raises.
     r, delta, sigma, b0, m, _ = FLOAT_FAULTS["e"]
-    with pytest.raises(ValuationError):
+    with pytest.raises(UnsupportedRegime, match="float range"):
         solve_abm(ModelParams(r, delta, sigma, b0), m)
     for h1 in (0.0, 5e-324, 2.3997e-320):
         bounds = {"h1": h1, "h2": 2.0 * b0}
