@@ -14,14 +14,18 @@ Three routes, each built on different machinery than the solvers:
 * :func:`threshold_policy_value` computes the exact expected discounted
   cashflow of a *given* two-threshold stopping policy from the power
   solutions h^{p1}, h^{-p2} of the pricing ODE (no optimization anywhere).
-* :func:`mc_cashflow_value` averages discounted cashflows over antithetic
-  pairs of exact GBM samples.  The held-forever integral
-  V = int_0^inf e^{-rt} E[c(H_t)] dt equals E[c(H_t)] / r for t ~ Exp(r),
-  so it samples H_t exactly at stratified exponential times, with no
-  time step and no horizon.  A policy that stops at one threshold, lower
-  or upper, is valued from the same samples: the exact Brownian-bridge
-  probability that the path crossed the threshold before t weights the
-  payoff there against the coupon at t (Carr's exponential horizon).
+* :func:`mc_cashflow_value` samples the exponential horizon.  The
+  held-forever integral V = int_0^inf e^{-rt} E[c(H_t)] dt equals
+  E[c(H_t)] / r for t ~ Exp(r), so it samples only t, at stratified
+  exponential times, and integrates the lognormal price at each time in
+  closed form: the coupon is affine between kinks, so E[c(H_t) | t] is a
+  short sum of normal distribution functions (conditional Monte Carlo).
+  A policy that stops at one threshold, lower or upper, samples H_t
+  exactly over antithetic pairs at the same kind of times: the exact
+  Brownian-bridge probability that the path crossed the threshold before
+  t weights the payoff there against the coupon at t (Carr's exponential
+  horizon).  Nothing is time-stepped or truncated, and nothing uses the
+  solvers' exponents.
 
 :func:`oracle_triangle` checks one closed-form solve against all three.
 """
@@ -48,13 +52,16 @@ from .solution import checked_price
 
 _BLOCK_PAIRS = 8192   # fixed Monte Carlo block size; results do not depend on scheduling
 _DT = 1.0 / 52.0      # McResult.dt, nominal: no estimate takes a time step
-# Equal-probability strata of Exp(r) per antithetic pair of the Monte Carlo
-# estimate.  256 keeps every no-prepay acceptance case at 3 SE < 5e-4 with
-# 20 000 paths (SE 6e-5 to 1.1e-4); 64 reaches SE 2.1e-4.
+# Equal-probability strata of Exp(r) per replicate (held forever) or per
+# antithetic pair (stopped) of the Monte Carlo estimate.  At 20 000 paths 256
+# keeps the FRM stopped at its default boundary at 3 SE < 5e-4 (SE 6e-5 to
+# 1.1e-4 for pairs; 64 strata reach 2.1e-4), and the contracts held forever
+# at SE 1.6e-5 to 3.1e-5.
 _TIME_STRATA = 256
 _STRATA_SLAB = 32     # strata drawn per vectorized slab; divides _TIME_STRATA
 _ROWS = 1024          # antithetic pairs per in-place pass: 256 KB per (rows, slab) buffer
 _COARSE_NODES = 126   # smallest level of the nested policy-iteration solve
+_ERFC = np.frompyfunc(math.erfc, 1, 1)   # numpy has no erfc ufunc
 
 
 @dataclass(frozen=True)
@@ -429,12 +436,16 @@ def threshold_policy_value(
 class McResult:
     """Monte Carlo estimate with its sampling diagnostics.
 
-    ``std_error`` is the standard error of the mean over antithetic pairs.
-    No estimate is time-stepped or truncated, so ``tail_bound`` is always
-    0.0.  ``horizon`` (the argument as given), ``dt`` (a nominal 1/52) and
-    ``tail_bound`` carry no information; they are kept because the
-    benchmark's tracer (``perfbench/tracing.py``) reads them, and go when
-    the benchmark stops reading them.
+    Held forever, ``std_error`` is the standard error of the mean over
+    independent replicates of ``_TIME_STRATA`` stratified times, and
+    ``n_paths`` counts the sampled times: the requested count rounded up
+    to whole replicates.  Stopped at a threshold, ``std_error`` is over
+    antithetic pairs and ``n_paths`` counts the paths, rounded up to whole
+    pairs.  No estimate is time-stepped or truncated, so ``tail_bound`` is
+    always 0.0.  ``horizon`` (the argument as given), ``dt`` (a nominal
+    1/52) and ``tail_bound`` carry no information; they are kept because
+    the benchmark's tracer (``perfbench/tracing.py``) reads them, and go
+    when the benchmark stops reading them.
     """
 
     estimate: float
@@ -467,20 +478,29 @@ def mc_cashflow_value(
 
     For T ~ Exp(r) independent of the path, the value is
     E[1{tau > T} c(H_T) / r + 1{tau <= T} f(L)], with tau the first hit of
-    the threshold L.  Each antithetic pair takes one time in each of 256
-    equal-probability strata of Exp(r) and samples
-    H_T = h exp(mu T +- sigma sqrt(T) Z) exactly there.  Given
-    y = log H_T, the Brownian bridge from x = log h reaches l = log L
-    before T with probability p = exp(min(0, -2 (x - l)(y - l) / (sigma^2 T))),
-    which is 1 when y is at or beyond l.  So each sample adds
-    (1 - p) c(H_T) / r + p f(L), and the estimate has no discretization or
-    truncation bias.  Without a threshold p = 0 and the estimate is the
-    coupon integral, with no terminal payment.  ``horizon`` is still
-    validated but not used.
+    the threshold L; held forever it is E[c(H_T)] / r.
 
-    Blocks of antithetic pairs have a fixed size and per-block derived
-    seeds, so the estimate does not depend on how blocks are scheduled.
-    It is reproducible bit for bit from ``seed`` on one numpy build and CPU
+    Held forever, only T is sampled (conditional Monte Carlo): given T,
+    H_T = h exp(mu T + sigma sqrt(T) Z) is lognormal and the coupon is
+    affine between its kinks, so E[c(H_T) | T] is a short sum of normal
+    distribution functions (see ``_coupon_given_time``).  The estimate
+    takes ceil(n_paths / 256) independent replicates, each one time in
+    every one of 256 equal-probability strata of Exp(r), and its standard
+    error comes from the spread of the replicates.  ``n_paths`` counts
+    sampled times here, not paths.
+
+    Stopped at a threshold, each antithetic pair takes one time in each of
+    the 256 strata and samples H_T = h exp(mu T +- sigma sqrt(T) Z) exactly
+    there.  Given y = log H_T, the Brownian bridge from x = log h reaches
+    l = log L before T with probability
+    p = exp(min(0, -2 (x - l)(y - l) / (sigma^2 T))), which is 1 when y is
+    at or beyond l.  So each sample adds (1 - p) c(H_T) / r + p f(L), and
+    the estimate has no discretization or truncation bias.  Blocks of
+    antithetic pairs have a fixed size and per-block derived seeds, so the
+    estimate does not depend on how blocks are scheduled.
+
+    ``horizon`` is still validated but not used.  An estimate is
+    reproducible bit for bit from ``seed`` on one numpy build and CPU
     dispatch only: numpy's SIMD ``exp`` and ``log`` kernels round
     differently from one instruction set to another.
     """
@@ -494,48 +514,104 @@ def mc_cashflow_value(
         raise InvalidThresholds(f"need at most one threshold, got ({lower}, {upper})")
     _check_thresholds(lower, upper)
 
-    n_pairs = (n_paths + 1) // 2
     level = upper if lower is None else lower
-    note = f"exact marginals at {_TIME_STRATA} stratified exponential times per pair; nothing truncated"
-    if level is not None:
-        note += "; threshold crossing by the Brownian-bridge probability"
+    if level is None:
+        n_reps = -(-n_paths // _TIME_STRATA)
+        samples = _held_forever(np.random.default_rng(seed), params, cashflows, n_reps, h)
+        n_drawn = n_reps * _TIME_STRATA
+        note = (f"E[c(H_T) | T] in closed form at {_TIME_STRATA} stratified exponential times "
+                f"per replicate, {n_reps} replicates; nothing truncated")
+    else:
+        n_pairs = (n_paths + 1) // 2
+        n_drawn = 2 * n_pairs
+        note = (f"exact marginals at {_TIME_STRATA} stratified exponential times per pair; nothing truncated"
+                "; threshold crossing by the Brownian-bridge probability")
         if (lower is not None and h <= lower) or (upper is not None and h >= upper):
             return McResult(
                 estimate=float(_evaluate(cashflows.payoff, h)), std_error=0.0, tail_bound=0.0,
-                n_paths=2 * n_pairs, horizon=horizon, dt=_DT, note=note,
+                n_paths=n_drawn, horizon=horizon, dt=_DT, note=note,
             )
+        n_blocks = (n_pairs + _BLOCK_PAIRS - 1) // _BLOCK_PAIRS
+        children = np.random.SeedSequence(seed).spawn(n_blocks)
+        samples = np.empty(n_pairs)
+        filled = 0
+        for b in range(n_blocks):
+            bp = min(_BLOCK_PAIRS, n_pairs - filled)
+            rng = np.random.default_rng(children[b])
+            samples[filled : filled + bp] = _integral(rng, params, cashflows, bp, h, level)
+            filled += bp
 
-    n_blocks = (n_pairs + _BLOCK_PAIRS - 1) // _BLOCK_PAIRS
-    children = np.random.SeedSequence(seed).spawn(n_blocks)
-    pair_values = np.empty(n_pairs)
-    filled = 0
-    for b in range(n_blocks):
-        bp = min(_BLOCK_PAIRS, n_pairs - filled)
-        rng = np.random.default_rng(children[b])
-        pair_values[filled : filled + bp] = _integral(rng, params, cashflows, bp, h, level)
-        filled += bp
-
-    estimate = float(np.mean(pair_values))
-    if n_pairs > 1:
-        std_error = float(np.std(pair_values, ddof=1) / math.sqrt(n_pairs))
-    else:
-        std_error = 0.0
     return McResult(
-        estimate=estimate, std_error=std_error, tail_bound=0.0,
-        n_paths=2 * n_pairs, horizon=horizon, dt=_DT, note=note,
+        estimate=float(np.mean(samples)),
+        std_error=float(np.std(samples, ddof=1) / math.sqrt(len(samples))),
+        tail_bound=0.0, n_paths=n_drawn, horizon=horizon, dt=_DT, note=note,
     )
 
 
+def _coupon_given_time(params, cashflows, h, t):
+    """E[c(H_t) | H_0 = h] at each time of the array ``t``, in closed form.
+
+    With pieces a_j + b_j H between the kinks, F = E[H_t] = h e^{(r - delta) t},
+    s = sigma sqrt(t) and z_k = (log k - log h - mu t) / s, P(H_t < k) = Phi(z_k)
+    and E[H_t; H_t < k] = F Phi(z_k - s).  Telescoped over the kinks,
+
+        E[c(H_t)] = a_last + b_last F + sum_k [da_k Phi(z_k) + db_k F Phi(z_k - s)],
+
+    da_k and db_k the coefficients below kink k less those above it.  A
+    coefficient that is zero adds no term, so a flat coupon never meets an
+    overflowed F, and a time of 0 takes c(h) itself.
+    """
+    kinks = sorted({k for k in cashflows.kinks if 0.0 < k < math.inf})
+    pieces = _linear_pieces(cashflows, [0.0, *kinks, math.inf])
+    r, sigma = params.r, params.sigma
+    mu = r - params.delta - 0.5 * sigma**2
+    x = math.log(h)
+    s = sigma * np.sqrt(t)
+    # At t = 0, s = 0 and z is +-inf or, on a kink, NaN; those entries are
+    # replaced by c(h) below.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        forward = h * np.exp((r - params.delta) * t)
+        a, b = pieces[-1]
+        out = np.full_like(t, a)
+        if b != 0.0:
+            out += b * forward
+        for k, (a_lo, b_lo), (a_hi, b_hi) in zip(kinks, pieces, pieces[1:]):
+            z = (math.log(k) - x - mu * t) / s
+            if a_lo != a_hi:
+                out += (a_lo - a_hi) * _normal_cdf(z)
+            if b_lo != b_hi:
+                out += (b_lo - b_hi) * forward * _normal_cdf(z - s)
+    out[t == 0.0] = _evaluate(cashflows.coupon, h)
+    return out
+
+
+def _normal_cdf(z):
+    """Phi(z) for a float array, through ``math.erfc``."""
+    return 0.5 * _ERFC(z * -math.sqrt(0.5)).astype(float)
+
+
+def _held_forever(rng, params, cashflows, n_reps, h):
+    """Replicate values of the coupon integral E[c(H_T)] / r, T ~ Exp(r).
+
+    Replicate i takes t_ik = -log(1 - (k + U_ik) / K) / r in each of its
+    K = ``_TIME_STRATA`` strata and averages E[c(H_t)] over them.  K - k - U
+    is exact and positive, so the top stratum's time is finite.
+    """
+    u = rng.random((n_reps, _TIME_STRATA))
+    t = np.log((_TIME_STRATA - np.arange(_TIME_STRATA) - u) / _TIME_STRATA) / -params.r
+    return np.mean(_coupon_given_time(params, cashflows, h, t), axis=1) / params.r
+
+
 def _integral(rng, params, cashflows, bp, h, level):
-    """Pair values of ``bp`` antithetic pairs.
+    """Pair values of ``bp`` antithetic pairs stopped at the threshold ``level``.
 
     A pair's value is (1 / (2 K r)) sum_k [g(y_k^+) + g(y_k^-)] over its K
-    strata, with t_k = -log(1 - (k + U_k) / K) / r and
-    y_k^+- = log h + mu t_k +- sigma sqrt(t_k) Z_k.  With no threshold
-    (``level`` None) g(y) = c(e^y).  With a threshold L it is
-    c(e^y) + p (r f(L) - c(e^y)), p the bridge's crossing probability.
-    (x - l)(y - l) keeps its value when all three log-prices change sign,
-    so one expression serves an upper threshold as well as a lower one.
+    strata, with t_k = -log(1 - (k + U_k) / K) / r,
+    y_k^+- = log h + mu t_k +- sigma sqrt(t_k) Z_k and
+    g(y) = c(e^y) + p (r f(L) - c(e^y)), p the bridge's crossing probability
+    of the threshold L.  (x - l)(y - l) keeps its value when all three
+    log-prices change sign, so one expression serves an upper threshold as
+    well as a lower one.
 
     The strata go ``_STRATA_SLAB`` at a time: a slab's uniforms are drawn
     into one reused buffer and turned into times in place, then its pairs
@@ -548,10 +624,9 @@ def _integral(rng, params, cashflows, bp, h, level):
     """
     mu = params.r - params.delta - 0.5 * params.sigma**2
     x = math.log(h)
-    if level is not None:
-        ell = math.log(level)
-        scale = -2.0 * (x - ell)
-        stop = params.r * float(_evaluate(cashflows.payoff, level))
+    ell = math.log(level)
+    scale = -2.0 * (x - ell)
+    stop = params.r * float(_evaluate(cashflows.payoff, level))
     times = np.empty((bp, _STRATA_SLAB))
     # Flat buffers, so a chunk's views are contiguous however many rows it has.
     size = min(bp, _ROWS) * _STRATA_SLAB
@@ -579,16 +654,15 @@ def _integral(rng, params, cashflows, bp, h, level):
             np.subtract(y[0], spread, out=y[1])
             y[0] += spread
             c = _evaluate(cashflows.coupon, np.exp(y, out=e))
-            if level is not None:
-                y -= ell
-                y *= scale
-                np.multiply(params.sigma**2, t, out=sd)
-                y /= sd
-                np.minimum(y, 0.0, out=y)
-                p = np.exp(y, out=y)
-                w = np.subtract(stop, c, out=w_buf[: 2 * n].reshape(shape))
-                w *= p
-                c = np.add(c, w, out=w)             # c + p (stop - c)
+            y -= ell
+            y *= scale
+            np.multiply(params.sigma**2, t, out=sd)
+            y /= sd
+            np.minimum(y, 0.0, out=y)
+            p = np.exp(y, out=y)
+            w = np.subtract(stop, c, out=w_buf[: 2 * n].reshape(shape))
+            w *= p
+            c = np.add(c, w, out=w)                 # c + p (stop - c)
             np.add(c[0], c[1], out=spread)         # the normals' buffer takes the pair sums
             total[r0 : r0 + len(t)] += np.sum(spread, axis=1)
     return total / (2 * _TIME_STRATA * params.r)

@@ -374,6 +374,58 @@ class TestMonteCarlo:
         assert 3.0 * result.std_error < 5e-4
         assert abs(result.estimate - closed.value(1.0)) <= 0.7 * 5e-4
 
+    @pytest.mark.parametrize("delta,spec", [c[1:] for c in MC_GATE_CASES[1:]],
+                             ids=[c[0] for c in MC_GATE_CASES[1:]])
+    def test_held_forever_standard_error_is_small(self, delta, spec):
+        # Sampling only the time leaves the oracle's own error bar at most
+        # 5e-5 at the acceptance path count, a tenth of the gate's floor, so
+        # the gate cannot pass by widening it.
+        params = ModelParams(r=R0, delta=delta, sigma=SIGMA0, b0=B0)
+        result = mc_cashflow_value(params, no_prepay_cashflows(spec, params), None, 1.0, 20_000, 200.0, 1)
+        assert 0.0 < result.std_error <= 5e-5
+        assert result.n_paths == 79 * oracle._TIME_STRATA
+
+    def test_held_forever_standard_error_is_calibrated(self, params_low_benefit):
+        # Over 100 seeds the gaps to the closed form, in standard errors,
+        # have mean near 0 and spread near 1: the replicates' spread neither
+        # hides nor inflates the error.
+        spec = ContractSpec(kind=ContractKind.ABM, m=M0)
+        closed = solve_no_prepay(params_low_benefit, spec).value(1.0)
+        cf = no_prepay_cashflows(spec, params_low_benefit)
+        z = []
+        for seed in range(100):
+            result = mc_cashflow_value(params_low_benefit, cf, None, 1.0, 20_000, 200.0, seed)
+            z.append((result.estimate - closed) / result.std_error)
+        assert abs(np.mean(z)) <= 0.3
+        assert 0.7 <= np.std(z, ddof=1) <= 1.3
+
+    @pytest.mark.parametrize("kind,m,alpha,h", [(ContractKind.ABM, M0, 0.0, B0), (ContractKind.APRM, M0, 0.05, 1.0)],
+                             ids=["abm at b0", "aprm at 1"])
+    def test_held_forever_priced_on_the_coupon_kink(self, params_low_benefit, kind, m, alpha, h):
+        spec = ContractSpec(kind=kind, m=m, alpha=alpha)
+        cf = no_prepay_cashflows(spec, params_low_benefit)
+        assert h in cf.kinks
+        result = mc_cashflow_value(params_low_benefit, cf, None, h, 10_000, 200.0, 2)
+        assert math.isfinite(result.estimate) and math.isfinite(result.std_error)
+        gap = abs(result.estimate - solve_no_prepay(params_low_benefit, spec).value(h))
+        assert gap <= max(3.0 * result.std_error, 5e-4)
+
+    @pytest.mark.filterwarnings("error")
+    def test_held_forever_edge_times_stay_finite(self, params_low_benefit):
+        # A time of 0 pays the coupon at h, also on the kink, where the
+        # standardized log-price z reads 0 / 0.  A flat coupon at a price
+        # whose mean E[H_t] overflows is the coupon itself, not inf times 0.
+        abm = no_prepay_cashflows(ContractSpec(kind=ContractKind.ABM, m=M0), params_low_benefit)
+        t = np.array([0.0, 1e-300, 1.0])
+        at_kink = oracle._coupon_given_time(params_low_benefit, abm, B0, t)
+        assert np.isfinite(at_kink).all()
+        assert at_kink[0] == float(abm.coupon(B0))
+        assert at_kink[1] == pytest.approx(float(abm.coupon(B0)), rel=1e-12)
+        flat = PerpetualCashflows(coupon=lambda h: 0.03, payoff=identity, prepay_amount=identity)
+        growing = ModelParams(r=0.05, delta=0.01, sigma=SIGMA0, b0=B0)
+        far = oracle._coupon_given_time(growing, flat, 1e307, np.array([0.0, 100.0, 1e4]))
+        assert far.tolist() == [0.03, 0.03, 0.03]
+
     def test_one_threshold_agrees_with_the_policy_oracle(self, params_low_benefit):
         # The FRM without prepayment stopped at its optimal default boundary
         # h1 and at a higher, suboptimal 0.8, and the ABM stopped on a rise to
@@ -420,7 +472,7 @@ class TestMonteCarlo:
         frm = ContractSpec(kind=ContractKind.FRM, m=M0)
         abm = perpetual_cashflows(ContractSpec(kind=ContractKind.ABM, m=M0), p)
         h1 = solve_no_prepay(p, frm).boundaries["h1"]
-        for cashflows, level in ((abm, None), (no_prepay_cashflows(frm, p), h1), (abm, 1.5)):
+        for cashflows, level in ((no_prepay_cashflows(frm, p), h1), (abm, 1.5)):
             got = oracle._integral(np.random.default_rng(2024), p, cashflows, bp, h, level)
             want = slab_loop(np.random.default_rng(2024), cashflows, level)
             assert got.tobytes() == want.tobytes(), level
@@ -443,7 +495,9 @@ class TestMonteCarlo:
     def test_band_never_left_agrees_with_the_integral(self, params_low_benefit):
         # With a threshold almost no path reaches and a zero payoff, the
         # policy estimate is the held-forever integral, less the coupons
-        # after the rare crossings; both runs take the same draws.
+        # after the rare crossings.  The held-forever run samples times only
+        # and the stopped one paths, so the two are independent estimates
+        # and the gap is judged by both standard errors.
         abm = perpetual_cashflows(ContractSpec(kind=ContractKind.ABM, m=M0), params_low_benefit)
         cf = PerpetualCashflows(
             coupon=abm.coupon, payoff=lambda h: np.zeros_like(np.asarray(h, dtype=float)),

@@ -33,7 +33,7 @@ from mortval.contracts import contract_spec, perpetual_cashflows
 from mortval.model import Exponents
 from mortval.solution import build
 
-from conftest import check_pasting
+from conftest import check_ode_residual, check_pasting
 
 markets = st.builds(
     ModelParams,
@@ -170,8 +170,9 @@ WIDE_SPECS = {
 
 
 def test_wide_box_returns_pasted_finite_contracts_or_typed_errors():
-    # Each solve returns a contract that pastes, is finite and lies at or below
-    # its payoff on a wide price grid, or raises UnsupportedRegime, a closed
+    # Each solve returns a contract that pastes, solves the pricing ODE on its
+    # continuation regions, is finite and lies at or below its payoff on a
+    # wide price grid, or raises UnsupportedRegime, a closed
     # form past the float range; so does the foreclosure-adjusted value of
     # every FRM that returns.  Any other exception fails the test as raised.  The policy oracle, an independent LU in an
     # unanchored basis, values the solver's own boundaries at h = 1, below any
@@ -185,14 +186,15 @@ def test_wide_box_returns_pasted_finite_contracts_or_typed_errors():
                 solved = solve_contract(params, spec)
             except UnsupportedRegime:
                 continue
+            cashflows = perpetual_cashflows(spec, params)
             try:
                 check_pasting(solved)
+                check_ode_residual(params, solved, cashflows, tol=1e-8)
             except AssertionError as exc:
                 bad.append(f"{name} at {params}, m={m}: {exc}")
             values = solved.value(grid)
             if not np.isfinite(values).all():
                 bad.append(f"{name} at {params}, m={m}: non-finite value")
-            cashflows = perpetual_cashflows(spec, params)
             payoff = cashflows.payoff(grid)
             if not (values <= payoff + 1e-9 * np.maximum(1.0, payoff)).all():
                 bad.append(f"{name} at {params}, m={m}: value above the payoff")
