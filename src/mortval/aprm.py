@@ -28,6 +28,7 @@ band, and alpha >= B0 has no closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -59,7 +60,7 @@ class AprmRegime:
 
 
 def _alpha_star(params: ModelParams, m: float, beta: float, ex: Exponents) -> float:
-    """The root of g of the module docstring.
+    """The root of g of the module docstring, taken in u = log alpha.
 
     g is concave, with g(0) = -B0 (m/r - 1) < 0 and its maximum beta - B0 (m/r - 1)
     at alpha = p2 beta.  beta >= B0 (m/r - 1) says that the never-prepay
@@ -68,28 +69,36 @@ def _alpha_star(params: ModelParams, m: float, beta: float, ex: Exponents) -> fl
     the held-forever value, below (m B0/delta) h <= B0 at 1 since
     m <= delta; in the mid regime it is the value of stopping only at or
     below 1, at most the payoff B0 there.  So p2 beta >= p2 B0 (m/r - 1),
-    and g increases on (0, p2 B0 (m/r - 1)), whose end it reaches at
-    beta = B0 (m/r - 1), the upper edge of the mid regime.
+    and g increases on (0, p2 B0 (m/r - 1)), whose end, the cap, it reaches
+    at beta = B0 (m/r - 1), the upper edge of the mid regime.
+
+    In u, G(u) = coef e^{q u} - e^u - gap with gap = B0 (m/r - 1).  Where
+    G(log cap) <= 0, which happens only at that edge and up to rounding,
+    alpha* is the cap.  Otherwise the root lies below log cap and above any
+    u with coef e^{q u} <= gap / 2, where G < -gap / 2.  The root's stopping
+    rule is relative to max(|u|, 1), which bounds the relative error of
+    alpha* however far below 1 it lies; in alpha it would be an absolute
+    1e-12, no digit at all of an alpha* near 1e-24.
+
+    gap is formed as m B0 (1/r - 1/m), as the band's pasting equation forms
+    it (``abm._pasting``): at m/r - 1 near 1e-10 either form rounds to about
+    1e-6 relative, and only the same rounding keeps alpha* where the
+    solver's band vanishes.
     """
     p2 = ex.p2
-    gap = params.b0 * (m / params.r - 1.0)
-    gain_cap = p2 * gap
+    gap = m * params.b0 * (1.0 / params.r - 1.0 / m)
+    cap = p2 * gap
     q = p2 / (1.0 + p2)
     coef = (1.0 + p2) / p2 * (p2 * beta) ** (1.0 / (1.0 + p2))
 
-    def g(alpha: float) -> float:
-        return coef * alpha**q - alpha - gap
+    def g(u: float) -> float:
+        return coef * math.exp(q * u) - math.exp(u) - gap
 
-    # At tiny spreads the root sits below any fixed relative shrink; where
-    # the alpha^q term is at most half the constant, g is negative for sure.
-    lo = min(1e-12 * gain_cap, (gap / (2.0 * coef)) ** (1.0 / q))
-    hi = gain_cap * (1.0 - 1e-12)
-    g_hi = g(hi)
-    if g_hi <= 0.0 and abs(g_hi) <= 1e-9 * max(1.0, abs(g(lo))):
-        # At the upper regime edge (m -> p1 delta/(p1-1)) the threshold
-        # meets the cap itself and g(hi) is zero up to rounding.
-        return hi
-    return find_root_bracketed(g, lo, hi)
+    top = math.log(cap)
+    if g(top) <= 0.0:
+        return cap
+    bottom = min(top - 30.0, math.log(gap / (2.0 * coef)) / q)
+    return math.exp(find_root_bracketed(g, bottom, top))
 
 
 def _beta1(params: ModelParams, m: float, ex: Exponents) -> float:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -95,8 +97,34 @@ class TestRegime:
                 compared += 1
                 if ("h2" not in solved.boundaries) != (alpha >= alpha_star):
                     differ += 1
-                    assert abs(alpha - alpha_star) <= rootfind._REL_TOL * max(alpha_star, 1.0)
+                    # alpha* is a root in log alpha, to _REL_TOL max(|log alpha*|, 1).
+                    tol = rootfind._REL_TOL * max(abs(math.log(alpha_star)), 1.0) * alpha_star
+                    assert abs(alpha - alpha_star) <= tol
         assert compared >= 600
+
+    def test_threshold_is_where_the_band_vanishes(self):
+        # On markets drawn like the wide box, spreads down to m/r - 1 = 1e-10
+        # included, the solver keeps a band just below alpha* and none just
+        # above it, also where alpha* lies far below 1.  A root taken in
+        # alpha itself, to an absolute 1e-12, missed 3.2e-35 for 7.0e-24.
+        rng = np.random.default_rng(16)
+        compared = tiny = 0
+        for draw in rng.uniform((0.002, 0.002, 0.03, 0.05, -10.0), (0.1, 0.12, 0.8, 1.0, 1.5), (200, 5)):
+            r, delta, sigma, b0, u = map(float, draw)
+            params, m = ModelParams(r, delta, sigma, b0), r * (1.0 + 10.0**u)
+            alpha_star = aprm_regime(params, m).alpha_star
+            if alpha_star is None or not 1e-300 <= alpha_star < 1.0 / (1.0 + 1e-9):
+                continue
+            assert "h2" in solve_aprm(params, m, alpha_star * (1.0 - 1e-9)).boundaries, (params, m)
+            assert "h2" not in solve_aprm(params, m, alpha_star * (1.0 + 1e-9)).boundaries, (params, m)
+            compared += 1
+            tiny += alpha_star < 1e-20
+        assert compared >= 150 and tiny >= 50
+
+    def test_threshold_far_below_one(self):
+        params = ModelParams(0.003665, 0.1132, 0.2204, 0.3276)
+        alpha_star = aprm_regime(params, 0.005035).alpha_star
+        assert alpha_star == pytest.approx(7.037e-24, rel=1e-3, abs=0.0)
 
     def test_one_ulp_below_the_threshold_has_no_band(self):
         # The band equation is zero at h3 up to rounding here: the band is

@@ -426,6 +426,41 @@ class TestMonteCarlo:
         far = oracle._coupon_given_time(growing, flat, 1e307, np.array([0.0, 100.0, 1e4]))
         assert far.tolist() == [0.03, 0.03, 0.03]
 
+    def test_normal_cdf_matches_math_erfc(self):
+        # Relative accuracy matters: the coupon sum multiplies a large mean
+        # E[H_t] by a tiny Phi.  Below 1e-300 Phi only has to stay as small.
+        # Phi reaches 6e-14, most of it the rounding of x x in e^{-x x}.
+        z = np.linspace(-37.5, 8.3, 400_001)
+        reference = 0.5 * np.frompyfunc(math.erfc, 1, 1)(z * -math.sqrt(0.5)).astype(float)
+        phi = oracle._normal_cdf(z)
+        resolved = reference >= 1e-300
+        assert np.max(np.abs(phi[resolved] - reference[resolved]) / reference[resolved]) <= 1e-13
+        assert np.all(phi[~resolved] <= 1e-300)
+        z = np.linspace(-8.0, 8.0, 160_001)
+        assert np.max(np.abs(oracle._normal_cdf(z) + oracle._normal_cdf(-z) - 1.0)) <= 1e-15
+        assert oracle._normal_cdf(np.zeros(3)).tolist() == [0.5, 0.5, 0.5]
+
+    def test_normal_cdf_edges_raise_nothing(self):
+        z = np.array([[-np.inf, np.inf, np.nan], [-40.0, 40.0, -1e308]])
+        with np.errstate(all="raise"):
+            phi = oracle._normal_cdf(z)
+        assert phi.shape == z.shape
+        np.testing.assert_array_equal(phi, [[0.0, 1.0, np.nan], [0.0, 1.0, 0.0]])
+
+    @pytest.mark.parametrize("spec", [ContractSpec(kind=ContractKind.ABM, m=M0),
+                                      ContractSpec(kind=ContractKind.APRM, m=M0, alpha=0.05)],
+                             ids=["abm", "aprm"])
+    def test_held_forever_agrees_with_an_erfc_reference(self, params_low_benefit, spec, monkeypatch):
+        # The README's held-forever estimates with Phi taken from math.erfc
+        # element by element: the same draws, so only Phi's error separates them.
+        cf = no_prepay_cashflows(spec, params_low_benefit)
+        fast = mc_cashflow_value(params_low_benefit, cf, None, 1.0, 20_000, 200.0, 1)
+        erfc = np.frompyfunc(math.erfc, 1, 1)
+        monkeypatch.setattr(oracle, "_normal_cdf", lambda z: 0.5 * erfc(z * -math.sqrt(0.5)).astype(float))
+        slow = mc_cashflow_value(params_low_benefit, cf, None, 1.0, 20_000, 200.0, 1)
+        assert fast.estimate == pytest.approx(slow.estimate, rel=1e-12, abs=0.0)
+        assert fast.std_error == pytest.approx(slow.std_error, rel=1e-12, abs=0.0)
+
     def test_one_threshold_agrees_with_the_policy_oracle(self, params_low_benefit):
         # The FRM without prepayment stopped at its optimal default boundary
         # h1 and at a higher, suboptimal 0.8, and the ABM stopped on a rise to
