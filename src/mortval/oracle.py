@@ -24,16 +24,22 @@ Three routes, each built on different machinery than the solvers:
   exactly over antithetic pairs at the same kind of times: the exact
   Brownian-bridge probability that the path crossed the threshold before
   t weights the payoff there against the coupon at t (Carr's exponential
-  horizon).  Nothing is time-stepped or truncated, and nothing uses the
-  solvers' exponents.
+  horizon).  The stopped leg draws on one helper thread in the generator's
+  order, so the estimate does not depend on thread timing.  Nothing is
+  time-stepped or truncated, and nothing uses the solvers' exponents.
 
 :func:`oracle_triangle` checks one closed-form solve against all three.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -61,6 +67,13 @@ _DT = 1.0 / 52.0      # McResult.dt, nominal: no estimate takes a time step
 _TIME_STRATA = 256
 _STRATA_SLAB = 32     # strata drawn per vectorized slab; divides _TIME_STRATA
 _ROWS = 1024          # antithetic pairs per in-place pass: 256 KB per (rows, slab) buffer
+# Drawn chunks in flight when the draws run on a helper thread, which then
+# runs at most two chunks ahead.  Its chunks take _ROWS // 2 pairs, so the
+# ring's 13 buffers of 128 KB hold less than the 8 of 256 KB that drawing
+# inline takes.  (At 256 KB the 13 buffers made malloc hand the heap back
+# after every stopped estimate, ~1 200 page faults each; one core keeps full
+# chunks, as each chunk costs ~30 numpy calls.)
+_RING = 3
 _COARSE_NODES = 126   # smallest level of the nested policy-iteration solve
 # Phi for arrays (numpy has no erfc): pieces of width 1/128 in s = x / (x + 2),
 # each a polynomial of degree 6 (see ``_phi_table``); fewer pieces of higher
@@ -505,7 +518,9 @@ def mc_cashflow_value(
     at or beyond l.  So each sample adds (1 - p) c(H_T) / r + p f(L), and
     the estimate has no discretization or truncation bias.  Blocks of
     antithetic pairs have a fixed size and per-block derived seeds, so the
-    estimate does not depend on how blocks are scheduled.
+    estimate does not depend on how blocks are scheduled.  The stopped leg
+    draws on one helper thread in the generator's order, so the estimate
+    does not depend on thread timing either (see ``_integral``).
 
     ``horizon`` is still validated but not used.  An estimate is
     reproducible bit for bit from ``seed`` on one numpy build and CPU
@@ -703,6 +718,57 @@ def _held_forever(rng, params, cashflows, n_reps, h):
     return np.mean(_coupon_given_time(params, cashflows, h, t), axis=1) / params.r
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _drawn_in_order(draw, n, slots):
+    """Yield 0, ..., n - 1, each once ``draw`` has returned for it.
+
+    ``draw`` runs for 0, ..., n - 1 in that order, filling one of ``slots``
+    ring slots each.  With one slot it runs inline, just before each yield.
+    With more it runs on one helper thread that stays at most ``slots`` - 1
+    calls ahead: draw(g) starts only once the consumer has asked for the
+    value after g - ``slots``, so a slot is refilled only after its use.
+    An error in ``draw`` is raised here; closing the generator stops the
+    helper and joins it, so no thread outlives the loop.
+    """
+    if slots == 1:
+        for g in range(n):
+            draw(g)
+            yield g
+        return
+    ready, free = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def helper():
+        try:
+            for g in range(n):
+                if g >= slots and not free.get():
+                    return
+                draw(g)
+                ready.put(None)
+        except BaseException as exc:  # raised again in the consumer
+            ready.put(exc)
+
+    # The helper runs in a copy of this context, so numpy's error state is the caller's.
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(helper,), name="mortval-mc-draws")
+    thread.start()
+    try:
+        for g in range(n):
+            error = ready.get()
+            if error is not None:
+                raise error
+            yield g
+            free.put(True)
+    finally:
+        free.put(False)
+        thread.join()
+
+
 def _integral(rng, params, cashflows, bp, h, level):
     """Pair values of ``bp`` antithetic pairs stopped at the threshold ``level``.
 
@@ -715,38 +781,68 @@ def _integral(rng, params, cashflows, bp, h, level):
     well as a lower one.
 
     The strata go ``_STRATA_SLAB`` at a time: a slab's uniforms are drawn
-    into one reused buffer and turned into times in place, then its pairs
-    are taken ``_ROWS`` at a time, each chunk drawing its normals and
-    running every pass in place on buffers that stay in cache.  The
+    into one reused buffer, then its pairs are taken in chunks of rows,
+    each chunk turning its rows of uniforms into times, drawing its normals
+    and running every pass in place on buffers that stay in cache.  The
     generator fills its output in order, so the draws are those of one
     (bp, slab) array of uniforms followed by one of normals per slab, and
     each element takes the same operations in the same order, up and down
     samples evaluated together as one (2, rows, slab) stack.
+
+    The stopped leg draws on one helper thread in the generator's order,
+    so the estimate does not depend on thread timing: each chunk's times
+    and normals fill one of ``_RING`` slots, which the helper refills only
+    once this thread has evaluated the chunk there (``_drawn_in_order``).
+    With one usable CPU the draws run inline, in chunks of ``_ROWS`` rows;
+    the ring's chunks take half as many.
     """
     mu = params.r - params.delta - 0.5 * params.sigma**2
     x = math.log(h)
     ell = math.log(level)
     scale = -2.0 * (x - ell)
     stop = params.r * float(_evaluate(cashflows.payoff, level))
-    times = np.empty((bp, _STRATA_SLAB))
+    uniforms = np.empty((bp, _STRATA_SLAB))
+    upper = _TIME_STRATA - np.arange(_TIME_STRATA)  # K - k for stratum k
+    slots = _RING if _usable_cpus() > 1 else 1
+    rows = _ROWS if slots == 1 else _ROWS // 2
+    n_rows = -(-bp // rows)                    # row chunks per slab
     # Flat buffers, so a chunk's views are contiguous however many rows it has.
-    size = min(bp, _ROWS) * _STRATA_SLAB
-    z_buf, s_buf = np.empty(size), np.empty(size)
+    size = min(bp, rows) * _STRATA_SLAB
+    z_ring = np.empty((slots, size))
+    # Drawn inline, a chunk's times stay in the uniforms' buffer; the helper
+    # may draw the next slab's uniforms there first, so the ring takes them.
+    t_ring = np.empty((slots, size)) if slots > 1 else None
+    s_buf = np.empty(size)
     y_buf, e_buf, w_buf = np.empty(2 * size), np.empty(2 * size), np.empty(2 * size)
     total = np.zeros(bp)
-    for k0 in range(0, _TIME_STRATA, _STRATA_SLAB):
-        rng.random(out=times)
+
+    def chunk(g):
+        """Chunk g's first row and its views of its times and normals."""
+        r0 = g % n_rows * rows
+        shape = (min(rows, bp - r0), _STRATA_SLAB)
+        n = shape[0] * _STRATA_SLAB
+        slot = g % slots
+        t = uniforms[r0 : r0 + shape[0]] if t_ring is None else t_ring[slot, :n].reshape(shape)
+        return r0, t, z_ring[slot, :n].reshape(shape)
+
+    def draw(g):
+        if g % n_rows == 0:
+            rng.random(out=uniforms)
+        r0, t, spread = chunk(g)
+        k0 = g // n_rows * _STRATA_SLAB
         # K - k - U is exact and positive, so the top stratum's time is finite.
-        np.subtract(_TIME_STRATA - np.arange(k0, k0 + _STRATA_SLAB), times, out=times)
-        times /= _TIME_STRATA
-        np.log(times, out=times)
-        times /= -params.r
-        for r0 in range(0, bp, _ROWS):
-            t = times[r0 : r0 + _ROWS]
+        np.subtract(upper[k0 : k0 + _STRATA_SLAB], uniforms[r0 : r0 + len(t)], out=t)
+        t /= _TIME_STRATA
+        np.log(t, out=t)
+        t /= -params.r
+        rng.standard_normal(out=spread)
+
+    with contextlib.closing(_drawn_in_order(draw, n_rows * (_TIME_STRATA // _STRATA_SLAB), slots)) as drawn:
+        for g in drawn:
+            r0, t, spread = chunk(g)
             n, shape = t.size, (2, *t.shape)
-            spread, sd = z_buf[:n].reshape(t.shape), s_buf[:n].reshape(t.shape)
+            sd = s_buf[:n].reshape(t.shape)
             y, e = y_buf[: 2 * n].reshape(shape), e_buf[: 2 * n].reshape(shape)
-            rng.standard_normal(out=spread)
             np.sqrt(t, out=sd)
             sd *= params.sigma
             spread *= sd

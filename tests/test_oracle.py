@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -477,13 +479,18 @@ class TestMonteCarlo:
                 gap = abs(result.estimate - exact)
                 assert gap <= 3.0 * result.std_error, (policy, seed, gap / result.std_error)
 
-    @pytest.mark.parametrize("bp", [8192, 1808, 5000])
+    @pytest.mark.parametrize("bp", [8192, 1808, 5000, 8, 700, 1024, 1025, 2049])
     def test_integral_matches_the_slab_loop_bit_for_bit(self, params_low_benefit, bp):
         # The chunked in-place passes take the same draws and the same
         # operations per element as one (bp, slab) array per step of the
         # loop below, so the pair values agree to the bit; both sides run on
         # this CPU, whatever its SIMD kernels.  1808 and 5000 pairs end in a
         # partial row chunk, 1808 as the last block of 20 000 paths does.
+        # The others cover chunks of 1024 pairs, and the helper thread's
+        # ring of three chunks of 512: 8 pairs make each slab one chunk,
+        # 700 one or two, 1024 one or two full ones, and 1025 and 2049 end
+        # each slab in a one-row chunk, so the ring wraps across slabs at
+        # every offset.
         p, h = params_low_benefit, 1.3
 
         def slab_loop(rng, cashflows, level):
@@ -511,6 +518,48 @@ class TestMonteCarlo:
             got = oracle._integral(np.random.default_rng(2024), p, cashflows, bp, h, level)
             want = slab_loop(np.random.default_rng(2024), cashflows, level)
             assert got.tobytes() == want.tobytes(), level
+
+    @pytest.mark.parametrize("bp", [700, 1808, 2049])
+    def test_integral_same_bits_inline_and_on_a_helper_thread(self, params_low_benefit, monkeypatch, bp):
+        # One usable CPU draws inline into one slot; two or more draw on a
+        # helper thread into a ring.  The draws and each element's
+        # operations are the same, so the pair values are too.  A short
+        # switch interval interleaves the two threads finely, so a slot
+        # refilled before its chunk was evaluated would change the bits.
+        frm = ContractSpec(kind=ContractKind.FRM, m=M0)
+        cashflows, h1 = no_prepay_cashflows(frm, params_low_benefit), solve_no_prepay(params_low_benefit, frm).boundaries["h1"]
+        got = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cpus in (1, 2):
+                monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
+                got[cpus] = oracle._integral(np.random.default_rng(7), params_low_benefit, cashflows, bp, 1.3, h1).tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got[1] == got[2]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_integral_draw_error_propagates_and_joins_the_helper(self, params_low_benefit, frm_cashflows,
+                                                                 monkeypatch, cpus):
+        class FailingRng:
+            def __init__(self):
+                self.rng, self.normals = np.random.default_rng(1), 0
+
+            def random(self, out):
+                return self.rng.random(out=out)
+
+            def standard_normal(self, out):
+                self.normals += 1
+                if self.normals == 12:
+                    raise MemoryError("draw 12")
+                return self.rng.standard_normal(out=out)
+
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="draw 12"):
+            oracle._integral(FailingRng(), params_low_benefit, frm_cashflows, 2049, 1.0, 0.5)
+        assert threading.active_count() == before
 
     def test_validation(self, params_low_benefit, frm_cashflows):
         with pytest.raises(InvalidParams):
@@ -596,6 +645,16 @@ def test_scalar_cashflows_value_as_arrays_in_every_oracle(params_low_benefit):
         psor_value(params_low_benefit, bad, GridSpec(h_min=0.02, h_max=4.5, n_points=501))
     with pytest.raises(InvalidParams, match="shape"):
         mc_cashflow_value(params_low_benefit, bad, None, 1.0, 10_000, 200.0, 1)
+
+
+def test_threshold_coupon_error_leaves_no_thread_behind(params_low_benefit):
+    # The stopped leg evaluates the coupon while a helper thread draws ahead;
+    # the coupon's error propagates and the helper is joined before it does.
+    bad = PerpetualCashflows(coupon=lambda h: np.zeros(3), payoff=lambda h: 100.0, prepay_amount=lambda h: 100.0)
+    before = threading.active_count()
+    with pytest.raises(InvalidParams, match="shape"):
+        mc_cashflow_value(params_low_benefit, bad, (0.5, None), 1.0, 10_000, 200.0, 1)
+    assert threading.active_count() == before
 
 
 def _grid_box_design(n: int = 300, seed: int = 909):
