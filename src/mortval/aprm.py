@@ -14,16 +14,14 @@ decides alone whether the band exists; at alpha = 0 it is the ABM's.
 
 Three rate regimes are split by delta and m* = p1 delta / (p1 - 1): low
 (m <= delta), mid (delta < m < m*) and high (m >= m*).  Below m* the band
-vanishes for alpha at or above the sharing threshold alpha*, the root of
-
-    g(alpha; beta) = (1+p2)/p2 (p2 beta)^{1/(1+p2)} alpha^{p2/(1+p2)}
-                     - alpha - B0 (m/r - 1)
-
-on (0, p2 B0 (m/r - 1)), where beta is the magnitude of the h^{-p2}
-coefficient of the never-prepay candidate value above 1: beta1 in the low
-regime, beta2 in the mid regime.  ``aprm_regime`` reports alpha*; no solve
-reads it.  At high rates alpha* would exceed B0: every alpha < B0 keeps a
-band, and alpha >= B0 has no closed form.
+vanishes for alpha at or above the sharing threshold alpha*, where that
+pasting equation at the band edge, g(h3), changes sign.  g(h3) falls in
+alpha up to the cap p2 m B0 (1/r - 1/m), where h3 = 1, so alpha* is its
+one root below the cap, or the cap.  ``aprm_regime`` reports alpha*; no
+solve reads it.  The paper's form of alpha*, the root of a concave
+equation in alpha through the never-prepay coefficient beta, is the
+reference of tests/test_aprm.py.  At high rates alpha* would exceed B0:
+every alpha < B0 keeps a band, and alpha >= B0 has no closed form.
 """
 
 from __future__ import annotations
@@ -59,61 +57,54 @@ class AprmRegime:
     alpha_star: float | None
 
 
-def _alpha_star(params: ModelParams, m: float, beta: float, ex: Exponents) -> float:
-    """The root of g of the module docstring, taken in u = log alpha.
+def _band_edge(m: float, b0: float, r: float, alpha: float, p2: float) -> float:
+    """The band's outer edge h3 of the module docstring; inf at alpha = 0."""
+    return p2 / (1.0 + p2) * (m * b0 / alpha * (1.0 / r - 1.0 / m) + 1.0) if alpha else _abm.INF
 
-    g is concave, with g(0) = -B0 (m/r - 1) < 0 and its maximum beta - B0 (m/r - 1)
-    at alpha = p2 beta.  beta >= B0 (m/r - 1) says that the never-prepay
-    candidate above 1, m B0/r - beta h^{-p2}, is at most B0 at h = 1, which
-    holds in both regimes where beta is defined: in the low regime it is
-    the held-forever value, below (m B0/delta) h <= B0 at 1 since
-    m <= delta; in the mid regime it is the value of stopping only at or
-    below 1, at most the payoff B0 there.  So p2 beta >= p2 B0 (m/r - 1),
-    and g increases on (0, p2 B0 (m/r - 1)), whose end, the cap, it reaches
-    at beta = B0 (m/r - 1), the upper edge of the mid regime.
 
-    In u, G(u) = coef e^{q u} - e^u - gap with gap = B0 (m/r - 1).  Where
-    G(log cap) <= 0, which happens only at that edge and up to rounding,
-    alpha* is the cap.  Otherwise the root lies below log cap and above any
-    u with coef e^{q u} <= gap / 2, where G < -gap / 2.  The root's stopping
-    rule is relative to max(|u|, 1), which bounds the relative error of
-    alpha* however far below 1 it lies; in alpha it would be an absolute
-    1e-12, no digit at all of an alpha* near 1e-24.
+def _alpha_star(params: ModelParams, m: float, ex: Exponents) -> float:
+    """Where ``abm._pasting``'s g at the band edge h3 changes sign, as a root in u = log alpha.
 
-    gap is formed as m B0 (1/r - 1/m), as the band's pasting equation forms
-    it (``abm._pasting``): at m/r - 1 near 1e-10 either form rounds to about
-    1e-6 relative, and only the same rounding keeps alpha* where the
-    solver's band vanishes.
+    g(h3) is formed with ``_band_edge`` and ``abm._pasting``, as ``solve_aprm``
+    forms it, so alpha* lies where the solver's band vanishes up to the root's
+    tolerance.  With A = alpha/(m B0), G = 1/r - 1/m and q = p2/(1+p2),
+    h3 = q (G/A + 1) and g(h3) = (kink - q)(G + A) h3^{p2} - C, with
+    kink = p1/(p1-1) and C = (1/delta - 1/m) x(h3)^{1+p2} + 1/(p2 delta) free
+    of alpha.  g(h3) falls in A up to the cap A = p2 G, where h3 = 1; alpha*
+    is the cap where g(h3) >= 0 there.  Otherwise, as h3 > q G/A, g(h3) > 0
+    wherever A <= q G/2 ((kink - q) G/C)^{1/p2}, the bracket's lower end.
+    Below ``floor`` h3 leaves the float range, and ``solve_aprm`` raises at
+    every alpha: a lower end there moves up to ``floor``, and alpha* is 0.0
+    where g(h3) <= 0 already at ``floor``.  Where h3^{p2} overflows at the
+    lower end, this raises, as ``solve_aprm`` does at that alpha.  The root's
+    stopping rule is relative to max(|u|, 1), which bounds the relative error
+    of alpha* however far below 1 it lies.
     """
-    p2 = ex.p2
-    gap = m * params.b0 * (1.0 / params.r - 1.0 / m)
+    p1, p2 = ex.p1, ex.p2
+    r, delta, b0 = params.r, params.delta, params.b0
+    inv_gap = 1.0 / r - 1.0 / m
+    gap = m * b0 * inv_gap
+    q, kink = p2 / (1.0 + p2), p1 / (p1 - 1.0)
+
+    def edge(u: float) -> float:
+        alpha = math.exp(u)
+        h3 = _band_edge(m, b0, r, alpha, p2)
+        return _abm._pasting(m, r, delta, p1, p2, alpha / (m * b0), h3)[1](h3)
+
     cap = p2 * gap
-    q = p2 / (1.0 + p2)
-    coef = (1.0 + p2) / p2 * (p2 * beta) ** (1.0 / (1.0 + p2))
-
-    def g(u: float) -> float:
-        return coef * math.exp(q * u) - math.exp(u) - gap
-
     top = math.log(cap)
-    if g(top) <= 0.0:
+    g_top = edge(top)
+    if g_top >= 0.0:
         return cap
-    bottom = min(top - 30.0, math.log(gap / (2.0 * coef)) / q)
-    return math.exp(find_root_bracketed(g, bottom, top))
-
-
-def _beta1(params: ModelParams, m: float, ex: Exponents) -> float:
-    p1, p2 = ex.p1, ex.p2
-    return (p1 - 1.0) / (p2 * (p1 + p2)) * m * params.b0 / params.delta
-
-
-def _beta2(params: ModelParams, m: float, ex: Exponents) -> float:
-    p1, p2 = ex.p1, ex.p2
-    ratio = 1.0 - params.delta / m
-    return (
-        (p1 - 1.0) / (p1 + p2)
-        * m * params.b0 / params.delta
-        * (1.0 / p2 + p1 ** ((1.0 + p2) / (p1 - 1.0)) * ratio ** ((p1 + p2) / (p1 - 1.0)))
-    )
+    c = (kink - q) * (1.0 + p2) * inv_gap - g_top  # at the cap (G + A) h3^{p2} = (1 + p2) G
+    bottom = math.log(0.5 * q * gap) + math.log((kink - q) * inv_gap / c) / p2
+    # Below floor m B0 / alpha or h3 leaves the float range, and solve_aprm raises.
+    floor = max(math.log(m * b0), math.log(gap)) - _abm._LOG_MAX + 1.0
+    if bottom < floor:
+        if edge(floor) <= 0.0:
+            return 0.0
+        bottom = floor
+    return math.exp(find_root_bracketed(edge, bottom, top))
 
 
 @float_faults_unsupported
@@ -122,11 +113,10 @@ def aprm_regime(params: ModelParams, m: float) -> AprmRegime:
     m = require_positive_spread(m, params)
     ex = compute_exponents(params)
     m_star = ex.p1 * params.delta / (ex.p1 - 1.0)
-    if m <= params.delta:
-        return AprmRegime(RateRegime.LOW_RATE, m_star, _alpha_star(params, m, _beta1(params, m, ex), ex))
-    if m < m_star:
-        return AprmRegime(RateRegime.MID_RATE, m_star, _alpha_star(params, m, _beta2(params, m, ex), ex))
-    return AprmRegime(RateRegime.HIGH_RATE, m_star, None)
+    if m >= m_star:
+        return AprmRegime(RateRegime.HIGH_RATE, m_star, None)
+    regime = RateRegime.LOW_RATE if m <= params.delta else RateRegime.MID_RATE
+    return AprmRegime(regime, m_star, _alpha_star(params, m, ex))
 
 
 def solve_aprm_no_prepay(params: ModelParams, m: float) -> SolvedContract:
@@ -171,5 +161,5 @@ def solve_aprm(params: ModelParams, m: float, alpha: float) -> SolvedContract:
         )
     # The band edge h3 is explicit; the one pasting equation of ``abm`` finds
     # h2 below it, or that the band is empty, and at alpha = 0 is the ABM.
-    h3 = p2 / (1.0 + p2) * (m * b0 / alpha * (1.0 / r - 1.0 / m) + 1.0) if alpha else _abm.INF
+    h3 = _band_edge(m, b0, r, alpha, p2)
     return _build(params, m, alpha, _abm._boundaries(m, r, delta, ex, 1.0, alpha / (m * b0), h3), ex)

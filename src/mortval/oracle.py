@@ -66,13 +66,11 @@ _DT = 1.0 / 52.0      # McResult.dt, nominal: no estimate takes a time step
 # at SE 1.6e-5 to 3.1e-5.
 _TIME_STRATA = 256
 _STRATA_SLAB = 32     # strata drawn per vectorized slab; divides _TIME_STRATA
-_ROWS = 1024          # antithetic pairs per in-place pass: 256 KB per (rows, slab) buffer
-# Drawn chunks in flight when the draws run on a helper thread, which then
-# runs at most two chunks ahead.  Its chunks take _ROWS // 2 pairs, so the
-# ring's 13 buffers of 128 KB hold less than the 8 of 256 KB that drawing
-# inline takes.  (At 256 KB the 13 buffers made malloc hand the heap back
-# after every stopped estimate, ~1 200 page faults each; one core keeps full
-# chunks, as each chunk costs ~30 numpy calls.)
+_ROWS = 512           # antithetic pairs per in-place pass: 128 KB per (rows, slab) buffer
+# Chunks in flight when a helper thread draws, each with its times and normals
+# in one ring slot: the helper runs at most two chunks ahead.  (At 256 KB per
+# buffer, the 13 chunk buffers made malloc hand the heap back after every
+# stopped estimate, ~1 200 page faults each.)
 _RING = 3
 _COARSE_NODES = 126   # smallest level of the nested policy-iteration solve
 # Phi for arrays (numpy has no erfc): pieces of width 1/128 in s = x / (x + 2),
@@ -789,12 +787,12 @@ def _integral(rng, params, cashflows, bp, h, level):
     each element takes the same operations in the same order, up and down
     samples evaluated together as one (2, rows, slab) stack.
 
-    The stopped leg draws on one helper thread in the generator's order,
-    so the estimate does not depend on thread timing: each chunk's times
-    and normals fill one of ``_RING`` slots, which the helper refills only
-    once this thread has evaluated the chunk there (``_drawn_in_order``).
-    With one usable CPU the draws run inline, in chunks of ``_ROWS`` rows;
-    the ring's chunks take half as many.
+    Each chunk of ``_ROWS`` rows has its times and normals in one of
+    ``_RING`` slots.  With two or more usable CPUs one helper thread makes
+    the draws in the generator's order, so the estimate does not depend on
+    thread timing, and refills a slot only once this thread has evaluated
+    the chunk there (``_drawn_in_order``); with one they run inline, in one
+    slot.
     """
     mu = params.r - params.delta - 0.5 * params.sigma**2
     x = math.log(h)
@@ -804,26 +802,22 @@ def _integral(rng, params, cashflows, bp, h, level):
     uniforms = np.empty((bp, _STRATA_SLAB))
     upper = _TIME_STRATA - np.arange(_TIME_STRATA)  # K - k for stratum k
     slots = _RING if _usable_cpus() > 1 else 1
-    rows = _ROWS if slots == 1 else _ROWS // 2
-    n_rows = -(-bp // rows)                    # row chunks per slab
+    n_rows = -(-bp // _ROWS)                   # row chunks per slab
     # Flat buffers, so a chunk's views are contiguous however many rows it has.
-    size = min(bp, rows) * _STRATA_SLAB
-    z_ring = np.empty((slots, size))
-    # Drawn inline, a chunk's times stay in the uniforms' buffer; the helper
-    # may draw the next slab's uniforms there first, so the ring takes them.
-    t_ring = np.empty((slots, size)) if slots > 1 else None
+    # A chunk's times take a ring slot: the helper may draw the next slab's
+    # uniforms before this thread has evaluated the chunk.
+    size = min(bp, _ROWS) * _STRATA_SLAB
+    t_ring, z_ring = np.empty((slots, size)), np.empty((slots, size))
     s_buf = np.empty(size)
     y_buf, e_buf, w_buf = np.empty(2 * size), np.empty(2 * size), np.empty(2 * size)
     total = np.zeros(bp)
 
     def chunk(g):
         """Chunk g's first row and its views of its times and normals."""
-        r0 = g % n_rows * rows
-        shape = (min(rows, bp - r0), _STRATA_SLAB)
-        n = shape[0] * _STRATA_SLAB
-        slot = g % slots
-        t = uniforms[r0 : r0 + shape[0]] if t_ring is None else t_ring[slot, :n].reshape(shape)
-        return r0, t, z_ring[slot, :n].reshape(shape)
+        r0 = g % n_rows * _ROWS
+        shape = (min(_ROWS, bp - r0), _STRATA_SLAB)
+        n, slot = shape[0] * _STRATA_SLAB, g % slots
+        return r0, t_ring[slot, :n].reshape(shape), z_ring[slot, :n].reshape(shape)
 
     def draw(g):
         if g % n_rows == 0:

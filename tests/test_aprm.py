@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -30,6 +31,7 @@ from conftest import (
     check_pasting,
     stopping_values_match,
 )
+from envelope import alpha_star_table, wide_box
 
 M_MID = 0.047
 M_HIGH = 0.06
@@ -57,17 +59,35 @@ class TestRegime:
         assert high.alpha_star is None
 
     def test_threshold_is_a_root(self, params_low_benefit):
-        regime = aprm_regime(params_low_benefit, M0)
-        ex = solve_aprm_no_prepay(params_low_benefit, M0).exponents
-        p2 = ex.p2
-        beta = (ex.p1 - 1.0) / (p2 * (ex.p1 + p2)) * M0 * B0 / params_low_benefit.delta
-        a = regime.alpha_star
-        g = (
-            (1.0 + p2) / p2 * (p2 * beta) ** (1.0 / (1.0 + p2)) * a ** (p2 / (1.0 + p2))
-            - a
-            - B0 * (M0 / R0 - 1.0)
-        )
-        assert abs(g) <= 1e-10
+        # The paper's alpha* is the root on (0, p2 m B0 (1/r - 1/m)) of the concave
+        #   g(alpha; beta) = (1+p2)/p2 (p2 beta)^{1/(1+p2)} alpha^{p2/(1+p2)} - alpha - m B0 (1/r - 1/m),
+        # beta the magnitude of the h^{-p2} coefficient of the never-prepay
+        # candidate above 1: beta1 in the low regime, beta2 in the mid regime.
+        # aprm_regime takes alpha* from the pasting equation at h3 instead.
+        def g(params, m, alpha):
+            ex = solve_aprm_no_prepay(params, m).exponents
+            p1, p2, b0, delta = ex.p1, ex.p2, params.b0, params.delta
+            if m <= delta:
+                beta = (p1 - 1.0) / (p2 * (p1 + p2)) * m * b0 / delta
+            else:
+                ratio = 1.0 - delta / m
+                beta = (p1 - 1.0) / (p1 + p2) * m * b0 / delta * (
+                    1.0 / p2 + p1 ** ((1.0 + p2) / (p1 - 1.0)) * ratio ** ((p1 + p2) / (p1 - 1.0)))
+            return (
+                (1.0 + p2) / p2 * (p2 * beta) ** (1.0 / (1.0 + p2)) * alpha ** (p2 / (1.0 + p2))
+                - alpha
+                - m * b0 * (1.0 / params.r - 1.0 / m)
+            )
+
+        assert abs(g(params_low_benefit, M0, aprm_regime(params_low_benefit, M0).alpha_star)) <= 1e-10
+        regimes = collections.Counter()
+        for params, m in wide_box(200, 16):
+            regime = aprm_regime(params, m)
+            if regime.alpha_star is None or not regime.alpha_star >= 1e-300:
+                continue
+            assert g(params, m, regime.alpha_star * (1.0 - 1e-9)) < 0.0 < g(params, m, regime.alpha_star * (1.0 + 1e-9))
+            regimes[regime.regime] += 1
+        assert regimes[RateRegime.LOW_RATE] >= 50 and regimes[RateRegime.MID_RATE] >= 50, regimes
 
     def test_threshold_bounds(self, params_low_benefit):
         regime = aprm_regime(params_low_benefit, M0)
@@ -107,11 +127,8 @@ class TestRegime:
         # included, the solver keeps a band just below alpha* and none just
         # above it, also where alpha* lies far below 1.  A root taken in
         # alpha itself, to an absolute 1e-12, missed 3.2e-35 for 7.0e-24.
-        rng = np.random.default_rng(16)
         compared = tiny = 0
-        for draw in rng.uniform((0.002, 0.002, 0.03, 0.05, -10.0), (0.1, 0.12, 0.8, 1.0, 1.5), (200, 5)):
-            r, delta, sigma, b0, u = map(float, draw)
-            params, m = ModelParams(r, delta, sigma, b0), r * (1.0 + 10.0**u)
+        for params, m in wide_box(200, 16):
             alpha_star = aprm_regime(params, m).alpha_star
             if alpha_star is None or not 1e-300 <= alpha_star < 1.0 / (1.0 + 1e-9):
                 continue
@@ -125,6 +142,16 @@ class TestRegime:
         params = ModelParams(0.003665, 0.1132, 0.2204, 0.3276)
         alpha_star = aprm_regime(params, 0.005035).alpha_star
         assert alpha_star == pytest.approx(7.037e-24, rel=1e-3, abs=0.0)
+        # Here the pasting equation at h3 is still <= 0 where h3 reaches the
+        # float range, and solve_aprm raises at every smaller alpha: alpha* is 0.
+        params = ModelParams(.005889269008982001, .09659639980084105, .7692546061101556, .861308617774753)
+        assert aprm_regime(params, .005889269011237394).alpha_star == 0.0
+
+    def test_envelope_alpha_star_table(self):
+        # ``python tests/envelope.py alpha-star`` on its first 20 markets.
+        table = alpha_star_table(20)
+        assert table["band checked at alpha* (1 -+ 1e-9)"] >= 10
+        assert table["band-switch misses"] == 0 and table["UnsupportedRegime"] == 0
 
     def test_one_ulp_below_the_threshold_has_no_band(self):
         # The band equation is zero at h3 up to rounding here: the band is

@@ -223,8 +223,8 @@ def test_wide_box_returns_pasted_finite_contracts_or_typed_errors():
 # pasting equation of the APRM's band overflows (a), the band edge h3 is inf
 # at a subnormal alpha (d), h1 = (p1 ratio)^{1/(p1-1)} underflows to 0 at
 # p1 = 1.0001 (b) or to a subnormal 2.4e-320, whose pasting slope read inf,
-# at p1 = 1.0015 (e), and at sigma = .0035 beta2 and the APRM's band
-# equation overflow (c).
+# at p1 = 1.0015 (e), and at sigma = .0035 the APRM's band equation
+# overflows (c), in solve_aprm and in aprm_regime's alpha* alike.
 FLOAT_FAULTS = {
     "a": (.007036334715247404, .0004067010124769873, .01474631115168455, .0702230305639583,
           .007036334715253152, 1.4190504629790758e-218),
