@@ -73,12 +73,15 @@ def _alpha_star(params: ModelParams, m: float, ex: Exponents) -> float:
     of alpha.  g(h3) falls in A up to the cap A = p2 G, where h3 = 1; alpha*
     is the cap where g(h3) >= 0 there.  Otherwise, as h3 > q G/A, g(h3) > 0
     wherever A <= q G/2 ((kink - q) G/C)^{1/p2}, the bracket's lower end.
-    Below ``floor`` h3 leaves the float range, and ``solve_aprm`` raises at
-    every alpha: a lower end there moves up to ``floor``, and alpha* is 0.0
-    where g(h3) <= 0 already at ``floor``.  Where h3^{p2} overflows at the
-    lower end, this raises, as ``solve_aprm`` does at that alpha.  The root's
-    stopping rule is relative to max(|u|, 1), which bounds the relative error
-    of alpha* however far below 1 it lies.
+    Below ``power`` h3^{p2} passes DBL_MAX/e: there h3 > e^w with
+    w = (log DBL_MAX - 1)/p2, that is alpha < m B0 G / (e^w/q - 1).  A lower
+    end below ``power`` moves up to it where g(h3) > 0 there; otherwise the
+    root lies where g(h3) overflows, and this raises, as ``solve_aprm`` does
+    at those alpha.  Below ``floor`` h3 leaves the float range, and
+    ``solve_aprm`` raises at every alpha: a lower end there moves up to
+    ``floor``, and alpha* is 0.0 where g(h3) <= 0 already at ``floor``.  The
+    root's stopping rule is relative to max(|u|, 1), which bounds the
+    relative error of alpha* however far below 1 it lies.
     """
     p1, p2 = ex.p1, ex.p2
     r, delta, b0 = params.r, params.delta, params.b0
@@ -98,6 +101,11 @@ def _alpha_star(params: ModelParams, m: float, ex: Exponents) -> float:
         return cap
     c = (kink - q) * (1.0 + p2) * inv_gap - g_top  # at the cap (G + A) h3^{p2} = (1 + p2) G
     bottom = math.log(0.5 * q * gap) + math.log((kink - q) * inv_gap / c) / p2
+    # e^w/q - 1 = e^w (1/p2 - expm1(-w)), which neither overflows nor cancels.
+    w = (_abm._LOG_MAX - 1.0) / p2
+    power = math.log(gap) - w - math.log(1.0 / p2 - math.expm1(-w))
+    if bottom < power and edge(power) > 0.0:
+        bottom = power
     # Below floor m B0 / alpha or h3 leaves the float range, and solve_aprm raises.
     floor = max(math.log(m * b0), math.log(gap)) - _abm._LOG_MAX + 1.0
     if bottom < floor:

@@ -24,16 +24,17 @@ Three routes, each built on different machinery than the solvers:
   exactly over antithetic pairs at the same kind of times: the exact
   Brownian-bridge probability that the path crossed the threshold before
   t weights the payoff there against the coupon at t (Carr's exponential
-  horizon).  The stopped leg draws on one helper thread in the generator's
-  order, so the estimate does not depend on thread timing.  Nothing is
-  time-stepped or truncated, and nothing uses the solvers' exponents.
+  horizon).  Its pairs come in blocks, each with its own derived seed and
+  output slot, which the calling thread shares with at most one helper
+  thread, so the estimate does not depend on which thread ran a block.
+  Nothing is time-stepped or truncated, and nothing uses the solvers'
+  exponents.
 
 :func:`oracle_triangle` checks one closed-form solve against all three.
 """
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import functools
 import math
@@ -57,7 +58,10 @@ from .model import ModelParams, compute_exponents
 from .options import solve_contract, solve_no_prepay
 from .solution import checked_price
 
-_BLOCK_PAIRS = 8192   # fixed Monte Carlo block size; results do not depend on scheduling
+# Antithetic pairs per block of a stopped estimate.  Each block has its own
+# derived seed and output slot, so blocks may run on either of two threads:
+# 10 000 pairs make 10 blocks, enough to keep both busy.
+_BLOCK_PAIRS = 1024
 _DT = 1.0 / 52.0      # McResult.dt, nominal: no estimate takes a time step
 # Equal-probability strata of Exp(r) per replicate (held forever) or per
 # antithetic pair (stopped) of the Monte Carlo estimate.  At 20 000 paths 256
@@ -67,11 +71,6 @@ _DT = 1.0 / 52.0      # McResult.dt, nominal: no estimate takes a time step
 _TIME_STRATA = 256
 _STRATA_SLAB = 32     # strata drawn per vectorized slab; divides _TIME_STRATA
 _ROWS = 512           # antithetic pairs per in-place pass: 128 KB per (rows, slab) buffer
-# Chunks in flight when a helper thread draws, each with its times and normals
-# in one ring slot: the helper runs at most two chunks ahead.  (At 256 KB per
-# buffer, the 13 chunk buffers made malloc hand the heap back after every
-# stopped estimate, ~1 200 page faults each.)
-_RING = 3
 _COARSE_NODES = 126   # smallest level of the nested policy-iteration solve
 # Phi for arrays (numpy has no erfc): pieces of width 1/128 in s = x / (x + 2),
 # each a polynomial of degree 6 (see ``_phi_table``); fewer pieces of higher
@@ -514,11 +513,14 @@ def mc_cashflow_value(
     l = log L before T with probability
     p = exp(min(0, -2 (x - l)(y - l) / (sigma^2 T))), which is 1 when y is
     at or beyond l.  So each sample adds (1 - p) c(H_T) / r + p f(L), and
-    the estimate has no discretization or truncation bias.  Blocks of
-    antithetic pairs have a fixed size and per-block derived seeds, so the
-    estimate does not depend on how blocks are scheduled.  The stopped leg
-    draws on one helper thread in the generator's order, so the estimate
-    does not depend on thread timing either (see ``_integral``).
+    the estimate has no discretization or truncation bias.  The coupon is
+    read as pieces between its kinks, as held forever: one that is not
+    affine there raises ``InvalidParams``, and a constant one is never
+    evaluated along the paths (see ``_integral``).  The pairs come in
+    blocks of ``_BLOCK_PAIRS``, each with its own derived seed and output
+    slot; with two or more usable CPUs this thread and one helper thread
+    take them from one queue (``_share_blocks``), so the estimate does not
+    depend on which thread ran a block.
 
     ``horizon`` is still validated but not used.  An estimate is
     reproducible bit for bit from ``seed`` on one numpy build and CPU
@@ -552,21 +554,43 @@ def mc_cashflow_value(
                 estimate=float(_evaluate(cashflows.payoff, h)), std_error=0.0, tail_bound=0.0,
                 n_paths=n_drawn, horizon=horizon, dt=_DT, note=note,
             )
-        n_blocks = (n_pairs + _BLOCK_PAIRS - 1) // _BLOCK_PAIRS
+        flat = _flat_coupon(cashflows)
+        n_blocks = -(-n_pairs // _BLOCK_PAIRS)
         children = np.random.SeedSequence(seed).spawn(n_blocks)
         samples = np.empty(n_pairs)
-        filled = 0
-        for b in range(n_blocks):
-            bp = min(_BLOCK_PAIRS, n_pairs - filled)
+        # Both threads' buffers are rows of one ~2 MB allocation, which sets
+        # how much freed memory malloc keeps.  With a 768 KB allocation per
+        # block it kept so little that every held-forever estimate after a
+        # stopped one faulted in ~360 pages and took twice as long.
+        spaces = np.empty((2, _space_size(_BLOCK_PAIRS)))
+
+        def block(b, worker):
+            lo = b * _BLOCK_PAIRS
+            bp = min(_BLOCK_PAIRS, n_pairs - lo)
             rng = np.random.default_rng(children[b])
-            samples[filled : filled + bp] = _integral(rng, params, cashflows, bp, h, level)
-            filled += bp
+            samples[lo : lo + bp] = _integral(rng, params, cashflows, bp, h, level, flat, spaces[worker])
+
+        _share_blocks(block, n_blocks)
 
     return McResult(
         estimate=float(np.mean(samples)),
         std_error=float(np.std(samples, ddof=1) / math.sqrt(len(samples))),
         tail_bound=0.0, n_paths=n_drawn, horizon=horizon, dt=_DT, note=note,
     )
+
+
+def _coupon_pieces(cashflows):
+    """The coupon's kinks in (0, inf) and its (intercept, slope) between them,
+    from 0 to infinity (``_linear_pieces``)."""
+    kinks = sorted({k for k in cashflows.kinks if 0.0 < k < math.inf})
+    return kinks, _linear_pieces(cashflows, [0.0, *kinks, math.inf])
+
+
+def _flat_coupon(cashflows) -> float | None:
+    """The coupon if it is one constant at every price, else None."""
+    _, pieces = _coupon_pieces(cashflows)
+    c = pieces[0][0]
+    return c if all(piece == (c, 0.0) for piece in pieces) else None
 
 
 def _coupon_given_time(params, cashflows, h, t):
@@ -583,8 +607,7 @@ def _coupon_given_time(params, cashflows, h, t):
     ``math.erfc``.  A coefficient that is zero adds no term, so a flat coupon
     never meets an overflowed F, and a time of 0 takes c(h) itself.
     """
-    kinks = sorted({k for k in cashflows.kinks if 0.0 < k < math.inf})
-    pieces = _linear_pieces(cashflows, [0.0, *kinks, math.inf])
+    kinks, pieces = _coupon_pieces(cashflows)
     r, sigma = params.r, params.sigma
     mu = r - params.delta - 0.5 * sigma**2
     x = math.log(h)
@@ -724,139 +747,132 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _drawn_in_order(draw, n, slots):
-    """Yield 0, ..., n - 1, each once ``draw`` has returned for it.
+def _share_blocks(run, n_blocks):
+    """Call ``run(b, worker)`` once for each b in 0, ..., n_blocks - 1.
 
-    ``draw`` runs for 0, ..., n - 1 in that order, filling one of ``slots``
-    ring slots each.  With one slot it runs inline, just before each yield.
-    With more it runs on one helper thread that stays at most ``slots`` - 1
-    calls ahead: draw(g) starts only once the consumer has asked for the
-    value after g - ``slots``, so a slot is refilled only after its use.
-    An error in ``draw`` is raised here; closing the generator stops the
-    helper and joins it, so no thread outlives the loop.
+    This thread (worker 0) and, with two or more usable CPUs and blocks,
+    one helper thread (worker 1) take the block indices from one queue;
+    ``run`` must write only block b's own output, so the result does not
+    depend on which thread took a block.  After an error neither side starts another block; the
+    helper is joined before this returns or raises, and its error is raised
+    here.  The helper runs in a copy of this context, so numpy's error
+    state is the caller's.
     """
-    if slots == 1:
-        for g in range(n):
-            draw(g)
-            yield g
-        return
-    ready, free = queue.SimpleQueue(), queue.SimpleQueue()
+    blocks = queue.SimpleQueue()
+    for b in range(n_blocks):
+        blocks.put(b)
+    errors = []
 
-    def helper():
+    def work(worker):
         try:
-            for g in range(n):
-                if g >= slots and not free.get():
+            while not errors:
+                try:
+                    b = blocks.get_nowait()
+                except queue.Empty:
                     return
-                draw(g)
-                ready.put(None)
-        except BaseException as exc:  # raised again in the consumer
-            ready.put(exc)
+                run(b, worker)
+        except BaseException as exc:  # raised again below, in the caller
+            errors.append(exc)
 
-    # The helper runs in a copy of this context, so numpy's error state is the caller's.
-    thread = threading.Thread(target=contextvars.copy_context().run, args=(helper,), name="mortval-mc-draws")
-    thread.start()
-    try:
-        for g in range(n):
-            error = ready.get()
-            if error is not None:
-                raise error
-            yield g
-            free.put(True)
-    finally:
-        free.put(False)
-        thread.join()
+    if n_blocks > 1 and _usable_cpus() > 1:
+        thread = threading.Thread(target=contextvars.copy_context().run, args=(work, 1), name="mortval-mc-blocks")
+        thread.start()
+        try:
+            work(0)
+        finally:
+            thread.join()
+    else:
+        work(0)
+    if errors:
+        raise errors[0]
 
 
-def _integral(rng, params, cashflows, bp, h, level):
+def _space_size(bp: int) -> int:
+    """Floats of the buffers ``_integral`` takes for ``bp`` pairs."""
+    return bp * _STRATA_SLAB + 6 * min(bp, _ROWS) * _STRATA_SLAB
+
+
+def _integral(rng, params, cashflows, bp, h, level, flat, space):
     """Pair values of ``bp`` antithetic pairs stopped at the threshold ``level``.
 
     A pair's value is (1 / (2 K r)) sum_k [g(y_k^+) + g(y_k^-)] over its K
     strata, with t_k = -log(1 - (k + U_k) / K) / r,
-    y_k^+- = log h + mu t_k +- sigma sqrt(t_k) Z_k and
-    g(y) = c(e^y) + p (r f(L) - c(e^y)), p the bridge's crossing probability
-    of the threshold L.  (x - l)(y - l) keeps its value when all three
-    log-prices change sign, so one expression serves an upper threshold as
-    well as a lower one.
+    y_k^+- = x + mu t_k +- sigma sqrt(t_k) Z_k, x = log h, and
+    g(y) = c(e^y) + p (r f(L) - c(e^y)), p = exp(min(0, e)) the bridge's
+    crossing probability of the threshold L = e^l.  Its exponent
+    e = -2 (x - l)(y - l) / (sigma^2 t) is formed as
+    a ((x - l) / t + mu) +- a sigma Z / sqrt(t), with a = -2 (x - l) / sigma^2.
+    (x - l)(y - l) keeps its value when all three log-prices change sign,
+    so one expression serves an upper threshold as well as a lower one.
+
+    ``flat`` is the coupon when it is one constant c (see ``_flat_coupon``),
+    else None.  A flat coupon forms no e^y: a row's samples in a slab of
+    K_s strata sum to 2 K_s c + (r f(L) - c) sum (p^+ + p^-).  Otherwise
+    y = l + e t / a, before the clamp, and the coupon is evaluated at e^y.
 
     The strata go ``_STRATA_SLAB`` at a time: a slab's uniforms are drawn
-    into one reused buffer, then its pairs are taken in chunks of rows,
-    each chunk turning its rows of uniforms into times, drawing its normals
-    and running every pass in place on buffers that stay in cache.  The
-    generator fills its output in order, so the draws are those of one
-    (bp, slab) array of uniforms followed by one of normals per slab, and
-    each element takes the same operations in the same order, up and down
-    samples evaluated together as one (2, rows, slab) stack.
-
-    Each chunk of ``_ROWS`` rows has its times and normals in one of
-    ``_RING`` slots.  With two or more usable CPUs one helper thread makes
-    the draws in the generator's order, so the estimate does not depend on
-    thread timing, and refills a slot only once this thread has evaluated
-    the chunk there (``_drawn_in_order``); with one they run inline, in one
-    slot.
+    into one reused buffer, a view of ``space`` as all buffers are (at least
+    ``_space_size(bp)`` floats), then its pairs are taken in chunks of
+    ``_ROWS`` rows, each chunk turning its rows of uniforms into times in
+    place, drawing its normals and running every pass in place on buffers
+    that stay in cache.  The generator fills its output in order, so the
+    draws are those of one (bp, slab) array of uniforms followed by one of
+    normals per slab, and each element takes the same operations in the
+    same order, up and down samples evaluated together as one
+    (2, rows, slab) stack.
     """
-    mu = params.r - params.delta - 0.5 * params.sigma**2
-    x = math.log(h)
+    sigma, r = params.sigma, params.r
+    mu = r - params.delta - 0.5 * sigma**2
     ell = math.log(level)
-    scale = -2.0 * (x - ell)
-    stop = params.r * float(_evaluate(cashflows.payoff, level))
-    uniforms = np.empty((bp, _STRATA_SLAB))
+    dist = math.log(h) - ell                       # x - l
+    a = -2.0 * dist / sigma**2
+    stop = r * float(_evaluate(cashflows.payoff, level))
     upper = _TIME_STRATA - np.arange(_TIME_STRATA)  # K - k for stratum k
-    slots = _RING if _usable_cpus() > 1 else 1
-    n_rows = -(-bp // _ROWS)                   # row chunks per slab
-    # Flat buffers, so a chunk's views are contiguous however many rows it has.
-    # A chunk's times take a ring slot: the helper may draw the next slab's
-    # uniforms before this thread has evaluated the chunk.
+    # The chunk buffers are flat, so a chunk's views are contiguous however
+    # many rows it has.
     size = min(bp, _ROWS) * _STRATA_SLAB
-    t_ring, z_ring = np.empty((slots, size)), np.empty((slots, size))
-    s_buf = np.empty(size)
-    y_buf, e_buf, w_buf = np.empty(2 * size), np.empty(2 * size), np.empty(2 * size)
+    uniforms = space[: bp * _STRATA_SLAB].reshape(bp, _STRATA_SLAB)
+    z_buf, q_buf, e_buf, y_buf = np.split(space[bp * _STRATA_SLAB : _space_size(bp)], [size, 2 * size, 4 * size])
     total = np.zeros(bp)
-
-    def chunk(g):
-        """Chunk g's first row and its views of its times and normals."""
-        r0 = g % n_rows * _ROWS
-        shape = (min(_ROWS, bp - r0), _STRATA_SLAB)
-        n, slot = shape[0] * _STRATA_SLAB, g % slots
-        return r0, t_ring[slot, :n].reshape(shape), z_ring[slot, :n].reshape(shape)
-
-    def draw(g):
-        if g % n_rows == 0:
-            rng.random(out=uniforms)
-        r0, t, spread = chunk(g)
-        k0 = g // n_rows * _STRATA_SLAB
-        # K - k - U is exact and positive, so the top stratum's time is finite.
-        np.subtract(upper[k0 : k0 + _STRATA_SLAB], uniforms[r0 : r0 + len(t)], out=t)
-        t /= _TIME_STRATA
-        np.log(t, out=t)
-        t /= -params.r
-        rng.standard_normal(out=spread)
-
-    with contextlib.closing(_drawn_in_order(draw, n_rows * (_TIME_STRATA // _STRATA_SLAB), slots)) as drawn:
-        for g in drawn:
-            r0, t, spread = chunk(g)
+    for k0 in range(0, _TIME_STRATA, _STRATA_SLAB):
+        rng.random(out=uniforms)
+        for r0 in range(0, bp, _ROWS):
+            t = uniforms[r0 : r0 + _ROWS]
             n, shape = t.size, (2, *t.shape)
-            sd = s_buf[:n].reshape(t.shape)
-            y, e = y_buf[: 2 * n].reshape(shape), e_buf[: 2 * n].reshape(shape)
-            np.sqrt(t, out=sd)
-            sd *= params.sigma
-            spread *= sd
-            np.multiply(mu, t, out=y[0])
-            y[0] += x                               # the centre, x + mu t
-            np.subtract(y[0], spread, out=y[1])
-            y[0] += spread
-            c = _evaluate(cashflows.coupon, np.exp(y, out=e))
-            y -= ell
-            y *= scale
-            np.multiply(params.sigma**2, t, out=sd)
-            y /= sd
-            np.minimum(y, 0.0, out=y)
-            p = np.exp(y, out=y)
-            w = np.subtract(stop, c, out=w_buf[: 2 * n].reshape(shape))
-            w *= p
-            c = np.add(c, w, out=w)                 # c + p (stop - c)
-            np.add(c[0], c[1], out=spread)         # the normals' buffer takes the pair sums
-            total[r0 : r0 + len(t)] += np.sum(spread, axis=1)
-    return total / (2 * _TIME_STRATA * params.r)
+            z, q = z_buf[:n].reshape(t.shape), q_buf[:n].reshape(t.shape)
+            e = e_buf[: 2 * n].reshape(shape)
+            # K - k - U is exact and positive, so the top stratum's time is finite.
+            np.subtract(upper[k0 : k0 + _STRATA_SLAB], t, out=t)
+            t /= _TIME_STRATA
+            np.log(t, out=t)
+            t /= -r
+            rng.standard_normal(out=z)
+            np.sqrt(t, out=q)
+            np.divide(a * sigma, q, out=q)
+            z *= q                                  # a sigma Z / sqrt(t)
+            np.divide(a * dist, t, out=e[1])
+            e[1] += a * mu                          # a ((x - l) / t + mu)
+            np.add(e[1], z, out=e[0])
+            e[1] -= z
+            if flat is None:
+                y = y_buf[: 2 * n].reshape(shape)
+                np.multiply(e, np.divide(t, a, out=q), out=y)
+                y += ell
+                c = _evaluate(cashflows.coupon, np.exp(y, out=y))
+            np.minimum(e, 0.0, out=e)
+            p = np.exp(e, out=e)
+            if flat is None:
+                # The coupon may return its argument, y, so its sums come first.
+                held = np.sum(np.add(c[0], c[1], out=z), axis=1)
+                p = np.multiply(p, np.subtract(stop, c, out=y), out=y)   # p (stop - c)
+            pairs = np.sum(np.add(p[0], p[1], out=z), axis=1)
+            if flat is None:
+                pairs += held
+            else:
+                pairs *= stop - flat
+                pairs += 2 * _STRATA_SLAB * flat
+            total[r0 : r0 + len(t)] += pairs
+    return total / (2 * _TIME_STRATA * r)
 
 
 # Gates of the oracle triangle; Monte Carlo passes within max(3 SE, MC_TOL_FLOOR).

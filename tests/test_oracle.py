@@ -485,56 +485,101 @@ class TestMonteCarlo:
         # operations per element as one (bp, slab) array per step of the
         # loop below, so the pair values agree to the bit; both sides run on
         # this CPU, whatever its SIMD kernels.  1808 and 5000 pairs end in a
-        # partial row chunk, 1808 as the last block of 20 000 paths does.
-        # The others cover chunks of 1024 pairs, and the helper thread's
-        # ring of three chunks of 512: 8 pairs make each slab one chunk,
-        # 700 one or two, 1024 one or two full ones, and 1025 and 2049 end
-        # each slab in a one-row chunk, so the ring wraps across slabs at
-        # every offset.
+        # partial row chunk; 8 pairs make each slab one short chunk, 700 one
+        # full chunk and a short one, 1024 two full ones (a whole block), and
+        # 1025 and 2049 end each slab in a one-row chunk.  The FRM's flat
+        # coupon takes the path without e^y, the ABM's kinked one the other.
         p, h = params_low_benefit, 1.3
 
-        def slab_loop(rng, cashflows, level):
-            mu, x, K = p.r - p.delta - 0.5 * p.sigma**2, math.log(h), oracle._TIME_STRATA
+        def slab_loop(rng, cashflows, level, flat):
+            mu, x, K, S = p.r - p.delta - 0.5 * p.sigma**2, math.log(h), oracle._TIME_STRATA, oracle._STRATA_SLAB
+            ell = math.log(level)
+            dist = x - ell
+            a = -2.0 * dist / p.sigma**2
+            stop = p.r * float(cashflows.payoff(level))
             total = np.zeros(bp)
-            for k0 in range(0, K, oracle._STRATA_SLAB):
-                u = rng.random((bp, oracle._STRATA_SLAB))
-                t = np.log((K - np.arange(k0, k0 + oracle._STRATA_SLAB) - u) / K) / -p.r
-                spread = rng.standard_normal((bp, oracle._STRATA_SLAB)) * (p.sigma * np.sqrt(t))
-                centre = x + mu * t
-                y_up, y_down = centre + spread, centre - spread
-                c_up, c_down = cashflows.coupon(np.exp(y_up)), cashflows.coupon(np.exp(y_down))
-                if level is not None:
-                    ell, stop = math.log(level), p.r * float(cashflows.payoff(level))
-                    p_up, p_down = (np.exp(np.minimum(-2.0 * (x - ell) * (y - ell) / (p.sigma**2 * t), 0.0))
-                                    for y in (y_up, y_down))
-                    c_up, c_down = c_up + p_up * (stop - c_up), c_down + p_down * (stop - c_down)
-                total += np.sum(c_up + c_down, axis=1)
+            for k0 in range(0, K, S):
+                u = rng.random((bp, S))
+                t = np.log((K - np.arange(k0, k0 + S) - u) / K) / -p.r
+                z = rng.standard_normal((bp, S)) * (a * p.sigma / np.sqrt(t))
+                centre = a * dist / t + a * mu
+                e = np.stack((centre + z, centre - z))
+                if flat is None:
+                    c = cashflows.coupon(np.exp(e * (t / a) + ell))
+                prob = np.exp(np.minimum(e, 0.0))
+                if flat is None:
+                    w = prob * (stop - c)
+                    total += np.sum(w[0] + w[1], axis=1) + np.sum(c[0] + c[1], axis=1)
+                else:
+                    total += np.sum(prob[0] + prob[1], axis=1) * (stop - flat) + 2 * S * flat
             return total / (2 * K * p.r)
 
         frm = ContractSpec(kind=ContractKind.FRM, m=M0)
         abm = perpetual_cashflows(ContractSpec(kind=ContractKind.ABM, m=M0), p)
         h1 = solve_no_prepay(p, frm).boundaries["h1"]
         for cashflows, level in ((no_prepay_cashflows(frm, p), h1), (abm, 1.5)):
-            got = oracle._integral(np.random.default_rng(2024), p, cashflows, bp, h, level)
-            want = slab_loop(np.random.default_rng(2024), cashflows, level)
+            flat = oracle._flat_coupon(cashflows)
+            assert (flat is None) == (cashflows is abm)
+            got = oracle._integral(np.random.default_rng(2024), p, cashflows, bp, h, level, flat,
+                                  np.empty(oracle._space_size(bp)))
+            want = slab_loop(np.random.default_rng(2024), cashflows, level, flat)
             assert got.tobytes() == want.tobytes(), level
 
-    @pytest.mark.parametrize("bp", [700, 1808, 2049])
-    def test_integral_same_bits_inline_and_on_a_helper_thread(self, params_low_benefit, monkeypatch, bp):
-        # One usable CPU draws inline into one slot; two or more draw on a
-        # helper thread into a ring.  The draws and each element's
-        # operations are the same, so the pair values are too.  A short
-        # switch interval interleaves the two threads finely, so a slot
-        # refilled before its chunk was evaluated would change the bits.
+    def test_integral_agrees_with_the_paper_form(self, params_low_benefit):
+        # On the same draws, the pair values of the paper's form of each
+        # sample, c + p (stop - c) with p = exp(min(0, -2 (x - l)(y - l) / (sigma^2 t)))
+        # and y = x + mu t +- sigma sqrt(t) Z, agree with the leg's to rounding.
+        p, h, bp = params_low_benefit, 1.3, 1808
+
+        def paper_form(rng, cashflows, level):
+            mu, x, K, S = p.r - p.delta - 0.5 * p.sigma**2, math.log(h), oracle._TIME_STRATA, oracle._STRATA_SLAB
+            ell, stop = math.log(level), p.r * float(cashflows.payoff(level))
+            total = np.zeros(bp)
+            for k0 in range(0, K, S):
+                u = rng.random((bp, S))
+                t = np.log((K - np.arange(k0, k0 + S) - u) / K) / -p.r
+                spread = rng.standard_normal((bp, S)) * (p.sigma * np.sqrt(t))
+                for y in (x + mu * t + spread, x + mu * t - spread):
+                    c = cashflows.coupon(np.exp(y))
+                    prob = np.exp(np.minimum(-2.0 * (x - ell) * (y - ell) / (p.sigma**2 * t), 0.0))
+                    total += np.sum(c + prob * (stop - c), axis=1)
+            return total / (2 * K * p.r)
+
+        frm = ContractSpec(kind=ContractKind.FRM, m=M0)
+        abm = perpetual_cashflows(ContractSpec(kind=ContractKind.ABM, m=M0), p)
+        h1 = solve_no_prepay(p, frm).boundaries["h1"]
+        for cashflows, level in ((no_prepay_cashflows(frm, p), h1), (abm, 1.5)):
+            flat = oracle._flat_coupon(cashflows)
+            got = oracle._integral(np.random.default_rng(11), p, cashflows, bp, h, level, flat,
+                                  np.empty(oracle._space_size(bp)))
+            want = paper_form(np.random.default_rng(11), cashflows, level)
+            assert np.max(np.abs(got / want - 1.0)) <= 1e-14, level
+
+    @pytest.mark.parametrize("n_paths", [10_000, 20_000])
+    def test_integral_same_bits_on_one_and_two_cpus(self, params_low_benefit, monkeypatch, n_paths):
+        # One usable CPU runs every block on this thread; two share them
+        # with a helper thread.  Each block has its own seed and output
+        # slot, so the estimate is the same whichever thread took a block.
+        # A short switch interval interleaves the two threads finely.
         frm = ContractSpec(kind=ContractKind.FRM, m=M0)
         cashflows, h1 = no_prepay_cashflows(frm, params_low_benefit), solve_no_prepay(params_low_benefit, frm).boundaries["h1"]
+        real, threads = oracle._integral, set()
+
+        def integral(*args):
+            threads.add(threading.current_thread())
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "_integral", integral)
         got = {}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for cpus in (1, 2):
                 monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
-                got[cpus] = oracle._integral(np.random.default_rng(7), params_low_benefit, cashflows, bp, 1.3, h1).tobytes()
+                result = mc_cashflow_value(params_low_benefit, cashflows, (h1, None), 1.3, n_paths, 200.0, 7)
+                got[cpus] = (result.estimate, result.std_error)
+                if cpus == 1:
+                    assert threads == {threading.main_thread()}
         finally:
             sys.setswitchinterval(interval)
         assert got[1] == got[2]
@@ -542,24 +587,52 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_integral_draw_error_propagates_and_joins_the_helper(self, params_low_benefit, frm_cashflows,
                                                                  monkeypatch, cpus):
+        # A block's first normal draw fails: the error reaches the caller,
+        # no thread starts another block, and with two usable CPUs the
+        # helper is joined before the caller raises, whichever side failed.
+        # There a block on the caller waits until the helper has entered
+        # one, so both sides take a block; as one fails at its start and the
+        # other's block runs to its end, each side runs only that one.
         class FailingRng:
-            def __init__(self):
-                self.rng, self.normals = np.random.default_rng(1), 0
+            def __init__(self, rng):
+                self.rng = rng
 
             def random(self, out):
                 return self.rng.random(out=out)
 
             def standard_normal(self, out):
-                self.normals += 1
-                if self.normals == 12:
-                    raise MemoryError("draw 12")
-                return self.rng.standard_normal(out=out)
+                raise MemoryError("first normal draw")
 
         monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
-        before = threading.active_count()
-        with pytest.raises(MemoryError, match="draw 12"):
-            oracle._integral(FailingRng(), params_low_benefit, frm_cashflows, 2049, 1.0, 0.5)
-        assert threading.active_count() == before
+        real = oracle._integral
+        for side in ("caller",) if cpus == 1 else ("helper", "caller"):
+            helper_in, calls = threading.Event(), []
+
+            def integral(rng, *args):
+                calls.append(None)
+                on_caller = threading.current_thread() is threading.main_thread()
+                if not on_caller:
+                    helper_in.set()
+                elif cpus == 2 and not helper_in.wait(10.0):
+                    raise AssertionError("the helper took no block")
+                return real(FailingRng(rng) if on_caller == (side == "caller") else rng, *args)
+
+            monkeypatch.setattr(oracle, "_integral", integral)
+            before = threading.active_count()
+            with pytest.raises(MemoryError, match="first normal draw"):
+                mc_cashflow_value(params_low_benefit, frm_cashflows, (0.5, None), 1.0, 10_000, 200.0, 1)
+            assert threading.active_count() == before
+            assert len(calls) <= cpus, side
+
+    def test_coupon_that_is_not_affine_between_kinks_is_refused(self, params_low_benefit):
+        # Both legs read the coupon's pieces between its kinks, as the grid
+        # and the policy oracle do, so a coupon off its pieces is refused
+        # held forever and stopped alike.
+        cf = PerpetualCashflows(coupon=lambda h: 0.03 * np.sqrt(np.asarray(h, dtype=float)),
+                                payoff=identity, prepay_amount=identity, kinks=())
+        for policy in (None, (0.5, None), (None, 1.5)):
+            with pytest.raises(InvalidParams, match="not affine"):
+                mc_cashflow_value(params_low_benefit, cf, policy, 1.0, 10_000, 200.0, 1)
 
     def test_validation(self, params_low_benefit, frm_cashflows):
         with pytest.raises(InvalidParams):
@@ -648,8 +721,8 @@ def test_scalar_cashflows_value_as_arrays_in_every_oracle(params_low_benefit):
 
 
 def test_threshold_coupon_error_leaves_no_thread_behind(params_low_benefit):
-    # The stopped leg evaluates the coupon while a helper thread draws ahead;
-    # the coupon's error propagates and the helper is joined before it does.
+    # The stopped leg reads the coupon's pieces before any block starts, so
+    # a coupon of the wrong shape raises before a helper thread exists.
     bad = PerpetualCashflows(coupon=lambda h: np.zeros(3), payoff=lambda h: 100.0, prepay_amount=lambda h: 100.0)
     before = threading.active_count()
     with pytest.raises(InvalidParams, match="shape"):

@@ -224,7 +224,7 @@ def test_wide_box_returns_pasted_finite_contracts_or_typed_errors():
 # at a subnormal alpha (d), h1 = (p1 ratio)^{1/(p1-1)} underflows to 0 at
 # p1 = 1.0001 (b) or to a subnormal 2.4e-320, whose pasting slope read inf,
 # at p1 = 1.0015 (e), and at sigma = .0035 the APRM's band equation
-# overflows (c), in solve_aprm and in aprm_regime's alpha* alike.
+# overflows in solve_aprm (c), though aprm_regime's alpha* there is finite.
 FLOAT_FAULTS = {
     "a": (.007036334715247404, .0004067010124769873, .01474631115168455, .0702230305639583,
           .007036334715253152, 1.4190504629790758e-218),
@@ -239,7 +239,7 @@ FLOAT_FAULTS = {
 
 
 @pytest.mark.parametrize("market, solve", [
-    ("a", "aprm"), ("b", "aprm"), ("c", "aprm"), ("c", "regime"), ("d", "aprm"), ("e", "aprm"),
+    ("a", "aprm"), ("b", "aprm"), ("c", "aprm"), ("d", "aprm"), ("e", "aprm"),
 ])
 def test_float_range_faults_raise_unsupported_regime(market, solve):
     r, delta, sigma, b0, m, alpha = FLOAT_FAULTS[market]
@@ -248,6 +248,18 @@ def test_float_range_faults_raise_unsupported_regime(market, solve):
             "regime": lambda: aprm_regime(params, m)}[solve]
     with pytest.raises(UnsupportedRegime, match="float range"):
         call()
+
+
+def test_alpha_star_where_the_band_edge_power_nears_the_float_range():
+    # At market (c), p2 is about 2 809, so h3^{p2} overflows once h3 passes
+    # about 1.29; alpha*'s bracket starts above that, where g(h3) is finite,
+    # and the band switches off at alpha* as it does elsewhere.
+    r, delta, sigma, b0, m, _ = FLOAT_FAULTS["c"]
+    params = ModelParams(r, delta, sigma, b0)
+    alpha_star = aprm_regime(params, m).alpha_star
+    assert alpha_star == pytest.approx(4.0179e-11, rel=1e-4)
+    assert "h2" in solve_aprm(params, m, alpha_star * (1.0 - 1e-9)).boundaries
+    assert "h2" not in solve_aprm(params, m, alpha_star * (1.0 + 1e-9)).boundaries
 
 
 def test_abm_pastes_where_its_pasting_equation_overflows_in_y():
