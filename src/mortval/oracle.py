@@ -25,8 +25,9 @@ Three routes, each built on different machinery than the solvers:
   Brownian-bridge probability that the path crossed the threshold before
   t weights the payoff there against the coupon at t (Carr's exponential
   horizon).  Its pairs come in blocks, each with its own derived seed and
-  output slot, which the calling thread shares with at most one helper
-  thread, so the estimate does not depend on which thread ran a block.
+  output slot and each sampled whole, one slab of strata at a time.  The
+  calling thread shares the blocks with at most one helper thread, so the
+  estimate does not depend on which thread ran a block.
   Nothing is time-stepped or truncated, and nothing uses the solvers'
   exponents.
 
@@ -60,7 +61,9 @@ from .solution import checked_price
 
 # Antithetic pairs per block of a stopped estimate.  Each block has its own
 # derived seed and output slot, so blocks may run on either of two threads:
-# 10 000 pairs make 10 blocks, enough to keep both busy.
+# 10 000 pairs make 10 blocks, enough to keep both busy.  Another size draws
+# other numbers and so changes every stopped estimate.  A block's seven
+# (block, slab) buffers take 1.8 MB per thread.
 _BLOCK_PAIRS = 1024
 _DT = 1.0 / 52.0      # McResult.dt, nominal: no estimate takes a time step
 # Equal-probability strata of Exp(r) per replicate (held forever) or per
@@ -70,7 +73,6 @@ _DT = 1.0 / 52.0      # McResult.dt, nominal: no estimate takes a time step
 # at SE 1.6e-5 to 3.1e-5.
 _TIME_STRATA = 256
 _STRATA_SLAB = 32     # strata drawn per vectorized slab; divides _TIME_STRATA
-_ROWS = 512           # antithetic pairs per in-place pass: 128 KB per (rows, slab) buffer
 _COARSE_NODES = 126   # smallest level of the nested policy-iteration solve
 # Phi for arrays (numpy has no erfc): pieces of width 1/128 in s = x / (x + 2),
 # each a polynomial of degree 6 (see ``_phi_table``); fewer pieces of higher
@@ -89,8 +91,8 @@ class GridSpec:
     n_points: int = 2001
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.h_min < self.h_max):
-            raise InvalidParams(f"need 0 < h_min < h_max, got [{self.h_min}, {self.h_max}]")
+        if not (0.0 < self.h_min < self.h_max < math.inf):
+            raise InvalidParams(f"the grid window needs 0 < h_min < h_max < inf, got [{self.h_min}, {self.h_max}]")
         if self.n_points < 101:
             raise InvalidParams(f"n_points must be at least 101, got {self.n_points}")
 
@@ -359,8 +361,9 @@ def _linear_pieces(
 
 
 def _check_thresholds(lower: float | None, upper: float | None) -> None:
-    if lower is not None and lower <= 0.0:
-        raise InvalidThresholds(f"lower threshold must be positive, got {lower}")
+    for side, x in (("lower", lower), ("upper", upper)):
+        if x is not None and not 0.0 < x < math.inf:
+            raise InvalidThresholds(f"{side} threshold must be positive and finite, got {x}")
     if lower is not None and upper is not None and not lower < upper:
         raise InvalidThresholds(f"need lower < upper, got ({lower}, {upper})")
 
@@ -381,9 +384,10 @@ def threshold_policy_value(
     coefficients follow from a small linear system with value and slope
     matching at the coupon kinks.  Nothing here depends on the closed-form
     solvers, so agreement with them at their own boundaries is a genuine
-    cross-check.  A coupon that is not affine between the kinks raises
-    ``InvalidParams``, and a power of a threshold past the float range
-    ``UnsupportedRegime``.
+    cross-check.  A threshold that is not positive and finite, or
+    lower >= upper, raises ``InvalidThresholds``; a coupon that is not affine
+    between the kinks ``InvalidParams``; and a power of a threshold past the
+    float range ``UnsupportedRegime``.
     """
     lower, upper = thresholds
     _check_thresholds(lower, upper)
@@ -487,7 +491,8 @@ def mc_cashflow_value(
 
     ``policy`` is None or (None, None) to never stop, (lower, None) to stop
     at the first fall to ``lower``, or (None, upper) to stop at the first
-    rise to ``upper``; two finite thresholds raise ``InvalidThresholds``.
+    rise to ``upper``; two thresholds, or one that is not positive and
+    finite, raise ``InvalidThresholds``.
     Coupons accrue until the stop, which pays the payoff at the threshold.
     A run started at or beyond its threshold pays the payoff with no
     sampling.
@@ -518,9 +523,10 @@ def mc_cashflow_value(
     affine there raises ``InvalidParams``, and a constant one is never
     evaluated along the paths (see ``_integral``).  The pairs come in
     blocks of ``_BLOCK_PAIRS``, each with its own derived seed and output
-    slot; with two or more usable CPUs this thread and one helper thread
-    take them from one queue (``_share_blocks``), so the estimate does not
-    depend on which thread ran a block.
+    slot and each sampled whole, a slab of strata at a time; with two or
+    more usable CPUs this thread and one helper thread take them from one
+    queue (``_share_blocks``), so the estimate does not depend on which
+    thread ran a block.
 
     ``horizon`` is still validated but not used.  An estimate is
     reproducible bit for bit from ``seed`` on one numpy build and CPU
@@ -558,11 +564,11 @@ def mc_cashflow_value(
         n_blocks = -(-n_pairs // _BLOCK_PAIRS)
         children = np.random.SeedSequence(seed).spawn(n_blocks)
         samples = np.empty(n_pairs)
-        # Both threads' buffers are rows of one ~2 MB allocation, which sets
+        # Both threads' buffers are rows of one ~3.7 MB allocation, which sets
         # how much freed memory malloc keeps.  With a 768 KB allocation per
         # block it kept so little that every held-forever estimate after a
         # stopped one faulted in ~360 pages and took twice as long.
-        spaces = np.empty((2, _space_size(_BLOCK_PAIRS)))
+        spaces = np.empty((2, 7 * _BLOCK_PAIRS * _STRATA_SLAB))
 
         def block(b, worker):
             lo = b * _BLOCK_PAIRS
@@ -787,11 +793,6 @@ def _share_blocks(run, n_blocks):
         raise errors[0]
 
 
-def _space_size(bp: int) -> int:
-    """Floats of the buffers ``_integral`` takes for ``bp`` pairs."""
-    return bp * _STRATA_SLAB + 6 * min(bp, _ROWS) * _STRATA_SLAB
-
-
 def _integral(rng, params, cashflows, bp, h, level, flat, space):
     """Pair values of ``bp`` antithetic pairs stopped at the threshold ``level``.
 
@@ -810,16 +811,13 @@ def _integral(rng, params, cashflows, bp, h, level, flat, space):
     K_s strata sum to 2 K_s c + (r f(L) - c) sum (p^+ + p^-).  Otherwise
     y = l + e t / a, before the clamp, and the coupon is evaluated at e^y.
 
-    The strata go ``_STRATA_SLAB`` at a time: a slab's uniforms are drawn
-    into one reused buffer, a view of ``space`` as all buffers are (at least
-    ``_space_size(bp)`` floats), then its pairs are taken in chunks of
-    ``_ROWS`` rows, each chunk turning its rows of uniforms into times in
-    place, drawing its normals and running every pass in place on buffers
-    that stay in cache.  The generator fills its output in order, so the
-    draws are those of one (bp, slab) array of uniforms followed by one of
-    normals per slab, and each element takes the same operations in the
-    same order, up and down samples evaluated together as one
-    (2, rows, slab) stack.
+    The strata go ``_STRATA_SLAB`` at a time.  Each slab draws its (bp, slab)
+    uniforms, turns them into times in place, draws its (bp, slab) normals
+    and runs every pass in place over all the pairs, up and down samples
+    together as one (2, bp, slab) stack.  The buffers are fixed views of
+    ``space``, which holds at least 7 bp ``_STRATA_SLAB`` floats: the times,
+    the normals and one scratch buffer, then the exponents and the
+    log-prices of the stack.
     """
     sigma, r = params.sigma, params.r
     mu = r - params.delta - 0.5 * sigma**2
@@ -828,50 +826,42 @@ def _integral(rng, params, cashflows, bp, h, level, flat, space):
     a = -2.0 * dist / sigma**2
     stop = r * float(_evaluate(cashflows.payoff, level))
     upper = _TIME_STRATA - np.arange(_TIME_STRATA)  # K - k for stratum k
-    # The chunk buffers are flat, so a chunk's views are contiguous however
-    # many rows it has.
-    size = min(bp, _ROWS) * _STRATA_SLAB
-    uniforms = space[: bp * _STRATA_SLAB].reshape(bp, _STRATA_SLAB)
-    z_buf, q_buf, e_buf, y_buf = np.split(space[bp * _STRATA_SLAB : _space_size(bp)], [size, 2 * size, 4 * size])
+    n, shape = bp * _STRATA_SLAB, (bp, _STRATA_SLAB)
+    t, z, q = (space[i * n : (i + 1) * n].reshape(shape) for i in range(3))
+    e, y = (space[i * n : (i + 2) * n].reshape(2, *shape) for i in (3, 5))
     total = np.zeros(bp)
     for k0 in range(0, _TIME_STRATA, _STRATA_SLAB):
-        rng.random(out=uniforms)
-        for r0 in range(0, bp, _ROWS):
-            t = uniforms[r0 : r0 + _ROWS]
-            n, shape = t.size, (2, *t.shape)
-            z, q = z_buf[:n].reshape(t.shape), q_buf[:n].reshape(t.shape)
-            e = e_buf[: 2 * n].reshape(shape)
-            # K - k - U is exact and positive, so the top stratum's time is finite.
-            np.subtract(upper[k0 : k0 + _STRATA_SLAB], t, out=t)
-            t /= _TIME_STRATA
-            np.log(t, out=t)
-            t /= -r
-            rng.standard_normal(out=z)
-            np.sqrt(t, out=q)
-            np.divide(a * sigma, q, out=q)
-            z *= q                                  # a sigma Z / sqrt(t)
-            np.divide(a * dist, t, out=e[1])
-            e[1] += a * mu                          # a ((x - l) / t + mu)
-            np.add(e[1], z, out=e[0])
-            e[1] -= z
-            if flat is None:
-                y = y_buf[: 2 * n].reshape(shape)
-                np.multiply(e, np.divide(t, a, out=q), out=y)
-                y += ell
-                c = _evaluate(cashflows.coupon, np.exp(y, out=y))
-            np.minimum(e, 0.0, out=e)
-            p = np.exp(e, out=e)
-            if flat is None:
-                # The coupon may return its argument, y, so its sums come first.
-                held = np.sum(np.add(c[0], c[1], out=z), axis=1)
-                p = np.multiply(p, np.subtract(stop, c, out=y), out=y)   # p (stop - c)
-            pairs = np.sum(np.add(p[0], p[1], out=z), axis=1)
-            if flat is None:
-                pairs += held
-            else:
-                pairs *= stop - flat
-                pairs += 2 * _STRATA_SLAB * flat
-            total[r0 : r0 + len(t)] += pairs
+        rng.random(out=t)
+        # K - k - U is exact and positive, so the top stratum's time is finite.
+        np.subtract(upper[k0 : k0 + _STRATA_SLAB], t, out=t)
+        t /= _TIME_STRATA
+        np.log(t, out=t)
+        t /= -r
+        rng.standard_normal(out=z)
+        np.sqrt(t, out=q)
+        np.divide(a * sigma, q, out=q)
+        z *= q                                      # a sigma Z / sqrt(t)
+        np.divide(a * dist, t, out=e[1])
+        e[1] += a * mu                              # a ((x - l) / t + mu)
+        np.add(e[1], z, out=e[0])
+        e[1] -= z
+        if flat is None:
+            np.multiply(e, np.divide(t, a, out=q), out=y)
+            y += ell
+            c = _evaluate(cashflows.coupon, np.exp(y, out=y))
+        np.minimum(e, 0.0, out=e)
+        p = np.exp(e, out=e)
+        if flat is None:
+            # The coupon may return its argument, y, so its sums come first.
+            held = np.sum(np.add(c[0], c[1], out=z), axis=1)
+            p = np.multiply(p, np.subtract(stop, c, out=y), out=y)   # p (stop - c)
+        pairs = np.sum(np.add(p[0], p[1], out=z), axis=1)
+        if flat is None:
+            pairs += held
+        else:
+            pairs *= stop - flat
+            pairs += 2 * _STRATA_SLAB * flat
+        total += pairs
     return total / (2 * _TIME_STRATA * r)
 
 

@@ -157,11 +157,15 @@ class TestPsor:
         triangle = oracle_triangle(params, spec, 1.0, 2001, 10_000, 1)
         assert all(v.ok for v in triangle.verdicts), triangle.verdicts
 
+    @pytest.mark.filterwarnings("error")
     def test_grid_validation(self):
         with pytest.raises(InvalidParams):
             GridSpec(h_min=0.0, h_max=1.0)
         with pytest.raises(InvalidParams):
             GridSpec(h_min=0.1, h_max=1.0, n_points=50)
+        # An infinite top would give an infinite spacing, not a grid.
+        with pytest.raises(InvalidParams, match="window"):
+            GridSpec(h_min=0.1, h_max=math.inf)
 
 
 def _masks(n, rng):
@@ -214,6 +218,11 @@ class TestPolicyEvaluation:
         )
         with pytest.raises(InvalidParams, match="not affine"):
             psor_value(params_low_benefit, cf, GridSpec(h_min=0.02, h_max=4.5, n_points=501))
+
+
+# One threshold that is not positive and finite, on either side: each must
+# raise InvalidThresholds, never return NaN or the payoff, or warn.
+BAD_THRESHOLDS = [(math.nan, None), (None, math.nan), (None, math.inf), (None, -1.0), (None, 0.0), (math.inf, None)]
 
 
 class TestThresholdPolicy:
@@ -279,11 +288,15 @@ class TestThresholdPolicy:
             with pytest.raises(InvalidParams, match="not affine"):
                 threshold_policy_value(params_low_benefit, cf, policy, 1.0)
 
+    @pytest.mark.filterwarnings("error")
     def test_validation(self, params_low_benefit, frm_cashflows):
         with pytest.raises(InvalidThresholds):
             threshold_policy_value(params_low_benefit, frm_cashflows, (1.4, 0.5), 1.0)
         with pytest.raises(InvalidThresholds):
             threshold_policy_value(params_low_benefit, frm_cashflows, (-1.0, 2.0), 1.0)
+        for policy in BAD_THRESHOLDS:
+            with pytest.raises(InvalidThresholds):
+                threshold_policy_value(params_low_benefit, frm_cashflows, policy, 1.0)
 
     def test_threshold_power_past_float_range_is_a_typed_error(self):
         # A wide-box FRM whose h2 is 1.6e12: the unanchored basis forms
@@ -479,16 +492,16 @@ class TestMonteCarlo:
                 gap = abs(result.estimate - exact)
                 assert gap <= 3.0 * result.std_error, (policy, seed, gap / result.std_error)
 
-    @pytest.mark.parametrize("bp", [8192, 1808, 5000, 8, 700, 1024, 1025, 2049])
+    @pytest.mark.parametrize("bp", [1024, 904, 784, 700, 8, 1])
     def test_integral_matches_the_slab_loop_bit_for_bit(self, params_low_benefit, bp):
-        # The chunked in-place passes take the same draws and the same
-        # operations per element as one (bp, slab) array per step of the
-        # loop below, so the pair values agree to the bit; both sides run on
-        # this CPU, whatever its SIMD kernels.  1808 and 5000 pairs end in a
-        # partial row chunk; 8 pairs make each slab one short chunk, 700 one
-        # full chunk and a short one, 1024 two full ones (a whole block), and
-        # 1025 and 2049 end each slab in a one-row chunk.  The FRM's flat
-        # coupon takes the path without e^y, the ABM's kinked one the other.
+        # The in-place passes take the same draws and the same operations
+        # per element as one (bp, slab) array per step of the loop below,
+        # so the pair values agree to the bit; both sides run on this CPU,
+        # whatever its SIMD kernels.  The sizes are those a block runs: 1024
+        # pairs a whole block, 904 and 784 the last blocks of 10 000 and
+        # 20 000 paths, 700, 8 and 1 other short last blocks.  The FRM's
+        # flat coupon takes the path without e^y, the ABM's kinked one the
+        # other.
         p, h = params_low_benefit, 1.3
 
         def slab_loop(rng, cashflows, level, flat):
@@ -521,7 +534,7 @@ class TestMonteCarlo:
             flat = oracle._flat_coupon(cashflows)
             assert (flat is None) == (cashflows is abm)
             got = oracle._integral(np.random.default_rng(2024), p, cashflows, bp, h, level, flat,
-                                  np.empty(oracle._space_size(bp)))
+                                  np.empty(7 * bp * oracle._STRATA_SLAB))
             want = slab_loop(np.random.default_rng(2024), cashflows, level, flat)
             assert got.tobytes() == want.tobytes(), level
 
@@ -551,7 +564,7 @@ class TestMonteCarlo:
         for cashflows, level in ((no_prepay_cashflows(frm, p), h1), (abm, 1.5)):
             flat = oracle._flat_coupon(cashflows)
             got = oracle._integral(np.random.default_rng(11), p, cashflows, bp, h, level, flat,
-                                  np.empty(oracle._space_size(bp)))
+                                  np.empty(7 * bp * oracle._STRATA_SLAB))
             want = paper_form(np.random.default_rng(11), cashflows, level)
             assert np.max(np.abs(got / want - 1.0)) <= 1e-14, level
 
@@ -634,12 +647,16 @@ class TestMonteCarlo:
             with pytest.raises(InvalidParams, match="not affine"):
                 mc_cashflow_value(params_low_benefit, cf, policy, 1.0, 10_000, 200.0, 1)
 
+    @pytest.mark.filterwarnings("error")
     def test_validation(self, params_low_benefit, frm_cashflows):
         with pytest.raises(InvalidParams):
             mc_cashflow_value(params_low_benefit, frm_cashflows, None, 1.0, 5_000, 200.0, 1)
         with pytest.raises(InvalidHorizon):
             mc_cashflow_value(params_low_benefit, frm_cashflows, None, 1.0, 10_000, 100.0, 1)
-        for policy in ((2.0, 1.0), (0.5, 1.5), (-1.0, None)):
+
+    @pytest.mark.filterwarnings("error")
+    def test_threshold_validation(self, params_low_benefit, frm_cashflows):
+        for policy in ((2.0, 1.0), (0.5, 1.5), (-1.0, None), *BAD_THRESHOLDS):
             with pytest.raises(InvalidThresholds):
                 mc_cashflow_value(params_low_benefit, frm_cashflows, policy, 1.0, 10_000, 200.0, 1)
 
