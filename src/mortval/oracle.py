@@ -20,14 +20,12 @@ Three routes, each built on different machinery than the solvers:
   exponential times, and integrates the lognormal price at each time in
   closed form: the coupon is affine between kinks, so E[c(H_t) | t] is a
   short sum of normal distribution functions (conditional Monte Carlo).
-  A policy that stops at one threshold, lower or upper, samples H_t
-  exactly over antithetic pairs at the same kind of times: the exact
-  Brownian-bridge probability that the path crossed the threshold before
-  t weights the payoff there against the coupon at t (Carr's exponential
-  horizon).  Its pairs come in blocks, each with its own derived seed and
-  output slot and each sampled whole, one slab of strata at a time.  The
-  calling thread shares the blocks with at most one helper thread, so the
-  estimate does not depend on which thread ran a block.
+  A policy that stops at one threshold, lower or upper, samples (t, Z)
+  on a randomly shifted Fibonacci lattice and H_t exactly there, for +Z
+  and -Z: the exact Brownian-bridge probability that the path crossed
+  the threshold before t weights the payoff there against the coupon at
+  t (Carr's exponential horizon).  Its standard error is the spread of
+  the shifts' means.  Everything runs on the calling thread.
   Nothing is time-stepped or truncated, and nothing uses the solvers'
   exponents.
 
@@ -36,12 +34,8 @@ Three routes, each built on different machinery than the solvers:
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import math
-import os
-import queue
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -59,20 +53,17 @@ from .model import ModelParams, compute_exponents
 from .options import solve_contract, solve_no_prepay
 from .solution import checked_price
 
-# Antithetic pairs per block of a stopped estimate.  Each block has its own
-# derived seed and output slot, so blocks may run on either of two threads:
-# 10 000 pairs make 10 blocks, enough to keep both busy.  Another size draws
-# other numbers and so changes every stopped estimate.  A block's seven
-# (block, slab) buffers take 1.8 MB per thread.
-_BLOCK_PAIRS = 1024
 _DT = 1.0 / 52.0      # McResult.dt, nominal: no estimate takes a time step
-# Equal-probability strata of Exp(r) per replicate (held forever) or per
-# antithetic pair (stopped) of the Monte Carlo estimate.  At 20 000 paths 256
-# keeps the FRM stopped at its default boundary at 3 SE < 5e-4 (SE 6e-5 to
-# 1.1e-4 for pairs; 64 strata reach 2.1e-4), and the contracts held forever
-# at SE 1.6e-5 to 3.1e-5.
+# Equal-probability strata of Exp(r) per replicate of a held-forever
+# estimate: at 20 000 times the README contracts reach SE 1.6e-5 to 3.1e-5.
 _TIME_STRATA = 256
-_STRATA_SLAB = 32     # strata drawn per vectorized slab; divides _TIME_STRATA
+# Random shifts of a stopped estimate's lattice, so its SE has 31 degrees of
+# freedom, and the shifts evaluated per in-place pass.  Four shifts of the
+# 10 946 points at 20 000 paths fill a 2.5 MB workspace.  Freeing it raises
+# malloc's thresholds above the held-forever leg's 160 KB temporaries, which
+# otherwise fault in ~500 pages per estimate; one shift per pass (175 KB)
+# did not raise them far enough.
+_SHIFTS, _SHIFT_SLAB = 32, 4
 _COARSE_NODES = 126   # smallest level of the nested policy-iteration solve
 # Phi for arrays (numpy has no erfc): pieces of width 1/128 in s = x / (x + 2),
 # each a polynomial of degree 6 (see ``_phi_table``); fewer pieces of higher
@@ -80,6 +71,24 @@ _COARSE_NODES = 126   # smallest level of the nested policy-iteration solve
 # Past x = |z| / sqrt(2) = 26.5 (z = -37.48), where erfc(x) / 2 < 1.2e-307,
 # Phi is taken as 0 or 1, so that no step leaves the normal floats.
 _PHI_WIDTH, _PHI_DEGREE, _PHI_TAIL = 128, 6, 26.5
+# Phi^{-1} by Wichura's AS241 (PPND16), as ``statistics.NormalDist.inv_cdf``
+# takes it: numerator and denominator, highest power first, in
+# 0.180625 - q^2 for |q| = |v - 1/2| <= 0.425, else in s - 1.6 for
+# s = sqrt(-log min(v, 1 - v)) <= 5, else in s - 5.
+_AS241 = (
+    (2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4, 4.5921953931549871457e4,
+     1.3731693765509461125e4, 1.9715909503065514427e3, 1.3314166789178437745e2, 3.3871328727963666080e0),
+    (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4, 2.1213794301586595867e4,
+     5.3941960214247511077e3, 6.8718700749205790830e2, 4.2313330701600911252e1, 1.0),
+    (7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1, 1.2704582524523683826e0,
+     3.6478483247632046050e0, 5.7694972214606914055e0, 4.6303378461565452959e0, 1.4234371107496835773e0),
+    (1.05075007164441684324e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2, 1.4810397642748007459e-1,
+     6.8976733498510000455e-1, 1.6763848301838038494e0, 2.0531916266377588219e0, 1.0),
+    (2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3, 2.6532189526576123093e-2,
+     2.9656057182850489123e-1, 1.7848265399172913358e0, 5.4637849111641143699e0, 6.6579046435011037772e0),
+    (2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5, 7.8686913114561325910e-4,
+     1.4875361290850614853e-2, 1.3692988092273580531e-1, 5.9983220655588793769e-1, 1.0),
+)
 
 
 @dataclass(frozen=True)
@@ -152,12 +161,13 @@ def _level_sizes(n: int) -> list[int]:
     return sizes[::-1]
 
 
-def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First and last index of each run of True in ``mask``."""
+def _runs(mask: np.ndarray) -> tuple[list[int], list[int]]:
+    """First and last index of each run of True in ``mask``, as Python ints:
+    the per-run arithmetic of the policy iteration is slower on numpy ints."""
     padded = np.zeros(len(mask) + 2, dtype=bool)
     padded[1:-1] = mask
-    edges = np.flatnonzero(padded[1:] != padded[:-1])
-    return edges[::2], edges[1::2] - 1
+    edges = (padded[1:] != padded[:-1]).nonzero()[0].tolist()
+    return edges[::2], [e - 1 for e in edges[1::2]]
 
 
 class _Level(NamedTuple):
@@ -269,7 +279,10 @@ def psor_value(params: ModelParams, cashflows: PerpetualCashflows, grid: GridSpe
     each iteration solves the linear system of the current stopping set
     (V = f on stopped rows, A V = q elsewhere), then every node takes the
     row with the larger residual, stopping where V - f >= A V - q, until
-    the stopping set repeats.  The solve runs on nested grids: it starts
+    the stopping set repeats.  Where the two residuals tie within
+    1e-12 max(1, max |f|) a node keeps its action: stopping and continuing
+    are then equal to rounding, and switching on the rounding can cycle
+    for ever.  The solve runs on nested grids: it starts
     with no stopping at about 126 nodes over the same window and kinks,
     halves the spacing up to ``n_points``, and starts each level from the
     previous level's stopping set; levels too coarse for the drift are
@@ -317,11 +330,14 @@ def psor_value(params: ModelParams, cashflows: PerpetualCashflows, grid: GridSpe
             )
         f = _evaluate(cashflows.payoff, h)
         stop = np.zeros(n, dtype=bool) if prev is None else np.interp(np.log(h), *prev) >= 0.5
+        tie = 1e-12 * max(1.0, float(np.abs(f).max()))
         for _ in range(n):
             values = _policy_value(level, stop, f)
             sweeps += 1
-            improved = values - f >= _apply(level, values) - level.rhs
-            if np.array_equal(improved, stop):
+            gain = (values - f) - (_apply(level, values) - level.rhs)
+            improved = gain > tie
+            improved |= stop & (gain >= -tie)
+            if (improved == stop).all():
                 break
             stop = improved
         else:
@@ -460,8 +476,9 @@ class McResult:
     independent replicates of ``_TIME_STRATA`` stratified times, and
     ``n_paths`` counts the sampled times: the requested count rounded up
     to whole replicates.  Stopped at a threshold, ``std_error`` is over
-    antithetic pairs and ``n_paths`` counts the paths, rounded up to whole
-    pairs.  No estimate is time-stepped or truncated, so ``tail_bound`` is
+    the means of the lattice's ``_SHIFTS`` random shifts, and ``n_paths``
+    counts the lattice points over all shifts, each an antithetic pair of
+    paths.  No estimate is time-stepped or truncated, so ``tail_bound`` is
     always 0.0.  ``horizon`` (the argument as given), ``dt`` (a nominal
     1/52) and ``tail_bound`` carry no information; they are kept because
     the benchmark's tracer (``perfbench/tracing.py``) reads them, and go
@@ -512,21 +529,23 @@ def mc_cashflow_value(
     error comes from the spread of the replicates.  ``n_paths`` counts
     sampled times here, not paths.
 
-    Stopped at a threshold, each antithetic pair takes one time in each of
-    the 256 strata and samples H_T = h exp(mu T +- sigma sqrt(T) Z) exactly
-    there.  Given y = log H_T, the Brownian bridge from x = log h reaches
-    l = log L before T with probability
+    Stopped at a threshold, the uniforms (U, V) that set T = -log(1 - U) / r
+    and Z = Phi^{-1}(V) run over a rank-1 lattice: the Fibonacci rule
+    (k / N, k g / N mod 1), N the smallest Fibonacci number with
+    ``_SHIFTS`` N >= 16 ``n_paths`` and g the one before it, moved mod 1 by
+    each of ``_SHIFTS`` independent uniform shifts drawn from ``seed``.
+    Each point samples H_T = h exp(mu T +- sigma sqrt(T) Z) exactly, for
+    both signs.  Given y = log H_T, the Brownian bridge from x = log h
+    reaches l = log L before T with probability
     p = exp(min(0, -2 (x - l)(y - l) / (sigma^2 T))), which is 1 when y is
     at or beyond l.  So each sample adds (1 - p) c(H_T) / r + p f(L), and
-    the estimate has no discretization or truncation bias.  The coupon is
-    read as pieces between its kinks, as held forever: one that is not
-    affine there raises ``InvalidParams``, and a constant one is never
-    evaluated along the paths (see ``_integral``).  The pairs come in
-    blocks of ``_BLOCK_PAIRS``, each with its own derived seed and output
-    slot and each sampled whole, a slab of strata at a time; with two or
-    more usable CPUs this thread and one helper thread take them from one
-    queue (``_share_blocks``), so the estimate does not depend on which
-    thread ran a block.
+    the estimate has no discretization or truncation bias.  The estimate
+    is the mean of the shifts' means, and its standard error their
+    spread.  The coupon is read as pieces between its kinks, as held
+    forever: one that is not affine there raises ``InvalidParams``, and a
+    constant one is never evaluated along the paths (see ``_integral``).
+    ``n_paths`` sets the lattice's size here, and the result's ``n_paths``
+    counts its points over all shifts.
 
     ``horizon`` is still validated but not used.  An estimate is
     reproducible bit for bit from ``seed`` on one numpy build and CPU
@@ -551,32 +570,19 @@ def mc_cashflow_value(
         note = (f"E[c(H_T) | T] in closed form at {_TIME_STRATA} stratified exponential times "
                 f"per replicate, {n_reps} replicates; nothing truncated")
     else:
-        n_pairs = (n_paths + 1) // 2
-        n_drawn = 2 * n_pairs
-        note = (f"exact marginals at {_TIME_STRATA} stratified exponential times per pair; nothing truncated"
-                "; threshold crossing by the Brownian-bridge probability")
+        n, g = 2, 1
+        while _SHIFTS * n < 16 * n_paths:
+            n, g = n + g, n
+        n_drawn = _SHIFTS * n
+        note = (f"exact marginals on a Fibonacci lattice of {n} points, {_SHIFTS} random shifts, antithetic in Z; "
+                "nothing truncated; threshold crossing by the Brownian-bridge probability")
         if (lower is not None and h <= lower) or (upper is not None and h >= upper):
             return McResult(
                 estimate=float(_evaluate(cashflows.payoff, h)), std_error=0.0, tail_bound=0.0,
                 n_paths=n_drawn, horizon=horizon, dt=_DT, note=note,
             )
-        flat = _flat_coupon(cashflows)
-        n_blocks = -(-n_pairs // _BLOCK_PAIRS)
-        children = np.random.SeedSequence(seed).spawn(n_blocks)
-        samples = np.empty(n_pairs)
-        # Both threads' buffers are rows of one ~3.7 MB allocation, which sets
-        # how much freed memory malloc keeps.  With a 768 KB allocation per
-        # block it kept so little that every held-forever estimate after a
-        # stopped one faulted in ~360 pages and took twice as long.
-        spaces = np.empty((2, 7 * _BLOCK_PAIRS * _STRATA_SLAB))
-
-        def block(b, worker):
-            lo = b * _BLOCK_PAIRS
-            bp = min(_BLOCK_PAIRS, n_pairs - lo)
-            rng = np.random.default_rng(children[b])
-            samples[lo : lo + bp] = _integral(rng, params, cashflows, bp, h, level, flat, spaces[worker])
-
-        _share_blocks(block, n_blocks)
+        shifts = np.random.default_rng(seed).random((2, _SHIFTS))
+        samples = _integral(params, cashflows, h, level, _flat_coupon(cashflows), n, g, shifts)
 
     return McResult(
         estimate=float(np.mean(samples)),
@@ -745,79 +751,63 @@ def _held_forever(rng, params, cashflows, n_reps, h):
     return np.mean(_coupon_given_time(params, cashflows, h, t), axis=1) / params.r
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _share_blocks(run, n_blocks):
-    """Call ``run(b, worker)`` once for each b in 0, ..., n_blocks - 1.
-
-    This thread (worker 0) and, with two or more usable CPUs and blocks,
-    one helper thread (worker 1) take the block indices from one queue;
-    ``run`` must write only block b's own output, so the result does not
-    depend on which thread took a block.  After an error neither side starts another block; the
-    helper is joined before this returns or raises, and its error is raised
-    here.  The helper runs in a copy of this context, so numpy's error
-    state is the caller's.
+def _normal_ppf(v: np.ndarray) -> np.ndarray:
+    """Phi^{-1}(v) for a float array of v in [0, 1], by AS241 (``_AS241``):
+    the steps and their order are those of ``statistics.NormalDist.inv_cdf``.
+    v = 0 and v = 1 give -inf and inf, without a warning.
     """
-    blocks = queue.SimpleQueue()
-    for b in range(n_blocks):
-        blocks.put(b)
-    errors = []
-
-    def work(worker):
-        try:
-            while not errors:
-                try:
-                    b = blocks.get_nowait()
-                except queue.Empty:
-                    return
-                run(b, worker)
-        except BaseException as exc:  # raised again below, in the caller
-            errors.append(exc)
-
-    if n_blocks > 1 and _usable_cpus() > 1:
-        thread = threading.Thread(target=contextvars.copy_context().run, args=(work, 1), name="mortval-mc-blocks")
-        thread.start()
-        try:
-            work(0)
-        finally:
-            thread.join()
-    else:
-        work(0)
-    if errors:
-        raise errors[0]
+    q = v - 0.5
+    r = np.subtract(0.180625, q * q)
+    x = _horner(_AS241[0], r) * q / _horner(_AS241[1], r)
+    tail = np.flatnonzero(~(np.abs(q) <= 0.425))
+    if tail.size:
+        w = np.minimum(v.take(tail), 1.0 - v.take(tail))
+        with np.errstate(divide="ignore", invalid="ignore"):   # v = 0 or 1: log 0, then inf / inf
+            s = np.sqrt(-np.log(w))
+            xt = _horner(_AS241[2], s - 1.6) / _horner(_AS241[3], s - 1.6)
+            far = np.flatnonzero(s > 5.0)
+            sf = s[far] - 5.0
+            xt[far] = _horner(_AS241[4], sf) / _horner(_AS241[5], sf)
+        xt[w == 0.0] = np.inf
+        x.put(tail, np.copysign(xt, q.take(tail)))
+    return x
 
 
-def _integral(rng, params, cashflows, bp, h, level, flat, space):
-    """Pair values of ``bp`` antithetic pairs stopped at the threshold ``level``.
+def _horner(coef, x):
+    """The polynomial with coefficients ``coef``, highest power first, at each x."""
+    out = np.full_like(x, coef[0])
+    for c in coef[1:]:
+        out *= x
+        out += c
+    return out
 
-    A pair's value is (1 / (2 K r)) sum_k [g(y_k^+) + g(y_k^-)] over its K
-    strata, with t_k = -log(1 - (k + U_k) / K) / r,
-    y_k^+- = x + mu t_k +- sigma sqrt(t_k) Z_k, x = log h, and
-    g(y) = c(e^y) + p (r f(L) - c(e^y)), p = exp(min(0, e)) the bridge's
+
+def _integral(params, cashflows, h, level, flat, n, g, shifts):
+    """The mean sample of each shift of the lattice, stopped at the threshold ``level``.
+
+    Shift (s_u, s_v) moves the n points (k / n, k g / n mod 1) to
+    (u, v) mod 1; a coordinate that rounds to 0 is taken as 2^-53, the
+    shifts' spacing, so every time and normal is finite.  A point gives
+    t = -log(1 - u) / r, Z = Phi^{-1}(v) and the two samples S(y^+-),
+    y^+- = x + mu t +- sigma sqrt(t) Z, x = log h, with
+    S(y) = c(e^y) + p (r f(L) - c(e^y)), p = exp(min(0, e)) the bridge's
     crossing probability of the threshold L = e^l.  Its exponent
     e = -2 (x - l)(y - l) / (sigma^2 t) is formed as
     a ((x - l) / t + mu) +- a sigma Z / sqrt(t), with a = -2 (x - l) / sigma^2.
     (x - l)(y - l) keeps its value when all three log-prices change sign,
     so one expression serves an upper threshold as well as a lower one.
+    A shift's mean is its samples' sum over 2 n r.
 
     ``flat`` is the coupon when it is one constant c (see ``_flat_coupon``),
-    else None.  A flat coupon forms no e^y: a row's samples in a slab of
-    K_s strata sum to 2 K_s c + (r f(L) - c) sum (p^+ + p^-).  Otherwise
-    y = l + e t / a, before the clamp, and the coupon is evaluated at e^y.
+    else None.  A flat coupon forms no e^y: a shift's samples sum to
+    2 n c + (r f(L) - c) sum (p^+ + p^-).  Otherwise y = l + e t / a,
+    before the clamp, and the coupon is evaluated at e^y.
 
-    The strata go ``_STRATA_SLAB`` at a time.  Each slab draws its (bp, slab)
-    uniforms, turns them into times in place, draws its (bp, slab) normals
-    and runs every pass in place over all the pairs, up and down samples
-    together as one (2, bp, slab) stack.  The buffers are fixed views of
-    ``space``, which holds at least 7 bp ``_STRATA_SLAB`` floats: the times,
-    the normals and one scratch buffer, then the exponents and the
-    log-prices of the stack.
+    The shifts, a multiple of ``_SHIFT_SLAB`` of them, go ``_SHIFT_SLAB``
+    at a time, each pass in place over all their points, up and down
+    samples together as one (2, slab, n) stack.  The buffers are fixed
+    rows of one (7, slab, n) workspace: the times, the v coordinates and
+    one scratch buffer, then the exponents and the log-prices of the stack.
     """
     sigma, r = params.sigma, params.r
     mu = r - params.delta - 0.5 * sigma**2
@@ -825,19 +815,20 @@ def _integral(rng, params, cashflows, bp, h, level, flat, space):
     dist = math.log(h) - ell                       # x - l
     a = -2.0 * dist / sigma**2
     stop = r * float(_evaluate(cashflows.payoff, level))
-    upper = _TIME_STRATA - np.arange(_TIME_STRATA)  # K - k for stratum k
-    n, shape = bp * _STRATA_SLAB, (bp, _STRATA_SLAB)
-    t, z, q = (space[i * n : (i + 1) * n].reshape(shape) for i in range(3))
-    e, y = (space[i * n : (i + 2) * n].reshape(2, *shape) for i in (3, 5))
-    total = np.zeros(bp)
-    for k0 in range(0, _TIME_STRATA, _STRATA_SLAB):
-        rng.random(out=t)
-        # K - k - U is exact and positive, so the top stratum's time is finite.
-        np.subtract(upper[k0 : k0 + _STRATA_SLAB], t, out=t)
-        t /= _TIME_STRATA
+    k = np.arange(n)
+    base = (k / n, k * g % n / n)
+    space = np.empty((7, _SHIFT_SLAB, n))
+    t, v, q, e, y = space[0], space[1], space[2], space[3:5], space[5:7]
+    means = np.empty(shifts.shape[1])
+    for s0 in range(0, len(means), _SHIFT_SLAB):
+        for i, out in enumerate((t, v)):
+            np.add(base[i], shifts[i, s0 : s0 + _SHIFT_SLAB, None], out=out)
+            np.subtract(out, 1.0, out=out, where=out >= 1.0)
+            np.maximum(out, 2.0**-53, out=out)
+        np.subtract(1.0, t, out=t)
         np.log(t, out=t)
         t /= -r
-        rng.standard_normal(out=z)
+        z = _normal_ppf(v)
         np.sqrt(t, out=q)
         np.divide(a * sigma, q, out=q)
         z *= q                                      # a sigma Z / sqrt(t)
@@ -855,14 +846,14 @@ def _integral(rng, params, cashflows, bp, h, level, flat, space):
             # The coupon may return its argument, y, so its sums come first.
             held = np.sum(np.add(c[0], c[1], out=z), axis=1)
             p = np.multiply(p, np.subtract(stop, c, out=y), out=y)   # p (stop - c)
-        pairs = np.sum(np.add(p[0], p[1], out=z), axis=1)
+        sums = np.sum(np.add(p[0], p[1], out=z), axis=1)
         if flat is None:
-            pairs += held
+            sums += held
         else:
-            pairs *= stop - flat
-            pairs += 2 * _STRATA_SLAB * flat
-        total += pairs
-    return total / (2 * _TIME_STRATA * r)
+            sums *= stop - flat
+            sums += 2 * n * flat
+        means[s0 : s0 + _SHIFT_SLAB] = sums / (2 * n * r)
+    return means
 
 
 # Gates of the oracle triangle; Monte Carlo passes within max(3 SE, MC_TOL_FLOOR).

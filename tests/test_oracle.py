@@ -1,5 +1,5 @@
 import math
-import sys
+import statistics
 import threading
 
 import numpy as np
@@ -40,6 +40,17 @@ def frm_cashflows(params_low_benefit):
 
 def identity(x):
     return np.asarray(x, dtype=float)
+
+
+def _lattice(n, g, shifts):
+    """The points (k / n, k g / n mod 1) moved mod 1 by each shift, one row
+    per shift, a coordinate at 0 taken as 2^-53."""
+    k = np.arange(n)
+    points = []
+    for base, shift in zip((k / n, k * g % n / n), shifts):
+        x = base + shift[:, None]
+        points.append(np.maximum(np.where(x >= 1.0, x - 1.0, x), 2.0**-53))
+    return points
 
 
 def _stencil(params, dx):
@@ -166,6 +177,20 @@ class TestPsor:
         # An infinite top would give an infinite spacing, not a grid.
         with pytest.raises(InvalidParams, match="window"):
             GridSpec(h_min=0.1, h_max=math.inf)
+
+    @pytest.mark.parametrize("n_points", [2001, 4001])
+    def test_tied_residuals_keep_their_action(self, n_points):
+        # At m - delta = 1.1e-7 stopping and continuing tie to rounding below
+        # h1 = 0.0137, where both residuals are 1e-16 to 2e-13.  Switching
+        # on their sign flipped one node for ever (NotConverged); keeping the
+        # action on a tie settles, with the window in the gate.
+        params = ModelParams(r=0.036133221837073556, delta=0.07588341753957853,
+                             sigma=0.18002924756289757, b0=0.842540773262249)
+        spec = ContractSpec(kind=ContractKind.ABM, m=0.07588352500116996)
+        result = psor_value(params, perpetual_cashflows(spec, params), GridSpec(2e-3, 3.0, n_points))
+        window = (result.grid >= 0.05) & (result.grid <= 3.0)
+        gap = np.max(np.abs(result.values[window] - solve_contract(params, spec).value(result.grid[window])))
+        assert gap <= oracle.GRID_TOL
 
 
 def _masks(n, rng):
@@ -492,40 +517,40 @@ class TestMonteCarlo:
                 gap = abs(result.estimate - exact)
                 assert gap <= 3.0 * result.std_error, (policy, seed, gap / result.std_error)
 
-    @pytest.mark.parametrize("bp", [1024, 904, 784, 700, 8, 1])
-    def test_integral_matches_the_slab_loop_bit_for_bit(self, params_low_benefit, bp):
-        # The in-place passes take the same draws and the same operations
-        # per element as one (bp, slab) array per step of the loop below,
-        # so the pair values agree to the bit; both sides run on this CPU,
-        # whatever its SIMD kernels.  The sizes are those a block runs: 1024
-        # pairs a whole block, 904 and 784 the last blocks of 10 000 and
-        # 20 000 paths, 700, 8 and 1 other short last blocks.  The FRM's
-        # flat coupon takes the path without e^y, the ABM's kinked one the
-        # other.
+    @pytest.mark.parametrize("n", [10946, 6765, 1024, 904, 784, 700, 8, 1])
+    def test_integral_matches_the_slab_loop_bit_for_bit(self, params_low_benefit, n):
+        # The in-place passes, a few shifts at a time, take the same points
+        # and the same operations per element as one (shifts, n) array per
+        # step of the loop below, so the shift means agree to the bit; both
+        # sides run on this CPU, whatever its SIMD kernels.  10 946 and 6 765
+        # points are the lattices of 20 000 and 10 000 paths; the other
+        # sizes, with g = round(n / golden ratio), leave other remainders in
+        # numpy's pairwise sums.  The FRM's flat coupon takes the path
+        # without e^y, the ABM's kinked one the other.
         p, h = params_low_benefit, 1.3
+        g = max(1, round(n * (math.sqrt(5.0) - 1.0) / 2.0))
+        shifts = np.random.default_rng(2024).random((2, oracle._SHIFTS))
 
-        def slab_loop(rng, cashflows, level, flat):
-            mu, x, K, S = p.r - p.delta - 0.5 * p.sigma**2, math.log(h), oracle._TIME_STRATA, oracle._STRATA_SLAB
+        def slab_loop(cashflows, level, flat):
+            mu, x = p.r - p.delta - 0.5 * p.sigma**2, math.log(h)
             ell = math.log(level)
             dist = x - ell
             a = -2.0 * dist / p.sigma**2
             stop = p.r * float(cashflows.payoff(level))
-            total = np.zeros(bp)
-            for k0 in range(0, K, S):
-                u = rng.random((bp, S))
-                t = np.log((K - np.arange(k0, k0 + S) - u) / K) / -p.r
-                z = rng.standard_normal((bp, S)) * (a * p.sigma / np.sqrt(t))
-                centre = a * dist / t + a * mu
-                e = np.stack((centre + z, centre - z))
-                if flat is None:
-                    c = cashflows.coupon(np.exp(e * (t / a) + ell))
-                prob = np.exp(np.minimum(e, 0.0))
-                if flat is None:
-                    w = prob * (stop - c)
-                    total += np.sum(w[0] + w[1], axis=1) + np.sum(c[0] + c[1], axis=1)
-                else:
-                    total += np.sum(prob[0] + prob[1], axis=1) * (stop - flat) + 2 * S * flat
-            return total / (2 * K * p.r)
+            u, v = _lattice(n, g, shifts)
+            t = np.log(1.0 - u) / -p.r
+            z = oracle._normal_ppf(v) * (a * p.sigma / np.sqrt(t))
+            centre = a * dist / t + a * mu
+            e = np.stack((centre + z, centre - z))
+            if flat is None:
+                c = cashflows.coupon(np.exp(e * (t / a) + ell))
+            prob = np.exp(np.minimum(e, 0.0))
+            if flat is None:
+                w = prob * (stop - c)
+                total = np.sum(w[0] + w[1], axis=1) + np.sum(c[0] + c[1], axis=1)
+            else:
+                total = np.sum(prob[0] + prob[1], axis=1) * (stop - flat) + 2 * n * flat
+            return total / (2 * n * p.r)
 
         frm = ContractSpec(kind=ContractKind.FRM, m=M0)
         abm = perpetual_cashflows(ContractSpec(kind=ContractKind.ABM, m=M0), p)
@@ -533,109 +558,85 @@ class TestMonteCarlo:
         for cashflows, level in ((no_prepay_cashflows(frm, p), h1), (abm, 1.5)):
             flat = oracle._flat_coupon(cashflows)
             assert (flat is None) == (cashflows is abm)
-            got = oracle._integral(np.random.default_rng(2024), p, cashflows, bp, h, level, flat,
-                                  np.empty(7 * bp * oracle._STRATA_SLAB))
-            want = slab_loop(np.random.default_rng(2024), cashflows, level, flat)
+            got = oracle._integral(p, cashflows, h, level, flat, n, g, shifts)
+            want = slab_loop(cashflows, level, flat)
             assert got.tobytes() == want.tobytes(), level
 
     def test_integral_agrees_with_the_paper_form(self, params_low_benefit):
-        # On the same draws, the pair values of the paper's form of each
+        # At the same points, the shift means of the paper's form of each
         # sample, c + p (stop - c) with p = exp(min(0, -2 (x - l)(y - l) / (sigma^2 t)))
         # and y = x + mu t +- sigma sqrt(t) Z, agree with the leg's to rounding.
-        p, h, bp = params_low_benefit, 1.3, 1808
+        p, h, n, g = params_low_benefit, 1.3, 6765, 4181
+        shifts = np.random.default_rng(11).random((2, oracle._SHIFTS))
 
-        def paper_form(rng, cashflows, level):
-            mu, x, K, S = p.r - p.delta - 0.5 * p.sigma**2, math.log(h), oracle._TIME_STRATA, oracle._STRATA_SLAB
+        def paper_form(cashflows, level):
+            mu, x = p.r - p.delta - 0.5 * p.sigma**2, math.log(h)
             ell, stop = math.log(level), p.r * float(cashflows.payoff(level))
-            total = np.zeros(bp)
-            for k0 in range(0, K, S):
-                u = rng.random((bp, S))
-                t = np.log((K - np.arange(k0, k0 + S) - u) / K) / -p.r
-                spread = rng.standard_normal((bp, S)) * (p.sigma * np.sqrt(t))
-                for y in (x + mu * t + spread, x + mu * t - spread):
-                    c = cashflows.coupon(np.exp(y))
-                    prob = np.exp(np.minimum(-2.0 * (x - ell) * (y - ell) / (p.sigma**2 * t), 0.0))
-                    total += np.sum(c + prob * (stop - c), axis=1)
-            return total / (2 * K * p.r)
+            u, v = _lattice(n, g, shifts)
+            t = -np.log(1.0 - u) / p.r
+            spread = oracle._normal_ppf(v) * (p.sigma * np.sqrt(t))
+            total = 0.0
+            for y in (x + mu * t + spread, x + mu * t - spread):
+                c = cashflows.coupon(np.exp(y))
+                prob = np.exp(np.minimum(-2.0 * (x - ell) * (y - ell) / (p.sigma**2 * t), 0.0))
+                total += np.sum(c + prob * (stop - c), axis=1)
+            return total / (2 * n * p.r)
 
         frm = ContractSpec(kind=ContractKind.FRM, m=M0)
         abm = perpetual_cashflows(ContractSpec(kind=ContractKind.ABM, m=M0), p)
         h1 = solve_no_prepay(p, frm).boundaries["h1"]
         for cashflows, level in ((no_prepay_cashflows(frm, p), h1), (abm, 1.5)):
-            flat = oracle._flat_coupon(cashflows)
-            got = oracle._integral(np.random.default_rng(11), p, cashflows, bp, h, level, flat,
-                                  np.empty(7 * bp * oracle._STRATA_SLAB))
-            want = paper_form(np.random.default_rng(11), cashflows, level)
+            got = oracle._integral(p, cashflows, h, level, oracle._flat_coupon(cashflows), n, g, shifts)
+            want = paper_form(cashflows, level)
             assert np.max(np.abs(got / want - 1.0)) <= 1e-14, level
 
-    @pytest.mark.parametrize("n_paths", [10_000, 20_000])
-    def test_integral_same_bits_on_one_and_two_cpus(self, params_low_benefit, monkeypatch, n_paths):
-        # One usable CPU runs every block on this thread; two share them
-        # with a helper thread.  Each block has its own seed and output
-        # slot, so the estimate is the same whichever thread took a block.
-        # A short switch interval interleaves the two threads finely.
+    @pytest.mark.filterwarnings("error")
+    def test_lattice_points_at_zero_stay_finite(self, params_low_benefit):
+        # Shift (0, 0) puts the point k = 0 at u = v = 0, where t = 0 and
+        # Z = -inf; (0, s) and (s, 0) put one coordinate there.  Each such
+        # coordinate is taken as 2^-53, so every sample is finite, also
+        # for a coupon that grows without bound.
+        p = params_low_benefit
+        shifts = np.random.default_rng(5).random((2, oracle._SHIFTS))
+        shifts[:, 0] = 0.0
+        shifts[0, 1] = shifts[1, 2] = 0.0
         frm = ContractSpec(kind=ContractKind.FRM, m=M0)
-        cashflows, h1 = no_prepay_cashflows(frm, params_low_benefit), solve_no_prepay(params_low_benefit, frm).boundaries["h1"]
-        real, threads = oracle._integral, set()
+        h1 = solve_no_prepay(p, frm).boundaries["h1"]
+        linear = PerpetualCashflows(coupon=lambda h: 0.04 * np.asarray(h, dtype=float),
+                                    payoff=identity, prepay_amount=identity, kinks=())
+        for cashflows, level in ((no_prepay_cashflows(frm, p), h1), (linear, 0.5), (linear, 1.5)):
+            means = oracle._integral(p, cashflows, 1.0, level, oracle._flat_coupon(cashflows), 987, 610, shifts)
+            assert np.isfinite(means).all(), level
 
-        def integral(*args):
-            threads.add(threading.current_thread())
-            return real(*args)
+    def test_normal_ppf_matches_statistics(self):
+        # The same AS241 steps as the standard library's, on uniforms, on
+        # tails down to 1e-300 and up to 1 - 1e-16.
+        v = np.concatenate((np.random.default_rng(3).random(100_000), 10.0 ** -np.linspace(1.0, 300.0, 3001),
+                            1.0 - 10.0 ** -np.linspace(1.0, 16.0, 301)))
+        want = np.array([statistics.NormalDist().inv_cdf(x) for x in v.tolist()])
+        got = oracle._normal_ppf(v)
+        assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
+        assert oracle._normal_ppf(np.array([0.5])).tolist() == [0.0]
 
-        monkeypatch.setattr(oracle, "_integral", integral)
-        got = {}
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for cpus in (1, 2):
-                monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
-                result = mc_cashflow_value(params_low_benefit, cashflows, (h1, None), 1.3, n_paths, 200.0, 7)
-                got[cpus] = (result.estimate, result.std_error)
-                if cpus == 1:
-                    assert threads == {threading.main_thread()}
-        finally:
-            sys.setswitchinterval(interval)
-        assert got[1] == got[2]
+    @pytest.mark.filterwarnings("error")
+    def test_normal_ppf_ends_are_infinite(self):
+        assert oracle._normal_ppf(np.array([0.0, 1.0, 0.5])).tolist() == [-math.inf, math.inf, 0.0]
+        assert oracle._normal_ppf(np.array([[0.0], [1.0]])).tolist() == [[-math.inf], [math.inf]]
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_integral_draw_error_propagates_and_joins_the_helper(self, params_low_benefit, frm_cashflows,
-                                                                 monkeypatch, cpus):
-        # A block's first normal draw fails: the error reaches the caller,
-        # no thread starts another block, and with two usable CPUs the
-        # helper is joined before the caller raises, whichever side failed.
-        # There a block on the caller waits until the helper has entered
-        # one, so both sides take a block; as one fails at its start and the
-        # other's block runs to its end, each side runs only that one.
-        class FailingRng:
-            def __init__(self, rng):
-                self.rng = rng
-
-            def random(self, out):
-                return self.rng.random(out=out)
-
-            def standard_normal(self, out):
-                raise MemoryError("first normal draw")
-
-        monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
-        real = oracle._integral
-        for side in ("caller",) if cpus == 1 else ("helper", "caller"):
-            helper_in, calls = threading.Event(), []
-
-            def integral(rng, *args):
-                calls.append(None)
-                on_caller = threading.current_thread() is threading.main_thread()
-                if not on_caller:
-                    helper_in.set()
-                elif cpus == 2 and not helper_in.wait(10.0):
-                    raise AssertionError("the helper took no block")
-                return real(FailingRng(rng) if on_caller == (side == "caller") else rng, *args)
-
-            monkeypatch.setattr(oracle, "_integral", integral)
-            before = threading.active_count()
-            with pytest.raises(MemoryError, match="first normal draw"):
-                mc_cashflow_value(params_low_benefit, frm_cashflows, (0.5, None), 1.0, 10_000, 200.0, 1)
-            assert threading.active_count() == before
-            assert len(calls) <= cpus, side
+    def test_stopped_standard_error_is_calibrated(self, params_low_benefit):
+        # Over 100 seeds the gaps of the README FRM without prepayment,
+        # stopped at its default boundary, to the closed form, in standard
+        # errors, have mean near 0 and spread near 1: the spread of the 32
+        # shifts' means neither hides nor inflates the error.
+        spec = ContractSpec(kind=ContractKind.FRM, m=M0)
+        closed = solve_no_prepay(params_low_benefit, spec)
+        cf, policy = no_prepay_cashflows(spec, params_low_benefit), (closed.boundaries["h1"], None)
+        z = []
+        for seed in range(100):
+            result = mc_cashflow_value(params_low_benefit, cf, policy, 1.0, 10_000, 200.0, seed)
+            z.append((result.estimate - closed.value(1.0)) / result.std_error)
+        assert abs(np.mean(z)) <= 0.3
+        assert 0.7 <= np.std(z, ddof=1) <= 1.3
 
     def test_coupon_that_is_not_affine_between_kinks_is_refused(self, params_low_benefit):
         # Both legs read the coupon's pieces between its kinks, as the grid
@@ -686,9 +687,9 @@ class TestMonteCarlo:
     def test_exit_bookkeeping_on_a_near_deterministic_path(self):
         # log H_t = mu t + sigma W_t with sigma = 1e-6 falls to the lower
         # threshold at tau = 6 years, so the value is the coupon integral up
-        # to tau plus the payoff there, both discounted.  Each pair's times
-        # still fall at random inside their strata, which leaves an SE of
-        # about 1e-5; moving the exit by a week moves the value by 1.4e-4.
+        # to tau plus the payoff there, both discounted.  The lattice's times
+        # still move with its random shifts, which leaves an SE of 2e-6 to
+        # 7e-6; moving the exit by a week moves the value by 1.4e-4.
         params = ModelParams(r=0.02, delta=0.05, sigma=1e-6, b0=B0)
         mu = params.r - params.delta - 0.5 * params.sigma**2
         tau = 6.0
@@ -737,13 +738,16 @@ def test_scalar_cashflows_value_as_arrays_in_every_oracle(params_low_benefit):
         mc_cashflow_value(params_low_benefit, bad, None, 1.0, 10_000, 200.0, 1)
 
 
-def test_threshold_coupon_error_leaves_no_thread_behind(params_low_benefit):
-    # The stopped leg reads the coupon's pieces before any block starts, so
-    # a coupon of the wrong shape raises before a helper thread exists.
+def test_threshold_coupon_error_leaves_no_thread_behind(params_low_benefit, frm_cashflows):
+    # The stopped leg runs on the calling thread: an estimate that raises,
+    # here on a coupon of the wrong shape, and one that returns leave the
+    # thread count as it was.
     bad = PerpetualCashflows(coupon=lambda h: np.zeros(3), payoff=lambda h: 100.0, prepay_amount=lambda h: 100.0)
     before = threading.active_count()
     with pytest.raises(InvalidParams, match="shape"):
         mc_cashflow_value(params_low_benefit, bad, (0.5, None), 1.0, 10_000, 200.0, 1)
+    assert threading.active_count() == before
+    mc_cashflow_value(params_low_benefit, frm_cashflows, (0.5, None), 1.0, 10_000, 200.0, 1)
     assert threading.active_count() == before
 
 
