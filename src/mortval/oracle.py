@@ -21,7 +21,8 @@ Three routes, each built on different machinery than the solvers:
   closed form: the coupon is affine between kinks, so E[c(H_t) | t] is a
   short sum of normal distribution functions (conditional Monte Carlo).
   A policy that stops at one threshold, lower or upper, samples (t, Z)
-  on a randomly shifted Fibonacci lattice and H_t exactly there, for +Z
+  on a randomly shifted Fibonacci lattice, Z a scaled logistic weighted
+  by its density ratio to the normal, and H_t exactly there, for +Z
   and -Z: the exact Brownian-bridge probability that the path crossed
   the threshold before t weights the payoff there against the coupon at
   t (Carr's exponential horizon).  Its standard error is the spread of
@@ -59,11 +60,16 @@ _DT = 1.0 / 52.0      # McResult.dt, nominal: no estimate takes a time step
 _TIME_STRATA = 256
 # Random shifts of a stopped estimate's lattice, so its SE has 31 degrees of
 # freedom, and the shifts evaluated per in-place pass.  Four shifts of the
-# 10 946 points at 20 000 paths fill a 2.5 MB workspace.  Freeing it raises
+# 10 946 points at 20 000 paths fill a 2.8 MB workspace.  Freeing it raises
 # malloc's thresholds above the held-forever leg's 160 KB temporaries, which
 # otherwise fault in ~500 pages per estimate; one shift per pass (175 KB)
 # did not raise them far enough.
 _SHIFTS, _SHIFT_SLAB = 32, 4
+# A stopped estimate draws Z = s log(v / (1 - v)), s times a standard
+# logistic, and weights each point by the normal-to-logistic density ratio.
+# The weight's variance is least, 0.0153 to 0.0164, for s in [0.58, 0.60];
+# the variance-matched s = sqrt(3) / pi leaves 0.019 and a larger SE.
+_LOGISTIC_SCALE = 0.6
 _COARSE_NODES = 126   # smallest level of the nested policy-iteration solve
 # Phi for arrays (numpy has no erfc): pieces of width 1/128 in s = x / (x + 2),
 # each a polynomial of degree 6 (see ``_phi_table``); fewer pieces of higher
@@ -71,24 +77,6 @@ _COARSE_NODES = 126   # smallest level of the nested policy-iteration solve
 # Past x = |z| / sqrt(2) = 26.5 (z = -37.48), where erfc(x) / 2 < 1.2e-307,
 # Phi is taken as 0 or 1, so that no step leaves the normal floats.
 _PHI_WIDTH, _PHI_DEGREE, _PHI_TAIL = 128, 6, 26.5
-# Phi^{-1} by Wichura's AS241 (PPND16), as ``statistics.NormalDist.inv_cdf``
-# takes it: numerator and denominator, highest power first, in
-# 0.180625 - q^2 for |q| = |v - 1/2| <= 0.425, else in s - 1.6 for
-# s = sqrt(-log min(v, 1 - v)) <= 5, else in s - 5.
-_AS241 = (
-    (2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4, 4.5921953931549871457e4,
-     1.3731693765509461125e4, 1.9715909503065514427e3, 1.3314166789178437745e2, 3.3871328727963666080e0),
-    (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4, 2.1213794301586595867e4,
-     5.3941960214247511077e3, 6.8718700749205790830e2, 4.2313330701600911252e1, 1.0),
-    (7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1, 1.2704582524523683826e0,
-     3.6478483247632046050e0, 5.7694972214606914055e0, 4.6303378461565452959e0, 1.4234371107496835773e0),
-    (1.05075007164441684324e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2, 1.4810397642748007459e-1,
-     6.8976733498510000455e-1, 1.6763848301838038494e0, 2.0531916266377588219e0, 1.0),
-    (2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3, 2.6532189526576123093e-2,
-     2.9656057182850489123e-1, 1.7848265399172913358e0, 5.4637849111641143699e0, 6.6579046435011037772e0),
-    (2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5, 7.8686913114561325910e-4,
-     1.4875361290850614853e-2, 1.3692988092273580531e-1, 5.9983220655588793769e-1, 1.0),
-)
 
 
 @dataclass(frozen=True)
@@ -530,16 +518,21 @@ def mc_cashflow_value(
     sampled times here, not paths.
 
     Stopped at a threshold, the uniforms (U, V) that set T = -log(1 - U) / r
-    and Z = Phi^{-1}(V) run over a rank-1 lattice: the Fibonacci rule
+    and Z run over a rank-1 lattice: the Fibonacci rule
     (k / N, k g / N mod 1), N the smallest Fibonacci number with
     ``_SHIFTS`` N >= 16 ``n_paths`` and g the one before it, moved mod 1 by
     each of ``_SHIFTS`` independent uniform shifts drawn from ``seed``.
-    Each point samples H_T = h exp(mu T +- sigma sqrt(T) Z) exactly, for
-    both signs.  Given y = log H_T, the Brownian bridge from x = log h
-    reaches l = log L before T with probability
+    Z = s log(V / (1 - V)) is a scaled logistic, not a normal, and each
+    point is weighted by the density ratio w = s phi(Z) / (V (1 - V)),
+    s = ``_LOGISTIC_SCALE``, so the weighted points integrate against
+    N(0, 1); a randomly shifted lattice is unbiased for any integrand, so
+    the estimate stays unbiased.  Each point samples
+    H_T = h exp(mu T +- sigma sqrt(T) Z) exactly, for both signs, with
+    the weight of its Z.  Given y = log H_T, the Brownian bridge from
+    x = log h reaches l = log L before T with probability
     p = exp(min(0, -2 (x - l)(y - l) / (sigma^2 T))), which is 1 when y is
-    at or beyond l.  So each sample adds (1 - p) c(H_T) / r + p f(L), and
-    the estimate has no discretization or truncation bias.  The estimate
+    at or beyond l.  So each sample adds w ((1 - p) c(H_T) / r + p f(L)),
+    and the estimate has no discretization or truncation bias.  The estimate
     is the mean of the shifts' means, and its standard error their
     spread.  The coupon is read as pieces between its kinks, as held
     forever: one that is not affine there raises ``InvalidParams``, and a
@@ -574,8 +567,8 @@ def mc_cashflow_value(
         while _SHIFTS * n < 16 * n_paths:
             n, g = n + g, n
         n_drawn = _SHIFTS * n
-        note = (f"exact marginals on a Fibonacci lattice of {n} points, {_SHIFTS} random shifts, antithetic in Z; "
-                "nothing truncated; threshold crossing by the Brownian-bridge probability")
+        note = (f"logistic normals weighted to N(0, 1) on a Fibonacci lattice of {n} points, {_SHIFTS} random "
+                "shifts, antithetic in Z; nothing truncated; threshold crossing by the Brownian-bridge probability")
         if (lower is not None and h <= lower) or (upper is not None and h >= upper):
             return McResult(
                 estimate=float(_evaluate(cashflows.payoff, h)), std_error=0.0, tail_bound=0.0,
@@ -751,44 +744,32 @@ def _held_forever(rng, params, cashflows, n_reps, h):
     return np.mean(_coupon_given_time(params, cashflows, h, t), axis=1) / params.r
 
 
-def _normal_ppf(v: np.ndarray) -> np.ndarray:
-    """Phi^{-1}(v) for a float array of v in [0, 1], by AS241 (``_AS241``):
-    the steps and their order are those of ``statistics.NormalDist.inv_cdf``.
-    v = 0 and v = 1 give -inf and inf, without a warning.
+def _logistic(v, w, q):
+    """Overwrite v with L = log(v / (1 - v)) and w with the weight
+    w = phi(Z) / g(Z) = s phi(Z) / (v (1 - v)) of Z = s L, s = ``_LOGISTIC_SCALE``.
+
+    L is standard logistic for v uniform on (0, 1), and g is the density of
+    Z = s L, so E[w f(Z)] = E[f(N(0, 1))] for any f and E[w] = 1; w is the
+    same at v and 1 - v.  ``q`` is scratch of v's shape.  Every v in
+    [2^-53, 1 - 2^-53] gives a finite L and w without a warning.
     """
-    q = v - 0.5
-    r = np.subtract(0.180625, q * q)
-    x = _horner(_AS241[0], r) * q / _horner(_AS241[1], r)
-    tail = np.flatnonzero(~(np.abs(q) <= 0.425))
-    if tail.size:
-        w = np.minimum(v.take(tail), 1.0 - v.take(tail))
-        with np.errstate(divide="ignore", invalid="ignore"):   # v = 0 or 1: log 0, then inf / inf
-            s = np.sqrt(-np.log(w))
-            xt = _horner(_AS241[2], s - 1.6) / _horner(_AS241[3], s - 1.6)
-            far = np.flatnonzero(s > 5.0)
-            sf = s[far] - 5.0
-            xt[far] = _horner(_AS241[4], sf) / _horner(_AS241[5], sf)
-        xt[w == 0.0] = np.inf
-        x.put(tail, np.copysign(xt, q.take(tail)))
-    return x
-
-
-def _horner(coef, x):
-    """The polynomial with coefficients ``coef``, highest power first, at each x."""
-    out = np.full_like(x, coef[0])
-    for c in coef[1:]:
-        out *= x
-        out += c
-    return out
+    np.subtract(1.0, v, out=q)
+    np.multiply(v, q, out=w)
+    np.log(np.divide(v, q, out=v), out=v)
+    np.square(v, out=q)
+    q *= -0.5 * _LOGISTIC_SCALE**2
+    np.divide(np.exp(q, out=q), w, out=w)
+    w *= _LOGISTIC_SCALE / math.sqrt(2.0 * math.pi)
 
 
 def _integral(params, cashflows, h, level, flat, n, g, shifts):
     """The mean sample of each shift of the lattice, stopped at the threshold ``level``.
 
     Shift (s_u, s_v) moves the n points (k / n, k g / n mod 1) to
-    (u, v) mod 1; a coordinate that rounds to 0 is taken as 2^-53, the
-    shifts' spacing, so every time and normal is finite.  A point gives
-    t = -log(1 - u) / r, Z = Phi^{-1}(v) and the two samples S(y^+-),
+    (u, v) mod 1, each coordinate wrapped as x - floor(x); one that rounds
+    to 0 is taken as 2^-53, the shifts' spacing, so every time and normal
+    is finite.  A point gives t = -log(1 - u) / r, Z = s log(v / (1 - v))
+    and its weight w (``_logistic``), and the two samples S(y^+-),
     y^+- = x + mu t +- sigma sqrt(t) Z, x = log h, with
     S(y) = c(e^y) + p (r f(L) - c(e^y)), p = exp(min(0, e)) the bridge's
     crossing probability of the threshold L = e^l.  Its exponent
@@ -796,18 +777,20 @@ def _integral(params, cashflows, h, level, flat, n, g, shifts):
     a ((x - l) / t + mu) +- a sigma Z / sqrt(t), with a = -2 (x - l) / sigma^2.
     (x - l)(y - l) keeps its value when all three log-prices change sign,
     so one expression serves an upper threshold as well as a lower one.
-    A shift's mean is its samples' sum over 2 n r.
+    A shift's mean is sum w (S^+ + S^-) / (2 n r).
 
     ``flat`` is the coupon when it is one constant c (see ``_flat_coupon``),
-    else None.  A flat coupon forms no e^y: a shift's samples sum to
-    2 n c + (r f(L) - c) sum (p^+ + p^-).  Otherwise y = l + e t / a,
-    before the clamp, and the coupon is evaluated at e^y.
+    else None.  A flat coupon forms no e^y, and as E[w] = 1 its share is
+    taken exactly: a shift's mean is (c + (r f(L) - c) sum w (p^+ + p^-) / 2 n) / r.
+    Otherwise y = l + e t / a, before the clamp, and the coupon is
+    evaluated at e^y.
 
     The shifts, a multiple of ``_SHIFT_SLAB`` of them, go ``_SHIFT_SLAB``
     at a time, each pass in place over all their points, up and down
     samples together as one (2, slab, n) stack.  The buffers are fixed
-    rows of one (7, slab, n) workspace: the times, the v coordinates and
-    one scratch buffer, then the exponents and the log-prices of the stack.
+    rows of one (8, slab, n) workspace: the times, the v coordinates, the
+    weights and one scratch buffer, then the exponents and the log-prices
+    of the stack.
     """
     sigma, r = params.sigma, params.r
     mu = r - params.delta - 0.5 * sigma**2
@@ -817,20 +800,20 @@ def _integral(params, cashflows, h, level, flat, n, g, shifts):
     stop = r * float(_evaluate(cashflows.payoff, level))
     k = np.arange(n)
     base = (k / n, k * g % n / n)
-    space = np.empty((7, _SHIFT_SLAB, n))
-    t, v, q, e, y = space[0], space[1], space[2], space[3:5], space[5:7]
+    space = np.empty((8, _SHIFT_SLAB, n))
+    t, z, w, q, e, y = space[0], space[1], space[2], space[3], space[4:6], space[6:8]
     means = np.empty(shifts.shape[1])
     for s0 in range(0, len(means), _SHIFT_SLAB):
-        for i, out in enumerate((t, v)):
+        for i, out in enumerate((t, z)):
             np.add(base[i], shifts[i, s0 : s0 + _SHIFT_SLAB, None], out=out)
-            np.subtract(out, 1.0, out=out, where=out >= 1.0)
+            out -= np.floor(out, out=q)
             np.maximum(out, 2.0**-53, out=out)
         np.subtract(1.0, t, out=t)
         np.log(t, out=t)
         t /= -r
-        z = _normal_ppf(v)
+        _logistic(z, w, q)
         np.sqrt(t, out=q)
-        np.divide(a * sigma, q, out=q)
+        np.divide(a * sigma * _LOGISTIC_SCALE, q, out=q)
         z *= q                                      # a sigma Z / sqrt(t)
         np.divide(a * dist, t, out=e[1])
         e[1] += a * mu                              # a ((x - l) / t + mu)
@@ -840,20 +823,17 @@ def _integral(params, cashflows, h, level, flat, n, g, shifts):
             np.multiply(e, np.divide(t, a, out=q), out=y)
             y += ell
             c = _evaluate(cashflows.coupon, np.exp(y, out=y))
+            # The coupon may return its argument, y, so its sum comes first.
+            np.add(c[0], c[1], out=z)
         np.minimum(e, 0.0, out=e)
         p = np.exp(e, out=e)
         if flat is None:
-            # The coupon may return its argument, y, so its sums come first.
-            held = np.sum(np.add(c[0], c[1], out=z), axis=1)
             p = np.multiply(p, np.subtract(stop, c, out=y), out=y)   # p (stop - c)
-        sums = np.sum(np.add(p[0], p[1], out=z), axis=1)
-        if flat is None:
-            sums += held
+            z += np.add(p[0], p[1], out=p[0])
         else:
-            sums *= stop - flat
-            sums += 2 * n * flat
-        means[s0 : s0 + _SHIFT_SLAB] = sums / (2 * n * r)
-    return means
+            np.add(p[0], p[1], out=z)
+        means[s0 : s0 + _SHIFT_SLAB] = np.sum(np.multiply(z, w, out=z), axis=1) / (2 * n * r)
+    return means if flat is None else flat / r + (stop - flat) * means
 
 
 # Gates of the oracle triangle; Monte Carlo passes within max(3 SE, MC_TOL_FLOOR).

@@ -1,5 +1,4 @@
 import math
-import statistics
 import threading
 
 import numpy as np
@@ -539,18 +538,20 @@ class TestMonteCarlo:
             stop = p.r * float(cashflows.payoff(level))
             u, v = _lattice(n, g, shifts)
             t = np.log(1.0 - u) / -p.r
-            z = oracle._normal_ppf(v) * (a * p.sigma / np.sqrt(t))
+            s = oracle._LOGISTIC_SCALE
+            logistic = np.log(v / (1.0 - v))
+            weight = np.exp(logistic * logistic * (-0.5 * s**2)) / (v * (1.0 - v)) * (s / math.sqrt(2.0 * math.pi))
+            z = logistic * (a * p.sigma * s / np.sqrt(t))
             centre = a * dist / t + a * mu
             e = np.stack((centre + z, centre - z))
             if flat is None:
                 c = cashflows.coupon(np.exp(e * (t / a) + ell))
             prob = np.exp(np.minimum(e, 0.0))
             if flat is None:
-                w = prob * (stop - c)
-                total = np.sum(w[0] + w[1], axis=1) + np.sum(c[0] + c[1], axis=1)
-            else:
-                total = np.sum(prob[0] + prob[1], axis=1) * (stop - flat) + 2 * n * flat
-            return total / (2 * n * p.r)
+                pay = prob * (stop - c)
+                return np.sum((c[0] + c[1] + (pay[0] + pay[1])) * weight, axis=1) / (2 * n * p.r)
+            total = np.sum((prob[0] + prob[1]) * weight, axis=1) / (2 * n * p.r)
+            return flat / p.r + (stop - flat) * total
 
         frm = ContractSpec(kind=ContractKind.FRM, m=M0)
         abm = perpetual_cashflows(ContractSpec(kind=ContractKind.ABM, m=M0), p)
@@ -565,21 +566,28 @@ class TestMonteCarlo:
     def test_integral_agrees_with_the_paper_form(self, params_low_benefit):
         # At the same points, the shift means of the paper's form of each
         # sample, c + p (stop - c) with p = exp(min(0, -2 (x - l)(y - l) / (sigma^2 t)))
-        # and y = x + mu t +- sigma sqrt(t) Z, agree with the leg's to rounding.
+        # and y = x + mu t +- sigma sqrt(t) Z, weighted by
+        # w = s phi(Z) / (v (1 - v)) for Z = s log(v / (1 - v)), agree with
+        # the leg's to rounding.  A flat coupon's mean is taken exactly, as
+        # E[w] = 1, so only the stop's share of its sample is weighted.
         p, h, n, g = params_low_benefit, 1.3, 6765, 4181
         shifts = np.random.default_rng(11).random((2, oracle._SHIFTS))
+        s = oracle._LOGISTIC_SCALE
 
         def paper_form(cashflows, level):
             mu, x = p.r - p.delta - 0.5 * p.sigma**2, math.log(h)
             ell, stop = math.log(level), p.r * float(cashflows.payoff(level))
+            held = oracle._flat_coupon(cashflows) or 0.0
             u, v = _lattice(n, g, shifts)
             t = -np.log(1.0 - u) / p.r
-            spread = oracle._normal_ppf(v) * (p.sigma * np.sqrt(t))
+            normal = s * np.log(v / (1.0 - v))
+            weight = s * np.exp(-0.5 * normal**2) / math.sqrt(2.0 * math.pi) / (v * (1.0 - v))
+            spread = normal * (p.sigma * np.sqrt(t))
             total = 0.0
             for y in (x + mu * t + spread, x + mu * t - spread):
                 c = cashflows.coupon(np.exp(y))
                 prob = np.exp(np.minimum(-2.0 * (x - ell) * (y - ell) / (p.sigma**2 * t), 0.0))
-                total += np.sum(c + prob * (stop - c), axis=1)
+                total += np.sum(held + weight * (c - held + prob * (stop - c)), axis=1)
             return total / (2 * n * p.r)
 
         frm = ContractSpec(kind=ContractKind.FRM, m=M0)
@@ -608,20 +616,45 @@ class TestMonteCarlo:
             means = oracle._integral(p, cashflows, 1.0, level, oracle._flat_coupon(cashflows), 987, 610, shifts)
             assert np.isfinite(means).all(), level
 
-    def test_normal_ppf_matches_statistics(self):
-        # The same AS241 steps as the standard library's, on uniforms, on
-        # tails down to 1e-300 and up to 1 - 1e-16.
-        v = np.concatenate((np.random.default_rng(3).random(100_000), 10.0 ** -np.linspace(1.0, 300.0, 3001),
-                            1.0 - 10.0 ** -np.linspace(1.0, 16.0, 301)))
-        want = np.array([statistics.NormalDist().inv_cdf(x) for x in v.tolist()])
-        got = oracle._normal_ppf(v)
-        assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
-        assert oracle._normal_ppf(np.array([0.5])).tolist() == [0.0]
+    def test_logistic_weights_integrate_normal_moments(self):
+        # On every shift of the 20 000-path lattice's v coordinates, the
+        # weighted rule integrates 1, Z and Z^2 against N(0, 1).  Over 200
+        # seeds of shifts the gaps reach 1.1e-9, 5.4e-9 and 3.3e-8.
+        n, g = 10946, 6765
+        shifts = np.random.default_rng(2024).random((2, oracle._SHIFTS))
+        _, z = _lattice(n, g, shifts)
+        w, scratch = np.empty_like(z), np.empty_like(z)
+        oracle._logistic(z, w, scratch)
+        z *= oracle._LOGISTIC_SCALE
+        assert np.all(np.abs(np.mean(w, axis=1) - 1.0) <= 2e-9)
+        assert np.all(np.abs(np.mean(w * z, axis=1)) <= 1e-8)
+        assert np.all(np.abs(np.mean(w * z * z, axis=1) - 1.0) <= 6e-8)
 
     @pytest.mark.filterwarnings("error")
-    def test_normal_ppf_ends_are_infinite(self):
-        assert oracle._normal_ppf(np.array([0.0, 1.0, 0.5])).tolist() == [-math.inf, math.inf, 0.0]
-        assert oracle._normal_ppf(np.array([[0.0], [1.0]])).tolist() == [[-math.inf], [math.inf]]
+    def test_logistic_ends_are_finite(self):
+        # The lattice's coordinates lie in [2^-53, 1 - 2^-53]; both ends give
+        # a finite logistic, opposite, and the same tiny positive weight.
+        z = np.array([2.0**-53, 1.0 - 2.0**-53, 0.5])
+        w, scratch = np.empty(3), np.empty(3)
+        oracle._logistic(z, w, scratch)
+        assert np.isfinite(z).all() and np.isfinite(w).all()
+        assert z[0] == -z[1] < -36.0 and z[2] == 0.0
+        assert w[0] == w[1] and 0.0 < w[0] < 1e-80
+
+    def test_stopped_standard_error_stays_small(self, params_low_benefit):
+        # The integrands of the policy-agreement test above: no change may
+        # pass that test by widening its own error bar.  Each SE is held to
+        # 1.5 times the median, over 150 seeds at 20 000 paths, of Phi^{-1}
+        # normals without weights: 6.68e-6, 4.91e-6 and 7.64e-6.  The
+        # logistic-weighted leg's medians are 6.43e-6, 4.86e-6 and 8.63e-6.
+        frm = no_prepay_cashflows(ContractSpec(kind=ContractKind.FRM, m=M0), params_low_benefit)
+        abm = perpetual_cashflows(ContractSpec(kind=ContractKind.ABM, m=M0), params_low_benefit)
+        h1 = solve_no_prepay(params_low_benefit, ContractSpec(kind=ContractKind.FRM, m=M0)).boundaries["h1"]
+        for cf, policy, median in ((frm, (h1, None), 6.68e-6), (frm, (0.8, None), 4.91e-6),
+                                   (abm, (None, 1.5), 7.64e-6)):
+            for seed in (1, 2, 3):
+                result = mc_cashflow_value(params_low_benefit, cf, policy, 1.0, 20_000, 200.0, seed)
+                assert result.std_error <= 1.5 * median, (policy, seed, result.std_error)
 
     def test_stopped_standard_error_is_calibrated(self, params_low_benefit):
         # Over 100 seeds the gaps of the README FRM without prepayment,
@@ -688,8 +721,9 @@ class TestMonteCarlo:
         # log H_t = mu t + sigma W_t with sigma = 1e-6 falls to the lower
         # threshold at tau = 6 years, so the value is the coupon integral up
         # to tau plus the payoff there, both discounted.  The lattice's times
-        # still move with its random shifts, which leaves an SE of 2e-6 to
-        # 7e-6; moving the exit by a week moves the value by 1.4e-4.
+        # still move with its random shifts, and the normals' weights vary
+        # although the value hardly depends on Z, which leaves an SE of
+        # 6e-6 to 1.2e-5; moving the exit by a week moves the value by 1.4e-4.
         params = ModelParams(r=0.02, delta=0.05, sigma=1e-6, b0=B0)
         mu = params.r - params.delta - 0.5 * params.sigma**2
         tau = 6.0
