@@ -16,17 +16,19 @@ Three routes, each built on different machinery than the solvers:
   solutions h^{p1}, h^{-p2} of the pricing ODE (no optimization anywhere).
 * :func:`mc_cashflow_value` samples the exponential horizon.  The
   held-forever integral V = int_0^inf e^{-rt} E[c(H_t)] dt equals
-  E[c(H_t)] / r for t ~ Exp(r), so it samples only t, at stratified
-  exponential times, and integrates the lognormal price at each time in
-  closed form: the coupon is affine between kinks, so E[c(H_t) | t] is a
-  short sum of normal distribution functions (conditional Monte Carlo).
+  E[c(H_t)] / r for t ~ Exp(r), so it samples only t, on a randomly
+  shifted 1-D lattice under the tent transform, and integrates the
+  lognormal price at each time in closed form: the coupon is affine between
+  kinks, so E[c(H_t) | t] is a short sum of normal distribution functions
+  (conditional Monte Carlo).
   A policy that stops at one threshold, lower or upper, samples (t, Z)
   on a randomly shifted Fibonacci lattice, Z a scaled logistic weighted
   by its density ratio to the normal, and H_t exactly there, for +Z
   and -Z: the exact Brownian-bridge probability that the path crossed
   the threshold before t weights the payoff there against the coupon at
-  t (Carr's exponential horizon).  Its standard error is the spread of
-  the shifts' means.  Everything runs on the calling thread.
+  t (Carr's exponential horizon).  Both legs draw the same random shifts
+  from the seed, and each leg's standard error is the spread of its shifts'
+  means.  Everything runs on the calling thread.
   Nothing is time-stepped or truncated, and nothing uses the solvers'
   exponents.
 
@@ -55,15 +57,13 @@ from .options import solve_contract, solve_no_prepay
 from .solution import checked_price
 
 _DT = 1.0 / 52.0      # McResult.dt, nominal: no estimate takes a time step
-# Equal-probability strata of Exp(r) per replicate of a held-forever
-# estimate: at 20 000 times the README contracts reach SE 1.6e-5 to 3.1e-5.
-_TIME_STRATA = 256
-# Random shifts of a stopped estimate's lattice, so its SE has 31 degrees of
-# freedom, and the shifts evaluated per in-place pass.  Four shifts of the
-# 10 946 points at 20 000 paths fill a 2.8 MB workspace.  Freeing it raises
-# malloc's thresholds above the held-forever leg's 160 KB temporaries, which
-# otherwise fault in ~500 pages per estimate; one shift per pass (175 KB)
-# did not raise them far enough.
+# Random shifts of either leg's lattice, so its SE has 31 degrees of freedom,
+# and the stopped leg's shifts per in-place pass, which change no bits.  Four
+# shifts of the 10 946 points at 20 000 paths fill a 2.8 MB workspace.  In
+# the benchmark's rotation of the six acceptance cases (2-core Xeon), the
+# stopped estimate took 6.4, 6.0, 6.1 and 6.6 ms at 1, 2, 4 and 8 shifts per
+# pass; 2 beat 4 in only 7 of 10 alternating runs, and the held-forever
+# leg's 80 KB temporaries faulted no pages after any of them.
 _SHIFTS, _SHIFT_SLAB = 32, 4
 # A stopped estimate draws Z = s log(v / (1 - v)), s times a standard
 # logistic, and weights each point by the normal-to-logistic density ratio.
@@ -460,17 +460,16 @@ def threshold_policy_value(
 class McResult:
     """Monte Carlo estimate with its sampling diagnostics.
 
-    Held forever, ``std_error`` is the standard error of the mean over
-    independent replicates of ``_TIME_STRATA`` stratified times, and
-    ``n_paths`` counts the sampled times: the requested count rounded up
-    to whole replicates.  Stopped at a threshold, ``std_error`` is over
-    the means of the lattice's ``_SHIFTS`` random shifts, and ``n_paths``
-    counts the lattice points over all shifts, each an antithetic pair of
-    paths.  No estimate is time-stepped or truncated, so ``tail_bound`` is
-    always 0.0.  ``horizon`` (the argument as given), ``dt`` (a nominal
-    1/52) and ``tail_bound`` carry no information; they are kept because
-    the benchmark's tracer (``perfbench/tracing.py``) reads them, and go
-    when the benchmark stops reading them.
+    ``std_error`` is over the means of the lattice's ``_SHIFTS`` random
+    shifts, and ``n_paths`` counts the lattice points over all shifts.
+    Held forever each point is one sampled time, and they number half the
+    requested count, rounded up to whole lattices; stopped at a threshold
+    each is an antithetic pair of paths.  No estimate is time-stepped or
+    truncated, so ``tail_bound`` is always 0.0.  ``horizon`` (the argument
+    as given), ``dt`` (a nominal 1/52) and ``tail_bound`` carry no
+    information; they are kept because the benchmark's tracer
+    (``perfbench/tracing.py``) reads them, and go when the benchmark stops
+    reading them.
     """
 
     estimate: float
@@ -511,11 +510,13 @@ def mc_cashflow_value(
     affine between its kinks, so E[c(H_T) | T] is a short sum of normal
     distribution functions (see ``_coupon_given_time``), each taken over
     all times at once by a piecewise polynomial within 6e-14 relative of
-    ``math.erfc`` (``_normal_cdf``).  The estimate
-    takes ceil(n_paths / 256) independent replicates, each one time in
-    every one of 256 equal-probability strata of Exp(r), and its standard
-    error comes from the spread of the replicates.  ``n_paths`` counts
-    sampled times here, not paths.
+    ``math.erfc`` (``_normal_cdf``).  The times run over the lattice k / N,
+    N = ceil(n_paths / (2 ``_SHIFTS``)), moved mod 1 by each of ``_SHIFTS``
+    independent uniform shifts drawn from ``seed``, the first coordinates
+    of the stopped leg's shifts; the tent q = |2 u - 1| takes each point u
+    to T = -log(q) / r (see ``_held_forever``).  The estimate is the mean
+    of the shifts' means, and its standard error their spread.  The
+    result's ``n_paths`` counts sampled times here, not paths.
 
     Stopped at a threshold, the uniforms (U, V) that set T = -log(1 - U) / r
     and Z run over a rank-1 lattice: the Fibonacci rule
@@ -556,31 +557,29 @@ def mc_cashflow_value(
     _check_thresholds(lower, upper)
 
     level = upper if lower is None else lower
+    shifts = np.random.default_rng(seed).random((2, _SHIFTS))
     if level is None:
-        n_reps = -(-n_paths // _TIME_STRATA)
-        samples = _held_forever(np.random.default_rng(seed), params, cashflows, n_reps, h)
-        n_drawn = n_reps * _TIME_STRATA
-        note = (f"E[c(H_T) | T] in closed form at {_TIME_STRATA} stratified exponential times "
-                f"per replicate, {n_reps} replicates; nothing truncated")
+        n = -(-n_paths // (2 * _SHIFTS))   # half as many times as paths
+        note = (f"E[c(H_T) | T] in closed form at the times of a tent-transformed lattice of {n} points, "
+                f"{_SHIFTS} random shifts; nothing truncated")
+        samples = _held_forever(params, cashflows, h, n, shifts[0])
     else:
         n, g = 2, 1
         while _SHIFTS * n < 16 * n_paths:
             n, g = n + g, n
-        n_drawn = _SHIFTS * n
         note = (f"logistic normals weighted to N(0, 1) on a Fibonacci lattice of {n} points, {_SHIFTS} random "
                 "shifts, antithetic in Z; nothing truncated; threshold crossing by the Brownian-bridge probability")
         if (lower is not None and h <= lower) or (upper is not None and h >= upper):
             return McResult(
                 estimate=float(_evaluate(cashflows.payoff, h)), std_error=0.0, tail_bound=0.0,
-                n_paths=n_drawn, horizon=horizon, dt=_DT, note=note,
+                n_paths=_SHIFTS * n, horizon=horizon, dt=_DT, note=note,
             )
-        shifts = np.random.default_rng(seed).random((2, _SHIFTS))
         samples = _integral(params, cashflows, h, level, _flat_coupon(cashflows), n, g, shifts)
 
     return McResult(
         estimate=float(np.mean(samples)),
         std_error=float(np.std(samples, ddof=1) / math.sqrt(len(samples))),
-        tail_bound=0.0, n_paths=n_drawn, horizon=horizon, dt=_DT, note=note,
+        tail_bound=0.0, n_paths=_SHIFTS * n, horizon=horizon, dt=_DT, note=note,
     )
 
 
@@ -732,15 +731,20 @@ def _normal_cdf(z: np.ndarray) -> np.ndarray:
     return np.subtract(1.0, half, out=half, where=z > 0.0)
 
 
-def _held_forever(rng, params, cashflows, n_reps, h):
-    """Replicate values of the coupon integral E[c(H_T)] / r, T ~ Exp(r).
+def _held_forever(params, cashflows, h, n, shifts):
+    """The mean of E[c(H_T)] / r, T ~ Exp(r), over each shift of an n-point lattice.
 
-    Replicate i takes t_ik = -log(1 - (k + U_ik) / K) / r in each of its
-    K = ``_TIME_STRATA`` strata and averages E[c(H_t)] over them.  K - k - U
-    is exact and positive, so the top stratum's time is finite.
+    Shift s moves the points k / n to u = k / n + s mod 1, wrapped as
+    x - floor(x), and the tent q = |2 u - 1|, uniform like u, gives
+    T = -log(q) / r.  The tent makes the integrand's periodic extension
+    continuous, so the shifted rule converges at close to O(n^-2) on it
+    (Hickernell 2002).  The plain map T = -log(u) / r jumps from the limit
+    at T = inf back to c(h) at T = 0, and its SE on the README contracts is
+    80 times larger or more.  q = 0, at u = 1/2, is taken as 2^-53, so every
+    time is finite; u = 0 gives T = 0, which pays c(h).
     """
-    u = rng.random((n_reps, _TIME_STRATA))
-    t = np.log((_TIME_STRATA - np.arange(_TIME_STRATA) - u) / _TIME_STRATA) / -params.r
+    u = np.arange(n) / n + shifts[:, None]
+    t = np.log(np.maximum(np.abs(2.0 * (u - np.floor(u)) - 1.0), 2.0**-53)) / -params.r
     return np.mean(_coupon_given_time(params, cashflows, h, t), axis=1) / params.r
 
 

@@ -416,24 +416,27 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("delta,spec", [c[1:] for c in MC_GATE_CASES[1:]],
                              ids=[c[0] for c in MC_GATE_CASES[1:]])
     def test_held_forever_standard_error_is_small(self, delta, spec):
-        # Sampling only the time leaves the oracle's own error bar at most
-        # 5e-5 at the acceptance path count, a tenth of the gate's floor, so
-        # the gate cannot pass by widening it.
+        # Sampling only the time, on a tent-transformed lattice, leaves the
+        # oracle's own error bar at most 1e-5 at the acceptance path count, a
+        # fiftieth of the gate's floor, so the gate cannot pass by widening
+        # it.  The lattice has ceil(20 000 / 64) points under each shift.
         params = ModelParams(r=R0, delta=delta, sigma=SIGMA0, b0=B0)
         result = mc_cashflow_value(params, no_prepay_cashflows(spec, params), None, 1.0, 20_000, 200.0, 1)
-        assert 0.0 < result.std_error <= 5e-5
-        assert result.n_paths == 79 * oracle._TIME_STRATA
+        assert 0.0 < result.std_error <= 1e-5
+        assert result.n_paths == oracle._SHIFTS * math.ceil(20_000 / 64) == 10_016
 
-    def test_held_forever_standard_error_is_calibrated(self, params_low_benefit):
+    @pytest.mark.parametrize("delta,spec", [c[1:] for c in MC_GATE_CASES[1:]],
+                             ids=[c[0] for c in MC_GATE_CASES[1:]])
+    def test_held_forever_standard_error_is_calibrated(self, delta, spec):
         # Over 100 seeds the gaps to the closed form, in standard errors,
-        # have mean near 0 and spread near 1: the replicates' spread neither
-        # hides nor inflates the error.
-        spec = ContractSpec(kind=ContractKind.ABM, m=M0)
-        closed = solve_no_prepay(params_low_benefit, spec).value(1.0)
-        cf = no_prepay_cashflows(spec, params_low_benefit)
+        # have mean near 0 and spread near 1: the spread of the shifts'
+        # means neither hides nor inflates the error.
+        params = ModelParams(r=R0, delta=delta, sigma=SIGMA0, b0=B0)
+        closed = solve_no_prepay(params, spec).value(1.0)
+        cf = no_prepay_cashflows(spec, params)
         z = []
         for seed in range(100):
-            result = mc_cashflow_value(params_low_benefit, cf, None, 1.0, 20_000, 200.0, seed)
+            result = mc_cashflow_value(params, cf, None, 1.0, 20_000, 200.0, seed)
             z.append((result.estimate - closed) / result.std_error)
         assert abs(np.mean(z)) <= 0.3
         assert 0.7 <= np.std(z, ddof=1) <= 1.3
@@ -464,6 +467,28 @@ class TestMonteCarlo:
         growing = ModelParams(r=0.05, delta=0.01, sigma=SIGMA0, b0=B0)
         far = oracle._coupon_given_time(growing, flat, 1e307, np.array([0.0, 100.0, 1e4]))
         assert far.tolist() == [0.03, 0.03, 0.03]
+
+    @pytest.mark.filterwarnings("error")
+    def test_held_forever_lattice_ends_stay_finite(self, params_low_benefit, monkeypatch):
+        # With n even, shift 0 puts point n / 2 at u = 1/2, where the tent
+        # gives q = 0, taken as 2^-53, so T = 53 log 2 / r; and point 0 at
+        # u = 0, where T = 0 pays the coupon at h.  Shift 1/2 swaps the two.
+        # Priced on the ABM's kink, where T = 0 reads z = 0 / 0.
+        times = []
+        given_time = oracle._coupon_given_time
+        monkeypatch.setattr(oracle, "_coupon_given_time",
+                            lambda *args: times.append(args[-1].copy()) or given_time(*args))
+        abm = no_prepay_cashflows(ContractSpec(kind=ContractKind.ABM, m=M0), params_low_benefit)
+        means = oracle._held_forever(params_low_benefit, abm, B0, 8, np.array([0.0, 0.5]))
+        (t,) = times
+        assert np.isfinite(t).all() and np.isfinite(means).all()
+        assert t[0, 0] == t[1, 4] == 0.0
+        assert t[0, 4] == t[1, 0] == pytest.approx(53.0 * math.log(2.0) / R0, rel=1e-15)
+        assert means[0] == means[1]
+        # Every point, against the map written out one point at a time.
+        want = [[-math.log(max(abs(2.0 * ((k / 8 + s) % 1.0) - 1.0), 2.0**-53)) / R0 for k in range(8)]
+                for s in (0.0, 0.5)]
+        np.testing.assert_allclose(t, want, rtol=1e-15, atol=0.0)
 
     def test_normal_cdf_matches_math_erfc(self):
         # Relative accuracy matters: the coupon sum multiplies a large mean
@@ -497,8 +522,14 @@ class TestMonteCarlo:
         erfc = np.frompyfunc(math.erfc, 1, 1)
         monkeypatch.setattr(oracle, "_normal_cdf", lambda z: 0.5 * erfc(z * -math.sqrt(0.5)).astype(float))
         slow = mc_cashflow_value(params_low_benefit, cf, None, 1.0, 20_000, 200.0, 1)
+        # Phi's error moves each shift's mean by at most e = 1e-12 |estimate|,
+        # the estimate's own bound.  The SE is the norm of the centred means
+        # over sqrt(31 * 32), and centring does not lengthen a vector, so it
+        # moves by at most e sqrt(32) / sqrt(31 * 32) < e.  A bound relative
+        # to the SE itself would hold the ABM's, ~1e-7, to 1e-19, far below
+        # Phi's error in the means.
         assert fast.estimate == pytest.approx(slow.estimate, rel=1e-12, abs=0.0)
-        assert fast.std_error == pytest.approx(slow.std_error, rel=1e-12, abs=0.0)
+        assert abs(fast.std_error - slow.std_error) <= 1e-12 * abs(fast.estimate)
 
     def test_one_threshold_agrees_with_the_policy_oracle(self, params_low_benefit):
         # The FRM without prepayment stopped at its optimal default boundary
