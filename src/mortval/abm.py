@@ -17,7 +17,8 @@ band's outer edge (``aprm``).  No h1 exists at m <= delta, where x = 0.
 A balance B0 scales both boundaries.
 
 * m <= delta, A = 0: h2 alone, explicit:
-  h2 = B0 ((1/r - (1 - 1/p1)/delta) / (1/r - 1/m))^{1/p2}.
+  h2 = B0 ((1/r - (1 - 1/p1)/delta) / (1/r - 1/m))^{1/p2},
+  and no boundary at all when that is past the float range.
 * otherwise: g increases wherever x(y) < 1 < y, so h2 is its root on
   [1 + 1e-10, end], and h1 = B0 x(h2/B0).  The end is
   - h3 when A > 0; at m >= m* = p1 delta/(p1-1), x reaches 1 first, and
@@ -27,7 +28,8 @@ A balance B0 scales both boundaries.
     where x reaches 1, at A = 0 and m > m*;
   - else (A = 0, delta < m <= m*, where g rises for ever) the largest
     float: the root is taken of g(e^u) e^{-p2 u}, finite for every u, in
-    u = log y, and an h2 past the float range raises ``UnsupportedRegime``.
+    u = log y.  Where it stays negative up to the largest float, h2 is at
+    infinity, and h1 is x's limit as y -> inf, an empty band's h1 below.
 
 This equation alone decides the APRM's band.  Below m*, with A > 0, the
 band is empty when h3 <= 1 + 1e-10, when g(h3) <= 0, or when the root
@@ -123,10 +125,9 @@ def _boundaries(m: float, r: float, delta: float, ex: Exponents, balance: float,
     p1, p2 = ex.p1, ex.p2
     if m <= delta and not share:
         try:
-            h2 = balance * ((1.0 / r - (1.0 - 1.0 / p1) / delta) / (1.0 / r - 1.0 / m)) ** (1.0 / p2)
+            return {"h2": balance * ((1.0 / r - (1.0 - 1.0 / p1) / delta) / (1.0 / r - 1.0 / m)) ** (1.0 / p2)}
         except OverflowError:
-            raise UnsupportedRegime(f"prepayment boundary exceeds floating-point range at m={m}") from None
-        return {"h2": h2}
+            return {}  # h2 at infinity: held forever
 
     x, g, g_log = _pasting(m, r, delta, p1, p2, share, h3)
     y_lo, m_star = 1.0 + 1e-10, p1 * delta / (p1 - 1.0)
@@ -142,17 +143,15 @@ def _boundaries(m: float, r: float, delta: float, ex: Exponents, balance: float,
     elif not share:
         f, lo, hi = g_log, math.log(y_lo), _LOG_MAX
     f_hi = f(hi)
-    if band and not (lo < hi and f_hi > 0.0):
-        y_hat = h3  # no root below h3
+    if (band or f is g_log) and not (lo < hi and f_hi > 0.0):
+        y_hat = INF  # no root below h3, or none in the float range
     else:
         f_lo = f(lo)
         if not f_lo < 0.0 <= f_hi:
-            if f is g_log and f_lo < 0.0:
-                raise UnsupportedRegime(f"prepayment boundary h2 exceeds the float range at m={m}")
             raise NoBracket(f"pasting equation has unexpected signs: f({lo})={f_lo}, f({hi})={f_hi}")
         root = find_root_bracketed(f, lo, hi)
         y_hat = math.exp(root) if f is g_log else root
-    if band and y_hat >= h3:  # the band is empty
+    if y_hat >= h3:  # the band is empty, or h2 is at infinity
         return {"h1": balance * (p1 * (1.0 - delta / m)) ** (1.0 / (p1 - 1.0))} if m > delta else {}
     bounds = {"h1": balance * x(y_hat)} if m > delta else {}
     bounds["h2"] = balance * y_hat

@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 
 from .contracts import require_positive_spread
-from .errors import NoBracket, UnsupportedRegime
+from .errors import NoBracket
 from .model import ModelParams, compute_exponents
 from . import rootfind
 from .rootfind import find_root_bracketed
@@ -88,8 +88,8 @@ def solve_frm(params: ModelParams, m: float) -> SolvedContract:
     with 0 < h1 < B0 < h2.  On the continuation region
     V(h) = C1 (h/h2)^{p1} + C2 (h1/h)^{p2} + m B0 / r with C1, C2 < 0
     obtained from value matching at h1 and h2; smooth pasting at both then
-    holds to root tolerance.  A prepayment boundary past the float range
-    raises ``UnsupportedRegime``.
+    holds to root tolerance.  A prepayment boundary past the float range is
+    a boundary at infinity: the contract has no h2 and is never prepaid.
     """
     m = require_positive_spread(m, params)
     ex = compute_exponents(params)
@@ -104,11 +104,11 @@ def solve_frm(params: ModelParams, m: float) -> SolvedContract:
     em1 = math.expm1(tau)
     x = -(m / r) * em1 / slope2
     h1 = b0 * x
+    bounds = {"h1": h1}
     try:
-        h2 = h1 * math.exp((log_1pa + math.log1p(k * em1)) / p2)
+        bounds["h2"] = h1 * math.exp((log_1pa + math.log1p(k * em1)) / p2)
     except OverflowError:
-        raise UnsupportedRegime(f"prepayment boundary exceeds floating-point range at m={m}") from None
-    bounds = {"h1": h1, "h2": h2}
+        pass  # h2 at infinity: the contract is never prepaid
     return build(_skeleton(bounds, m * b0, b0), bounds, ex, r, params.delta)
 
 

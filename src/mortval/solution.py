@@ -96,11 +96,8 @@ class Region(NamedTuple):
     def derivative(self, h, exponents: Exponents):
         return self._power_sum(h, exponents, 1)
 
-    def second_derivative(self, h, exponents: Exponents):
-        return self._power_sum(h, exponents, 2)
-
     def _power_sum(self, h, exponents: Exponents, order: int):
-        """Derivative of the given order (0, 1 or 2) of this piece at ``h``.
+        """Derivative of the given order (0 or 1) of this piece at ``h``.
 
         A Python float ``h`` must be a positive price.  It is evaluated
         with ``math``, anything else as a float array with numpy's ufuncs,
@@ -117,15 +114,15 @@ class Region(NamedTuple):
         if order == 0:
             out = self.k0 + self.k1 * h
         elif scalar:
-            out = self.k1 if order == 1 else 0.0
+            out = self.k1
         else:
-            out = np.full_like(h, self.k1 if order == 1 else 0.0)
+            out = np.full_like(h, self.k1)
         for coeff, p, anchor in ((self.c_p1, exponents.p1, self.hi), (self.c_p2, -exponents.p2, self.lo)):
             # Power terms are skipped when their coefficient is zero so that
             # affine stopping regions evaluate safely for arbitrarily large h.
             if coeff != 0.0:
-                for j in range(order):
-                    coeff *= (p - j) / anchor   # falling factorial p (p-1) ... over anchor^order
+                if order:
+                    coeff *= p / anchor   # d/dh (h/anchor)^p = (p/anchor) (h/anchor)^{p-1}
                 out = out + _power_term(coeff, h, p - order, anchor)
         return out
 

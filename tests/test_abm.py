@@ -6,12 +6,12 @@ from mortval import (
     ContractSpec,
     ModelParams,
     NegativeSpread,
-    UnsupportedRegime,
     max_rate,
     perpetual_cashflows,
     solve_abm,
     solve_contract,
     solve_abm_no_prepay,
+    threshold_policy_value,
 )
 from mortval.solution import Action
 
@@ -139,12 +139,15 @@ def test_option_value_nonnegative(params_low_benefit):
     assert float(np.min(gap)) >= -1e-10
 
 
-def test_unrepresentable_boundary_is_unsupported():
-    # p2 = 0.0289 and m just above r put h2 = B0 (...)^{1/p2} past float range.
+@pytest.mark.filterwarnings("error")
+def test_boundary_past_the_float_range_is_held_forever():
+    # p2 = 0.0289 and m just above r put h2 = B0 (...)^{1/p2} past float range:
+    # h2 is at infinity, and the contract is the one held forever.
     params = ModelParams(r=0.00547037976873022, delta=0.02399551246756193,
                          sigma=0.5766188358088469, b0=0.6881895655214953)
-    with pytest.raises(UnsupportedRegime):
-        solve_abm(params, 0.0054703797742006)
+    solved = solve_abm(params, 0.0054703797742006)
+    assert solved.boundaries == {}
+    assert solved.regions == solve_abm_no_prepay(params, 0.0054703797742006).regions
     # The rate equation at h2 = 1 needs no solve there.
     assert params.r < max_rate(params, ContractKind.ABM) < 1.0
 
@@ -158,9 +161,26 @@ def test_numpy_scalar_inputs_take_the_float_path():
                          sigma=wrap(0.5766188358088469), b0=wrap(0.6881895655214953))
     spec = ContractSpec(ContractKind.ABM, wrap(0.0054703797742006))
     assert {type(x) for x in (params.r, params.delta, params.sigma, params.b0, spec.m, spec.alpha)} == {float}
-    with pytest.raises(UnsupportedRegime, match="prepayment boundary exceeds floating-point range"):
-        solve_contract(params, spec)
+    assert solve_contract(params, spec).boundaries == {}
     assert params.r < max_rate(params, ContractKind.ABM) < 1.0
+
+
+def test_pasting_root_past_the_float_range_leaves_only_the_low_boundary():
+    # At delta < m <= m*, g stays negative in log y up to the largest float:
+    # h2 is at infinity, and h1 is x's limit as y -> inf, the empty band's
+    # B0 (p1 (1 - delta/m))^{1/(p1-1)}.
+    params = ModelParams(r=0.007738000519237355, delta=0.004186262984373592,
+                         sigma=0.7922822828923965, b0=0.7208389971830662)
+    m = 0.007738000548392585
+    solved = solve_abm(params, m)
+    p1 = solved.exponents.p1
+    assert solved.boundaries == {"h1": params.b0 * (p1 * (1.0 - params.delta / m)) ** (1.0 / (p1 - 1.0))}
+    assert solved.boundaries["h1"] == pytest.approx(2.0767e-26, rel=1e-4)
+    check_pasting(solved)
+    cashflows = perpetual_cashflows(ContractSpec(ContractKind.ABM, m), params)
+    for h in (1.0, 2.0):
+        policy = threshold_policy_value(params, cashflows, (solved.boundaries["h1"], None), h)
+        assert policy == pytest.approx(solved.value(h), rel=1e-12, abs=1e-12)
 
 
 def test_negative_spread_rejected(params_low_benefit):

@@ -77,13 +77,14 @@ class TestSolve:
         assert code == 2
         assert json.loads(err)["error"] == "NegativeSpread"
 
-    def test_unrepresentable_boundary_exits_2_with_machine_error(self, capsys):
+    def test_boundary_past_the_float_range_exits_0_without_boundaries(self, capsys):
+        # The ABM's h2 overflows here: it is at infinity, and the contract is held forever.
         code, out, err = run(capsys, [
             "solve", "--contract", "abm", "--r", "0.00547037976873022", "--delta", "0.02399551246756193",
             "--sigma", "0.5766188358088469", "--b0", "0.6881895655214953", "--m", "0.0054703797742006",
         ])
-        assert code == 2 and out == ""
-        assert json.loads(err)["error"] == "UnsupportedRegime"
+        assert code == 0 and err == ""
+        assert json.loads(out)["boundaries"] == {}
 
     def test_missing_flags_exit_2(self, capsys):
         code, _, err = run(capsys, ["solve", "--contract", "frm", "--r", "0.02"])

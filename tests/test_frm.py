@@ -8,10 +8,10 @@ from mortval import (
     ContractSpec,
     ModelParams,
     NegativeSpread,
-    UnsupportedRegime,
     ValuationError,
     perpetual_cashflows,
     solve_abm,
+    solve_abm_no_prepay,
     solve_frm,
     solve_frm_no_prepay,
     threshold_policy_value,
@@ -156,14 +156,21 @@ def test_overflowing_power_is_solved_in_logs():
     check_pasting(solved)
 
 
-def test_unrepresentable_boundary_is_unsupported_as_for_the_abm():
-    # The same extreme market raises the same error for both contracts.
+def test_boundary_past_the_float_range_is_at_infinity_as_for_the_abm():
+    # h2 overflows here for both contracts: each is the contract that is never
+    # prepaid, the FRM's with its default boundary and the ABM's held forever.
     params = ModelParams(r=0.006214696459187511, delta=0.009057486142342086,
                          sigma=0.7276568434419125, b0=0.601571017787069)
     m = 0.0062146969268798286
-    for solver in (solve_frm, solve_abm):
-        with pytest.raises(UnsupportedRegime, match="prepayment boundary exceeds floating-point range"):
-            solver(params, m)
+    solved, reference = solve_frm(params, m), solve_frm_no_prepay(params, m)
+    assert solved.boundaries.keys() == {"h1"}
+    assert solved.boundaries["h1"] == pytest.approx(0.013361, rel=1e-4)
+    assert solved.boundaries["h1"] == pytest.approx(reference.boundaries["h1"], rel=1e-14)
+    for h in (params.b0 / 2.0, params.b0, 2.0 * params.b0, 10.0):
+        assert solved.value(h) == pytest.approx(reference.value(h), rel=1e-14, abs=1e-14)
+    check_pasting(solved)
+    held = solve_abm(params, m)
+    assert held.boundaries == {} and held.regions == solve_abm_no_prepay(params, m).regions
 
 
 def _markets(box: str, n: int, seed: int):
@@ -214,8 +221,11 @@ class TestPastingRoot:
                 solved = solve_frm(params, m)
             except ValuationError:
                 continue
-            h1, h2 = solved.boundaries["h1"], solved.boundaries["h2"]
-            assert 0.0 < h1 < params.b0 < h2 < math.inf, (params, m)
+            h1 = solved.boundaries["h1"]
+            if "h2" in solved.boundaries:
+                assert 0.0 < h1 < params.b0 < solved.boundaries["h2"] < math.inf, (params, m)
+            else:  # h2 at infinity: the contract that only defaults
+                assert h1 == pytest.approx(solve_frm_no_prepay(params, m).boundaries["h1"], rel=1e-14), (params, m)
 
     def test_few_newton_steps_and_no_fallback_on_the_quote_box(self, monkeypatch):
         evals = 0

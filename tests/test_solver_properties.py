@@ -34,6 +34,7 @@ from mortval.model import Exponents
 from mortval.solution import build
 
 from conftest import check_ode_residual, check_pasting
+from envelope import wide_box, wide_box_table
 
 markets = st.builds(
     ModelParams,
@@ -53,8 +54,9 @@ def _rate(params: ModelParams, factor: float) -> float:
 
 
 def _solve_or_discard(solver, *args):
-    # Extreme draws can push boundary exponent products past float range;
-    # they raise cleanly and are out of scope here.  Any other error fails
+    # A closed form past the float range raises UnsupportedRegime, and such a
+    # draw is out of scope here; a prepayment boundary past it is returned as
+    # no h2, and no draw of this box is known to raise.  Any other error fails
     # the test.
     try:
         return solver(*args)
@@ -218,6 +220,26 @@ def test_wide_box_returns_pasted_finite_contracts_or_typed_errors():
     assert not bad, f"{len(bad)} failures, the first: {bad[:3]}"
 
 
+def test_envelope_wide_box_table():
+    # ``python tests/envelope.py wide-box`` on its first 8 markets, the three
+    # markets whose FRM and ABM h2 lie past the float range (the ABM's at
+    # r .00774 in the log-y root), and one where the APRM at alpha = 1e-12
+    # leaves the float range.
+    named = [(ModelParams(*market[:4]), market[4]) for market in (
+        (.006214696459187511, .009057486142342086, .7276568434419125, .601571017787069, .0062146969268798286),
+        (.00547037976873022, .02399551246756193, .5766188358088469, .6881895655214953, .0054703797742006),
+        (.007738000519237355, .004186262984373592, .7922822828923965, .7208389971830662, .007738000548392585),
+        (.08620066757887102, .00449503884336159, .043196822687017244, .49982462637944164, .08620333416857721),
+    )]
+    table = wide_box_table(list(wide_box(8, 4242)) + named)
+    for name in ("frm", "abm", "aprm alpha=0"):
+        assert table[name] == {"returns": 12, "without h2": 3}, name
+    assert table["aprm alpha=1e-12"]["UnsupportedRegime: solve_aprm leaves the float range"] == 1
+    assert table["aprm alpha=0.05"]["returns"] == 12
+    cause = "UnsupportedRegime: no closed form for sharing fraction # >= loan-to-value # at high rates"
+    assert table["aprm alpha=0.3"] == {"returns": 11, "without h2": 10, cause: 1}
+
+
 # Markets (r, delta, sigma, b0, m, alpha) outside the wide box where a power
 # or quotient of the closed form leaves the float range: a power in the
 # pasting equation of the APRM's band overflows (a), the band edge h3 is inf
@@ -273,8 +295,8 @@ def test_abm_pastes_where_its_pasting_equation_overflows_in_y():
 
 def test_build_refuses_a_subnormal_free_boundary():
     # Every solver pastes through the one builder, so each refuses the same
-    # h1; at market (e) the ABM's h2 already lies past the float range, and
-    # it raises.
+    # h1; at market (e) the ABM's h2 lies past the float range, so its one
+    # boundary is x's limit h1 = B0 2.4e-320, a subnormal, and it raises.
     r, delta, sigma, b0, m, _ = FLOAT_FAULTS["e"]
     with pytest.raises(UnsupportedRegime, match="float range"):
         solve_abm(ModelParams(r, delta, sigma, b0), m)
