@@ -257,7 +257,7 @@ _FLAGS = {
     "x_max": (float, None, None, "last value of --x"),
     "steps": (int, None, 50, "intervals between --x-min and --x-max"),
     "n_points": (int, None, 2001, "grid nodes"),
-    "n_paths": (int, None, 20000, "Monte Carlo size: n/2 times held forever, ~16n lattice points stopped"),
+    "n_paths": (int, None, 20000, "Monte Carlo size: n/2 times held forever, ~10n lattice points stopped"),
     "seed": (int, None, 20200709, "Monte Carlo seed"),
     "T": (float, None, None, "maturity (years)"),
     "t": (float, None, None, "time since origination (years)"),

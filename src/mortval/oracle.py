@@ -22,8 +22,9 @@ Three routes, each built on different machinery than the solvers:
   kinks, so E[c(H_t) | t] is a short sum of normal distribution functions
   (conditional Monte Carlo).
   A policy that stops at one threshold, lower or upper, samples (t, Z)
-  on a randomly shifted Fibonacci lattice, Z a scaled logistic weighted
-  by its density ratio to the normal, and H_t exactly there, for +Z
+  on a randomly shifted Fibonacci lattice, t under the same tent and Z a
+  scaled logistic weighted by its density ratio to the normal, and H_t
+  exactly there, for +Z
   and -Z: the exact Brownian-bridge probability that the path crossed
   the threshold before t weights the payoff there against the coupon at
   t (Carr's exponential horizon).  Both legs draw the same random shifts
@@ -59,11 +60,11 @@ from .solution import checked_price
 _DT = 1.0 / 52.0      # McResult.dt, nominal: no estimate takes a time step
 # Random shifts of either leg's lattice, so its SE has 31 degrees of freedom,
 # and the stopped leg's shifts per in-place pass, which change no bits.  Four
-# shifts of the 10 946 points at 20 000 paths fill a 2.8 MB workspace.  In
+# shifts of the 6 765 points at 20 000 paths fill a 1.7 MB workspace.  In
 # the benchmark's rotation of the six acceptance cases (2-core Xeon), the
-# stopped estimate took 6.4, 6.0, 6.1 and 6.6 ms at 1, 2, 4 and 8 shifts per
-# pass; 2 beat 4 in only 7 of 10 alternating runs, and the held-forever
-# leg's 80 KB temporaries faulted no pages after any of them.
+# stopped estimate on 10 946 points took 6.4, 6.0, 6.1 and 6.6 ms at 1, 2, 4
+# and 8 shifts per pass; 2 beat 4 in only 7 of 10 alternating runs, and the
+# held-forever leg's 80 KB temporaries faulted no pages after any of them.
 _SHIFTS, _SHIFT_SLAB = 32, 4
 # A stopped estimate draws Z = s log(v / (1 - v)), s times a standard
 # logistic, and weights each point by the normal-to-logistic density ratio.
@@ -464,7 +465,8 @@ class McResult:
     shifts, and ``n_paths`` counts the lattice points over all shifts.
     Held forever each point is one sampled time, and they number half the
     requested count, rounded up to whole lattices; stopped at a threshold
-    each is an antithetic pair of paths.  No estimate is time-stepped or
+    each is an antithetic pair of paths, and they number at least ten times
+    the requested count (216 480 at 20 000).  No estimate is time-stepped or
     truncated, so ``tail_bound`` is always 0.0.  ``horizon`` (the argument
     as given), ``dt`` (a nominal 1/52) and ``tail_bound`` carry no
     information; they are kept because the benchmark's tracer
@@ -514,15 +516,19 @@ def mc_cashflow_value(
     N = ceil(n_paths / (2 ``_SHIFTS``)), moved mod 1 by each of ``_SHIFTS``
     independent uniform shifts drawn from ``seed``, the first coordinates
     of the stopped leg's shifts; the tent q = |2 u - 1| takes each point u
-    to T = -log(q) / r (see ``_held_forever``).  The estimate is the mean
-    of the shifts' means, and its standard error their spread.  The
-    result's ``n_paths`` counts sampled times here, not paths.
+    to T = -log(q) / r (see ``_held_forever`` and ``_tent_time``).  The
+    estimate is the mean of the shifts' means, and its standard error their
+    spread.  The result's ``n_paths`` counts sampled times here, not paths.
 
-    Stopped at a threshold, the uniforms (U, V) that set T = -log(1 - U) / r
-    and Z run over a rank-1 lattice: the Fibonacci rule
-    (k / N, k g / N mod 1), N the smallest Fibonacci number with
-    ``_SHIFTS`` N >= 16 ``n_paths`` and g the one before it, moved mod 1 by
-    each of ``_SHIFTS`` independent uniform shifts drawn from ``seed``.
+    Stopped at a threshold, the uniforms (U, V) that set T and Z run over a
+    rank-1 lattice: the Fibonacci rule (k / N, k g / N mod 1), N the
+    smallest Fibonacci number with ``_SHIFTS`` N >= 10 ``n_paths`` (6 765
+    at 20 000 paths) and g the one before it, moved mod 1 by each of
+    ``_SHIFTS`` independent uniform shifts drawn from ``seed``.
+    T = -log(Q) / r of the tent Q = |2 U - 1|, as held forever: the
+    integrand's periodic extension in U is then continuous, which the plain
+    map T = -log(1 - U) / r breaks at U = 0, so the same SE takes fewer
+    points.
     Z = s log(V / (1 - V)) is a scaled logistic, not a normal, and each
     point is weighted by the density ratio w = s phi(Z) / (V (1 - V)),
     s = ``_LOGISTIC_SCALE``, so the weighted points integrate against
@@ -565,10 +571,11 @@ def mc_cashflow_value(
         samples = _held_forever(params, cashflows, h, n, shifts[0])
     else:
         n, g = 2, 1
-        while _SHIFTS * n < 16 * n_paths:
+        while _SHIFTS * n < 10 * n_paths:
             n, g = n + g, n
-        note = (f"logistic normals weighted to N(0, 1) on a Fibonacci lattice of {n} points, {_SHIFTS} random "
-                "shifts, antithetic in Z; nothing truncated; threshold crossing by the Brownian-bridge probability")
+        note = (f"tent-transformed times and logistic normals weighted to N(0, 1) on a Fibonacci lattice of {n} "
+                f"points, {_SHIFTS} random shifts, antithetic in Z; nothing truncated; threshold crossing by the "
+                "Brownian-bridge probability")
         if (lower is not None and h <= lower) or (upper is not None and h >= upper):
             return McResult(
                 estimate=float(_evaluate(cashflows.payoff, h)), std_error=0.0, tail_bound=0.0,
@@ -736,16 +743,34 @@ def _held_forever(params, cashflows, h, n, shifts):
 
     Shift s moves the points k / n to u = k / n + s mod 1, wrapped as
     x - floor(x), and the tent q = |2 u - 1|, uniform like u, gives
-    T = -log(q) / r.  The tent makes the integrand's periodic extension
-    continuous, so the shifted rule converges at close to O(n^-2) on it
-    (Hickernell 2002).  The plain map T = -log(u) / r jumps from the limit
-    at T = inf back to c(h) at T = 0, and its SE on the README contracts is
-    80 times larger or more.  q = 0, at u = 1/2, is taken as 2^-53, so every
-    time is finite; u = 0 gives T = 0, which pays c(h).
+    T = -log(q) / r (``_tent_time``).  The tent makes the integrand's
+    periodic extension continuous, so the shifted rule converges at close
+    to O(n^-2) on it (Hickernell 2002).  The plain map T = -log(u) / r
+    jumps from the limit at T = inf back to c(h) at T = 0, and its SE on
+    the README contracts is 80 times larger or more.  q = 0, at u = 1/2, is
+    taken as 2^-53, so every time is finite; u = 0 gives T = 0, which pays
+    c(h).
     """
     u = np.arange(n) / n + shifts[:, None]
-    t = np.log(np.maximum(np.abs(2.0 * (u - np.floor(u)) - 1.0), 2.0**-53)) / -params.r
+    u -= np.floor(u)
+    t = _tent_time(u, params.r)
     return np.mean(_coupon_given_time(params, cashflows, h, t), axis=1) / params.r
+
+
+def _tent_time(u, r):
+    """Overwrite u, points in [0, 1), with T = -log(q) / r of the tent
+    q = |2 u - 1|, and return it; q = 0, at u = 1/2, is taken as 2^-53.
+
+    q is uniform like u, so T ~ Exp(r).  Every T is finite; u = 0 gives
+    T = 0, and every u in [2^-53, 1) a positive T.
+    """
+    u *= 2.0
+    u -= 1.0
+    np.abs(u, out=u)
+    np.maximum(u, 2.0**-53, out=u)
+    np.log(u, out=u)
+    u /= -r
+    return u
 
 
 def _logistic(v, w, q):
@@ -772,8 +797,9 @@ def _integral(params, cashflows, h, level, flat, n, g, shifts):
     Shift (s_u, s_v) moves the n points (k / n, k g / n mod 1) to
     (u, v) mod 1, each coordinate wrapped as x - floor(x); one that rounds
     to 0 is taken as 2^-53, the shifts' spacing, so every time and normal
-    is finite.  A point gives t = -log(1 - u) / r, Z = s log(v / (1 - v))
-    and its weight w (``_logistic``), and the two samples S(y^+-),
+    is finite.  A point gives t = -log(max(|2 u - 1|, 2^-53)) / r
+    (``_tent_time``), positive as u >= 2^-53, Z = s log(v / (1 - v)) and
+    its weight w (``_logistic``), and the two samples S(y^+-),
     y^+- = x + mu t +- sigma sqrt(t) Z, x = log h, with
     S(y) = c(e^y) + p (r f(L) - c(e^y)), p = exp(min(0, e)) the bridge's
     crossing probability of the threshold L = e^l.  Its exponent
@@ -812,9 +838,7 @@ def _integral(params, cashflows, h, level, flat, n, g, shifts):
             np.add(base[i], shifts[i, s0 : s0 + _SHIFT_SLAB, None], out=out)
             out -= np.floor(out, out=q)
             np.maximum(out, 2.0**-53, out=out)
-        np.subtract(1.0, t, out=t)
-        np.log(t, out=t)
-        t /= -r
+        _tent_time(t, r)
         _logistic(z, w, q)
         np.sqrt(t, out=q)
         np.divide(a * sigma * _LOGISTIC_SCALE, q, out=q)

@@ -552,8 +552,8 @@ class TestMonteCarlo:
         # The in-place passes, a few shifts at a time, take the same points
         # and the same operations per element as one (shifts, n) array per
         # step of the loop below, so the shift means agree to the bit; both
-        # sides run on this CPU, whatever its SIMD kernels.  10 946 and 6 765
-        # points are the lattices of 20 000 and 10 000 paths; the other
+        # sides run on this CPU, whatever its SIMD kernels.  6 765 points are
+        # the lattice of 20 000 paths and 10 946 that of 32 000; the other
         # sizes, with g = round(n / golden ratio), leave other remainders in
         # numpy's pairwise sums.  The FRM's flat coupon takes the path
         # without e^y, the ABM's kinked one the other.
@@ -568,7 +568,7 @@ class TestMonteCarlo:
             a = -2.0 * dist / p.sigma**2
             stop = p.r * float(cashflows.payoff(level))
             u, v = _lattice(n, g, shifts)
-            t = np.log(1.0 - u) / -p.r
+            t = np.log(np.maximum(np.abs(2.0 * u - 1.0), 2.0**-53)) / -p.r
             s = oracle._LOGISTIC_SCALE
             logistic = np.log(v / (1.0 - v))
             weight = np.exp(logistic * logistic * (-0.5 * s**2)) / (v * (1.0 - v)) * (s / math.sqrt(2.0 * math.pi))
@@ -610,7 +610,7 @@ class TestMonteCarlo:
             ell, stop = math.log(level), p.r * float(cashflows.payoff(level))
             held = oracle._flat_coupon(cashflows) or 0.0
             u, v = _lattice(n, g, shifts)
-            t = -np.log(1.0 - u) / p.r
+            t = -np.log(np.maximum(np.abs(2.0 * u - 1.0), 2.0**-53)) / p.r
             normal = s * np.log(v / (1.0 - v))
             weight = s * np.exp(-0.5 * normal**2) / math.sqrt(2.0 * math.pi) / (v * (1.0 - v))
             spread = normal * (p.sigma * np.sqrt(t))
@@ -647,10 +647,34 @@ class TestMonteCarlo:
             means = oracle._integral(p, cashflows, 1.0, level, oracle._flat_coupon(cashflows), 987, 610, shifts)
             assert np.isfinite(means).all(), level
 
+    @pytest.mark.filterwarnings("error")
+    def test_stopped_lattice_ends_stay_finite(self, params_low_benefit, monkeypatch):
+        # With n even, time shift 0 puts point n / 2 at u = 1/2, where the
+        # tent gives q = 0, taken as 2^-53, so T = 53 log 2 / r; and point 0
+        # at u = 0, taken as 2^-53, where q = 1 - 2^-52 gives the least time,
+        # 2^-52 / r to rounding, never T = 0.  Time shift 1/2 swaps the two.
+        p = params_low_benefit
+        times = []
+        tent_time = oracle._tent_time
+        monkeypatch.setattr(oracle, "_tent_time", lambda u, r: times.append(tent_time(u, r).copy()) or u)
+        shifts = np.random.default_rng(6).random((2, oracle._SHIFT_SLAB))
+        shifts[0, :2] = 0.0, 0.5
+        frm = ContractSpec(kind=ContractKind.FRM, m=M0)
+        h1 = solve_no_prepay(p, frm).boundaries["h1"]
+        abm = perpetual_cashflows(ContractSpec(kind=ContractKind.ABM, m=M0), p)
+        for cashflows, level in ((no_prepay_cashflows(frm, p), h1), (abm, 1.5)):
+            times.clear()
+            means = oracle._integral(p, cashflows, 1.0, level, oracle._flat_coupon(cashflows), 8, 5, shifts)
+            (t,) = times
+            assert np.isfinite(means).all(), level
+            assert np.isfinite(t).all() and (t > 0.0).all(), level
+            assert t[0, 4] == t[1, 0] == pytest.approx(53.0 * math.log(2.0) / R0, rel=1e-15)
+            assert t[0, 0] == t[1, 4] == pytest.approx(2.0**-52 / R0, rel=1e-12)
+
     def test_logistic_weights_integrate_normal_moments(self):
-        # On every shift of the 20 000-path lattice's v coordinates, the
-        # weighted rule integrates 1, Z and Z^2 against N(0, 1).  Over 200
-        # seeds of shifts the gaps reach 1.1e-9, 5.4e-9 and 3.3e-8.
+        # On every shift of the 10 946-point lattice's v coordinates (32 000
+        # paths), the weighted rule integrates 1, Z and Z^2 against N(0, 1).
+        # Over 200 seeds of shifts the gaps reach 1.1e-9, 5.4e-9 and 3.3e-8.
         n, g = 10946, 6765
         shifts = np.random.default_rng(2024).random((2, oracle._SHIFTS))
         _, z = _lattice(n, g, shifts)
@@ -677,7 +701,8 @@ class TestMonteCarlo:
         # pass that test by widening its own error bar.  Each SE is held to
         # 1.5 times the median, over 150 seeds at 20 000 paths, of Phi^{-1}
         # normals without weights: 6.68e-6, 4.91e-6 and 7.64e-6.  The
-        # logistic-weighted leg's medians are 6.43e-6, 4.86e-6 and 8.63e-6.
+        # logistic-weighted leg's medians, with the tent's times on 6 765
+        # points, are 6.61e-6, 3.82e-6 and 8.69e-7.
         frm = no_prepay_cashflows(ContractSpec(kind=ContractKind.FRM, m=M0), params_low_benefit)
         abm = perpetual_cashflows(ContractSpec(kind=ContractKind.ABM, m=M0), params_low_benefit)
         h1 = solve_no_prepay(params_low_benefit, ContractSpec(kind=ContractKind.FRM, m=M0)).boundaries["h1"]
@@ -686,6 +711,19 @@ class TestMonteCarlo:
             for seed in (1, 2, 3):
                 result = mc_cashflow_value(params_low_benefit, cf, policy, 1.0, 20_000, 200.0, seed)
                 assert result.std_error <= 1.5 * median, (policy, seed, result.std_error)
+
+    def test_kinked_coupon_stopped_on_a_rise_has_a_small_standard_error(self, params_low_benefit):
+        # The ABM's coupon kinks at its balance.  Stopped on a rise to 1.5,
+        # its leg's SE at 20 000 paths stays at most 2e-6 (median 8.7e-7 over
+        # 150 seeds; 8.6e-6 on 10 946 points under the plain map
+        # T = -log(1 - u) / r), and the estimate within 3 SE of the exact
+        # value of the policy.
+        abm = perpetual_cashflows(ContractSpec(kind=ContractKind.ABM, m=M0), params_low_benefit)
+        exact = threshold_policy_value(params_low_benefit, abm, (None, 1.5), 1.0)
+        for seed in (1, 2, 3):
+            result = mc_cashflow_value(params_low_benefit, abm, (None, 1.5), 1.0, 20_000, 200.0, seed)
+            assert 0.0 < result.std_error <= 2e-6, (seed, result.std_error)
+            assert abs(result.estimate - exact) <= 3.0 * result.std_error, (seed, result.std_error)
 
     def test_stopped_standard_error_is_calibrated(self, params_low_benefit):
         # Over 100 seeds the gaps of the README FRM without prepayment,
@@ -754,7 +792,8 @@ class TestMonteCarlo:
         # to tau plus the payoff there, both discounted.  The lattice's times
         # still move with its random shifts, and the normals' weights vary
         # although the value hardly depends on Z, which leaves an SE of
-        # 6e-6 to 1.2e-5; moving the exit by a week moves the value by 1.4e-4.
+        # 1.3e-5 to 2.0e-5 over seeds 0-19 on the 4 181-point lattice of
+        # 10 000 paths; moving the exit by a week moves the value by 1.4e-4.
         params = ModelParams(r=0.02, delta=0.05, sigma=1e-6, b0=B0)
         mu = params.r - params.delta - 0.5 * params.sigma**2
         tau = 6.0

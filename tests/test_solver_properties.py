@@ -4,9 +4,10 @@ Each draw builds a market and a contract rate, solves the contract, and
 checks the structural facts that do not depend on any particular
 parameter choice: boundary ordering, negative continuation constants,
 value matching and smooth pasting, dominance by the payoff, and the
-sign structure of the stopping set.  A fixed Latin hypercube over a much
-wider box checks that every solve there either returns a pasted, finite
-contract or raises ``UnsupportedRegime``.
+sign structure of the stopping set.  Every draw must solve: no error,
+``UnsupportedRegime`` included, is discarded.  A fixed Latin hypercube
+over a much wider box checks that every solve there either returns a
+pasted, finite contract or raises ``UnsupportedRegime``.
 """
 
 import numpy as np
@@ -53,23 +54,12 @@ def _rate(params: ModelParams, factor: float) -> float:
     return min(params.r * (1.0 + factor), 0.25)
 
 
-def _solve_or_discard(solver, *args):
-    # A closed form past the float range raises UnsupportedRegime, and such a
-    # draw is out of scope here; a prepayment boundary past it is returned as
-    # no h2, and no draw of this box is known to raise.  Any other error fails
-    # the test.
-    try:
-        return solver(*args)
-    except UnsupportedRegime:
-        assume(False)
-
-
 @settings(max_examples=60, deadline=None)
 @given(params=markets, factor=spread_factors)
 def test_frm_structure(params, factor):
     m = _rate(params, factor)
     assume(m > params.r * 1.01)
-    solved = _solve_or_discard(solve_frm, params, m)
+    solved = solve_frm(params, m)
     h1, h2 = solved.boundaries["h1"], solved.boundaries["h2"]
     assert 0.0 < h1 < params.b0 < h2
     cont = solved.regions[1]
@@ -88,7 +78,7 @@ def test_frm_structure(params, factor):
 def test_abm_structure(params, factor):
     m = _rate(params, factor)
     assume(m > params.r * 1.01)
-    solved = _solve_or_discard(solve_abm, params, m)
+    solved = solve_abm(params, m)
     has_low = "h1" in solved.boundaries
     assert has_low == (m > params.delta)
     assert solved.boundaries["h2"] > params.b0
@@ -106,7 +96,7 @@ def test_aprm_structure(params, factor, alpha):
     m = _rate(params, factor)
     assume(m > params.r * 1.01)
     assume(alpha < params.b0)  # high-rate draws need an admissible share
-    solved = _solve_or_discard(solve_aprm, params, m, alpha)
+    solved = solve_aprm(params, m, alpha)
     bounds = solved.boundaries
 
     if "h1" in bounds:
