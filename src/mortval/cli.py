@@ -217,7 +217,8 @@ def _cmd_oracle_check(ns) -> int:
         f"value at h={ns.h:g}: closed-form {t.value:.9f}; {at_grid}; "
         f"threshold-policy {t.policy:.9f}\n"
     )
-    sys.stdout.write(f"held-forever value at h={ns.h:g}: closed-form {t.held:.9f}; "
+    policy = "held forever" if t.mc_stop is None else f"stopped at h1={t.mc_stop:.6g}"
+    sys.stdout.write(f"no-prepayment value at h={ns.h:g} ({policy}): closed-form {t.held:.9f}; "
                      f"monte-carlo {t.mc.estimate:.9f}\n")
     for v in t.verdicts:
         sys.stdout.write(f"{v.name}: {v.gap:.3e} (tol {v.tol:.3e}) {'ok' if v.ok else 'FAIL'}\n")
@@ -257,7 +258,7 @@ _FLAGS = {
     "x_max": (float, None, None, "last value of --x"),
     "steps": (int, None, 50, "intervals between --x-min and --x-max"),
     "n_points": (int, None, 2001, "grid nodes"),
-    "n_paths": (int, None, 20000, "Monte Carlo size: n/2 times held forever, ~10n lattice points stopped"),
+    "n_paths": (int, None, 20000, "Monte Carlo size: n/2 sampled times (3n/2 at a sharp crossing)"),
     "seed": (int, None, 20200709, "Monte Carlo seed"),
     "T": (float, None, None, "maturity (years)"),
     "t": (float, None, None, "time since origination (years)"),

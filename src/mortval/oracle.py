@@ -14,30 +14,25 @@ Three routes, each built on different machinery than the solvers:
 * :func:`threshold_policy_value` computes the exact expected discounted
   cashflow of a *given* two-threshold stopping policy from the power
   solutions h^{p1}, h^{-p2} of the pricing ODE (no optimization anywhere).
-* :func:`mc_cashflow_value` samples the exponential horizon.  The
-  held-forever integral V = int_0^inf e^{-rt} E[c(H_t)] dt equals
-  E[c(H_t)] / r for t ~ Exp(r), so it samples only t, on a randomly
-  shifted 1-D lattice under the tent transform, and integrates the
-  lognormal price at each time in closed form: the coupon is affine between
-  kinks, so E[c(H_t) | t] is a short sum of normal distribution functions
-  (conditional Monte Carlo).
-  A policy that stops at one threshold, lower or upper, samples (t, Z)
-  on a randomly shifted Fibonacci lattice, t under the same tent and Z a
-  scaled logistic weighted by its density ratio to the normal, and H_t
-  exactly there, for +Z
-  and -Z: the exact Brownian-bridge probability that the path crossed
-  the threshold before t weights the payoff there against the coupon at
-  t (Carr's exponential horizon).  Both legs draw the same random shifts
-  from the seed, and each leg's standard error is the spread of its shifts'
-  means.  Everything runs on the calling thread.
-  Nothing is time-stepped or truncated, and nothing uses the solvers'
-  exponents.
+* :func:`mc_cashflow_value` samples the exponential horizon.  For
+  T ~ Exp(r) independent of the path, the value is E[rho_T] / r, with rho_t
+  the coupon c(H_t) until the stop and r times the payoff from then on
+  (held forever, the coupon always).  It samples only T, on a randomly
+  shifted 1-D lattice under the tent transform, and takes E[rho_T | T] in
+  closed form (conditional Monte Carlo): the coupon is affine between
+  kinks, so the lognormal price gives a short sum of normal distribution
+  functions, and a stop at one threshold, lower or upper, adds an image
+  term per kink by the method of images (Carr's exponential horizon;
+  Borodin and Salminen).  The standard error is the spread of the shifts'
+  means.  Everything runs on the calling thread.  Nothing is time-stepped
+  or truncated, and nothing uses the solvers' exponents.
 
 :func:`oracle_triangle` checks one closed-form solve against all three.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -58,23 +53,12 @@ from .options import solve_contract, solve_no_prepay
 from .solution import checked_price
 
 _DT = 1.0 / 52.0      # McResult.dt, nominal: no estimate takes a time step
-# Random shifts of either leg's lattice, so its SE has 31 degrees of freedom,
-# and the stopped leg's shifts per in-place pass, which change no bits.  Four
-# shifts of the 6 765 points at 20 000 paths fill a 1.7 MB workspace.  In
-# the benchmark's rotation of the six acceptance cases (2-core Xeon), the
-# stopped estimate on 10 946 points took 6.4, 6.0, 6.1 and 6.6 ms at 1, 2, 4
-# and 8 shifts per pass; 2 beat 4 in only 7 of 10 alternating runs, and the
-# held-forever leg's 80 KB temporaries faulted no pages after any of them.
-_SHIFTS, _SHIFT_SLAB = 32, 4
-# A stopped estimate draws Z = s log(v / (1 - v)), s times a standard
-# logistic, and weights each point by the normal-to-logistic density ratio.
-# The weight's variance is least, 0.0153 to 0.0164, for s in [0.58, 0.60];
-# the variance-matched s = sqrt(3) / pi leaves 0.019 and a larger SE.
-_LOGISTIC_SCALE = 0.6
+_SHIFTS = 32          # random shifts of the Monte Carlo lattice, so its SE has 31 degrees of freedom
 _COARSE_NODES = 126   # smallest level of the nested policy-iteration solve
-# Phi for arrays (numpy has no erfc): pieces of width 1/128 in s = x / (x + 2),
-# each a polynomial of degree 6 (see ``_phi_table``); fewer pieces of higher
-# degree are as accurate but cost a gather and two passes more per degree.
+# Phi for arrays (numpy has no erfc): pieces of width 1/128 in s = x / (x + 2)
+# up to s = 1, each a polynomial of degree 6 (see ``_phi_table``); fewer
+# pieces of higher degree are as accurate but cost a gather and two passes
+# more per degree.
 # Past x = |z| / sqrt(2) = 26.5 (z = -37.48), where erfc(x) / 2 < 1.2e-307,
 # Phi is taken as 0 or 1, so that no step leaves the normal floats.
 _PHI_WIDTH, _PHI_DEGREE, _PHI_TAIL = 128, 6, 26.5
@@ -462,16 +446,14 @@ class McResult:
     """Monte Carlo estimate with its sampling diagnostics.
 
     ``std_error`` is over the means of the lattice's ``_SHIFTS`` random
-    shifts, and ``n_paths`` counts the lattice points over all shifts.
-    Held forever each point is one sampled time, and they number half the
-    requested count, rounded up to whole lattices; stopped at a threshold
-    each is an antithetic pair of paths, and they number at least ten times
-    the requested count (216 480 at 20 000).  No estimate is time-stepped or
-    truncated, so ``tail_bound`` is always 0.0.  ``horizon`` (the argument
-    as given), ``dt`` (a nominal 1/52) and ``tail_bound`` carry no
-    information; they are kept because the benchmark's tracer
-    (``perfbench/tracing.py``) reads them, and go when the benchmark stops
-    reading them.
+    shifts, and ``n_paths`` counts the sampled times over all shifts and
+    strata: half the requested count, rounded up to whole lattices (10 016
+    at 20 000), or three times that where a stop splits the times into
+    strata.  No estimate is time-stepped or truncated, so ``tail_bound`` is
+    always 0.0.  ``horizon`` (the argument as given), ``dt`` (a nominal
+    1/52) and ``tail_bound`` carry no information; they are kept because
+    the benchmark's tracer (``perfbench/tracing.py``) reads them, and go
+    when the benchmark stops reading them.
     """
 
     estimate: float
@@ -503,49 +485,25 @@ def mc_cashflow_value(
     A run started at or beyond its threshold pays the payoff with no
     sampling.
 
-    For T ~ Exp(r) independent of the path, the value is
-    E[1{tau > T} c(H_T) / r + 1{tau <= T} f(L)], with tau the first hit of
-    the threshold L; held forever it is E[c(H_T)] / r.
-
-    Held forever, only T is sampled (conditional Monte Carlo): given T,
-    H_T = h exp(mu T + sigma sqrt(T) Z) is lognormal and the coupon is
-    affine between its kinks, so E[c(H_T) | T] is a short sum of normal
-    distribution functions (see ``_coupon_given_time``), each taken over
-    all times at once by a piecewise polynomial within 6e-14 relative of
-    ``math.erfc`` (``_normal_cdf``).  The times run over the lattice k / N,
+    For T ~ Exp(r) independent of the path, the value is E[rho_T] / r,
+    with rho_t the coupon c(H_t) before tau, the first hit of the threshold
+    L, and r f(L) from tau on; held forever rho_t = c(H_t).  Only T is
+    sampled (conditional Monte Carlo): given T, H_T is lognormal, killed at
+    L by a stop, and the coupon is affine between its kinks, so E[rho_T | T]
+    is a short sum of normal distribution functions (see
+    ``_coupon_given_time``), each taken over all times at once by a
+    piecewise polynomial within 6e-14 relative of ``math.erfc``
+    (``_normal_cdf``).  The times run over the lattice k / N,
     N = ceil(n_paths / (2 ``_SHIFTS``)), moved mod 1 by each of ``_SHIFTS``
-    independent uniform shifts drawn from ``seed``, the first coordinates
-    of the stopped leg's shifts; the tent q = |2 u - 1| takes each point u
-    to T = -log(q) / r (see ``_held_forever`` and ``_tent_time``).  The
-    estimate is the mean of the shifts' means, and its standard error their
-    spread.  The result's ``n_paths`` counts sampled times here, not paths.
-
-    Stopped at a threshold, the uniforms (U, V) that set T and Z run over a
-    rank-1 lattice: the Fibonacci rule (k / N, k g / N mod 1), N the
-    smallest Fibonacci number with ``_SHIFTS`` N >= 10 ``n_paths`` (6 765
-    at 20 000 paths) and g the one before it, moved mod 1 by each of
-    ``_SHIFTS`` independent uniform shifts drawn from ``seed``.
-    T = -log(Q) / r of the tent Q = |2 U - 1|, as held forever: the
-    integrand's periodic extension in U is then continuous, which the plain
-    map T = -log(1 - U) / r breaks at U = 0, so the same SE takes fewer
-    points.
-    Z = s log(V / (1 - V)) is a scaled logistic, not a normal, and each
-    point is weighted by the density ratio w = s phi(Z) / (V (1 - V)),
-    s = ``_LOGISTIC_SCALE``, so the weighted points integrate against
-    N(0, 1); a randomly shifted lattice is unbiased for any integrand, so
-    the estimate stays unbiased.  Each point samples
-    H_T = h exp(mu T +- sigma sqrt(T) Z) exactly, for both signs, with
-    the weight of its Z.  Given y = log H_T, the Brownian bridge from
-    x = log h reaches l = log L before T with probability
-    p = exp(min(0, -2 (x - l)(y - l) / (sigma^2 T))), which is 1 when y is
-    at or beyond l.  So each sample adds w ((1 - p) c(H_T) / r + p f(L)),
-    and the estimate has no discretization or truncation bias.  The estimate
-    is the mean of the shifts' means, and its standard error their
-    spread.  The coupon is read as pieces between its kinks, as held
-    forever: one that is not affine there raises ``InvalidParams``, and a
-    constant one is never evaluated along the paths (see ``_integral``).
-    ``n_paths`` sets the lattice's size here, and the result's ``n_paths``
-    counts its points over all shifts.
+    independent uniform shifts drawn from ``seed``; the tent q = |2 u - 1|
+    takes each point u to T = -log(q) / r (see ``_lattice_means`` and
+    ``_tent_time``).  Where the path without noise crosses L sharply, the
+    times take three strata of q, each with its own tent over the same
+    points and shifts (see ``_strata``).  The estimate is the mean of the
+    shifts' means, and its standard error their spread; the result's
+    ``n_paths`` counts the sampled times, not paths.  The coupon is read as
+    pieces between its kinks: one that is not affine there raises
+    ``InvalidParams``.
 
     ``horizon`` is still validated but not used.  An estimate is
     reproducible bit for bit from ``seed`` on one numpy build and CPU
@@ -563,30 +521,21 @@ def mc_cashflow_value(
     _check_thresholds(lower, upper)
 
     level = upper if lower is None else lower
-    shifts = np.random.default_rng(seed).random((2, _SHIFTS))
-    if level is None:
-        n = -(-n_paths // (2 * _SHIFTS))   # half as many times as paths
-        note = (f"E[c(H_T) | T] in closed form at the times of a tent-transformed lattice of {n} points, "
-                f"{_SHIFTS} random shifts; nothing truncated")
-        samples = _held_forever(params, cashflows, h, n, shifts[0])
-    else:
-        n, g = 2, 1
-        while _SHIFTS * n < 10 * n_paths:
-            n, g = n + g, n
-        note = (f"tent-transformed times and logistic normals weighted to N(0, 1) on a Fibonacci lattice of {n} "
-                f"points, {_SHIFTS} random shifts, antithetic in Z; nothing truncated; threshold crossing by the "
-                "Brownian-bridge probability")
-        if (lower is not None and h <= lower) or (upper is not None and h >= upper):
-            return McResult(
-                estimate=float(_evaluate(cashflows.payoff, h)), std_error=0.0, tail_bound=0.0,
-                n_paths=_SHIFTS * n, horizon=horizon, dt=_DT, note=note,
-            )
-        samples = _integral(params, cashflows, h, level, _flat_coupon(cashflows), n, g, shifts)
-
+    n = -(-n_paths // (2 * _SHIFTS))   # half as many times as paths
+    if (lower is not None and h <= lower) or (upper is not None and h >= upper):
+        return McResult(
+            estimate=float(_evaluate(cashflows.payoff, h)), std_error=0.0, tail_bound=0.0,
+            n_paths=_SHIFTS * n, horizon=horizon, dt=_DT, note="started at or beyond the threshold; nothing sampled",
+        )
+    strata = _strata(params, h, level)
+    note = (f"E[rho_T | T] in closed form at the times of a tent-transformed lattice of {n} points in "
+            f"{len(strata)} strata, {_SHIFTS} random shifts; nothing truncated")
+    shifts = np.random.default_rng(seed).random(_SHIFTS)
+    samples = _lattice_means(params, cashflows, h, level, n, shifts, strata)
     return McResult(
         estimate=float(np.mean(samples)),
         std_error=float(np.std(samples, ddof=1) / math.sqrt(len(samples))),
-        tail_bound=0.0, n_paths=_SHIFTS * n, horizon=horizon, dt=_DT, note=note,
+        tail_bound=0.0, n_paths=_SHIFTS * n * len(strata), horizon=horizon, dt=_DT, note=note,
     )
 
 
@@ -597,15 +546,11 @@ def _coupon_pieces(cashflows):
     return kinks, _linear_pieces(cashflows, [0.0, *kinks, math.inf])
 
 
-def _flat_coupon(cashflows) -> float | None:
-    """The coupon if it is one constant at every price, else None."""
-    _, pieces = _coupon_pieces(cashflows)
-    c = pieces[0][0]
-    return c if all(piece == (c, 0.0) for piece in pieces) else None
-
-
-def _coupon_given_time(params, cashflows, h, t):
-    """E[c(H_t) | H_0 = h] at each time of the array ``t``, in closed form.
+def _coupon_given_time(params, cashflows, h, t, level=None):
+    """E[rho_t | H_0 = h] at each time of the array ``t``, in closed form:
+    rho_t is the coupon c(H_t), for ever when ``level`` is None, and
+    otherwise until the first hit of the threshold L = ``level`` and
+    r f(L) from then on.
 
     With pieces a_j + b_j H between the kinks, F = E[H_t] = h e^{(r - delta) t},
     s = sigma sqrt(t) and z_k = (log k - log h - mu t) / s, P(H_t < k) = Phi(z_k)
@@ -613,8 +558,25 @@ def _coupon_given_time(params, cashflows, h, t):
 
         E[c(H_t)] = a_last + b_last F + sum_k [da_k Phi(z_k) + db_k F Phi(z_k - s)],
 
-    da_k and db_k the coefficients below kink k less those above it, and
-    Phi the whole-array ``_normal_cdf``, within 6e-14 relative of
+    da_k and db_k the coefficients below kink k less those above it.
+
+    A stop makes L one more kink, with the piece (r f(L), 0) beyond it,
+    and drops the kinks beyond it.  For a lower threshold the sum runs in
+    -log H, the reflection y -> -y, so that L lies above: z, s and the
+    differences change sign, and the first piece, (r f(L), 0), takes the
+    last one's place.  Each Phi(z_k) then becomes the killed law's
+    P(H_t < k, no hit by t) = Phi(z_k) - K Phi(w_k) by the method of images
+    (Borodin and Salminen), with w_k = z_k + 2 (x - l) / s for x = log h and
+    l = log L (both times the sign) and K = exp(-2 nu (x - l) / sigma^2),
+    nu the drift of log H: mu for the Phi(z_k) terms and mu + sigma^2, the
+    share measure's, for the F terms.  K overflows at small sigma
+    (log K ~ 1e10 at sigma = 1e-6), so it is never formed:
+    K Phi(w) = e^{-z^2 / 2 - 2 (x - l)(log k - l) / (sigma^2 t)} R(|w| / sqrt(2))
+    for w <= 0, with R(x) = e^{x^2} erfc(x) / 2 (``_scaled_erfc``) and an
+    exponential of at most 1; for w > 0 it is K less that, and w > 0 needs a
+    drift away from L, where K < 1.
+
+    Phi is the whole-array ``_normal_cdf``, within 6e-14 relative of
     ``math.erfc``.  A coefficient that is zero adds no term, so a flat coupon
     never meets an overflowed F, and a time of 0 takes c(h) itself.
     """
@@ -622,21 +584,50 @@ def _coupon_given_time(params, cashflows, h, t):
     r, sigma = params.r, params.sigma
     mu = r - params.delta - 0.5 * sigma**2
     x = math.log(h)
+    sign = 1.0
+    if level is not None:
+        stop = (r * float(_evaluate(cashflows.payoff, level)), 0.0)
+        if level < h:
+            sign = -1.0
+            i = bisect.bisect_right(kinks, level)
+            kinks, pieces = [level, *kinks[i:]], [stop, *pieces[i:]]
+        else:
+            i = bisect.bisect_left(kinks, level)
+            kinks, pieces = [*kinks[:i], level], [*pieces[: i + 1], stop]
+        gap = x - math.log(level)
     s = sigma * np.sqrt(t)
+
+    def below(z, k, drift):
+        """P(sign log H_t < sign log k, and no hit of L by t) for a drift of
+        log H of ``drift``, from z = sign (log k - x - drift t) / s."""
+        p = _normal_cdf(z)
+        if level is None:
+            return p
+        w = 2.0 * sign * gap / s
+        w += z
+        image = _scaled_erfc(np.fmin(np.abs(w) * math.sqrt(0.5), 2.0**52))
+        exponent = -0.5 * z * z
+        exponent -= 2.0 * gap * (math.log(k) - math.log(level)) / sigma**2 / t
+        image *= np.exp(exponent, out=exponent)
+        if drift * gap > 0.0:   # away from L, the only drift with some w > 0
+            np.subtract(math.exp(-2.0 * drift * gap / sigma**2), image, out=image, where=w > 0.0)
+        p -= image
+        return p
+
     # At t = 0, s = 0 and z is +-inf or, on a kink, NaN; those entries are
     # replaced by c(h) below.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         forward = h * np.exp((r - params.delta) * t)
-        a, b = pieces[-1]
+        a, b = pieces[0] if sign < 0.0 else pieces[-1]
         out = np.full_like(t, a)
         if b != 0.0:
             out += b * forward
         for k, (a_lo, b_lo), (a_hi, b_hi) in zip(kinks, pieces, pieces[1:]):
-            z = (math.log(k) - x - mu * t) / s
+            z = (sign * (math.log(k) - x) - sign * mu * t) / s
             if a_lo != a_hi:
-                out += (a_lo - a_hi) * _normal_cdf(z)
+                out += sign * (a_lo - a_hi) * below(z, k, mu)
             if b_lo != b_hi:
-                out += (b_lo - b_hi) * forward * _normal_cdf(z - s)
+                out += sign * (b_lo - b_hi) * forward * below(z - sign * s, k, mu + sigma**2)
     out[t == 0.0] = _evaluate(cashflows.coupon, h)
     return out
 
@@ -666,8 +657,8 @@ def _phi_table() -> np.ndarray:
     v^i coefficient of every piece.
 
     Piece j covers s = x / (x + 2) in [j, j + 1) / ``_PHI_WIDTH``, with
-    v = ``_PHI_WIDTH`` s - j in [0, 1), up to the piece that x = ``_PHI_TAIL``
-    reaches.  Each interpolates R at the n + 1 = ``_PHI_DEGREE`` + 1
+    v = ``_PHI_WIDTH`` s - j in [0, 1), up to s = 1, where x is infinite and
+    R is 0.  Each interpolates R at the n + 1 = ``_PHI_DEGREE`` + 1
     Chebyshev-Lobatto points t_k = cos(pi k / n) of t = 2 v - 1: the
     interpolant is sum_j c_j T_j(t) with c_j = (2 / n) sum_k f_k cos(pi j k / n),
     the terms k = 0 and n halved and c_0 and c_n halved again, expanded here
@@ -688,9 +679,8 @@ def _phi_table() -> np.ndarray:
     for j in range(2, n + 1):
         power[j, 1:] = 4.0 * power[j - 1, :-1]
         power[j] -= 2.0 * power[j - 1] + power[j - 2]
-    pieces = int(_PHI_WIDTH * _PHI_TAIL / (_PHI_TAIL + 2.0)) + 1
-    s = (np.arange(pieces)[:, None] + 0.5 + 0.5 * np.cos(np.pi / n * k)) / _PHI_WIDTH
-    f = np.array([[_half_erfcx(2.0 * si / (1.0 - si)) for si in row] for row in s.tolist()])
+    s = (np.arange(_PHI_WIDTH)[:, None] + 0.5 + 0.5 * np.cos(np.pi / n * k)) / _PHI_WIDTH
+    f = np.array([[_half_erfcx(2.0 * si / (1.0 - si)) if si < 1.0 else 0.0 for si in row] for row in s.tolist()])
     # Chebyshev coefficients first, then powers: f times the two matrices'
     # product would cancel terms of order 1e2 into coefficients of order 1e-8.
     coef = (2.0 / n * f @ weights) @ power
@@ -700,24 +690,18 @@ def _phi_table() -> np.ndarray:
     return table
 
 
-def _normal_cdf(z: np.ndarray) -> np.ndarray:
-    """Phi(z) for a float array, within 6e-14 relative of ``math.erfc`` where
-    Phi(z) >= 1e-300 (measured on a dense grid of z in [-37.5, 8.3]).
+def _scaled_erfc(x: np.ndarray) -> np.ndarray:
+    """R(x) = e^{x^2} erfc(x) / 2 for a float array of x in [0, 2^52].
 
-    With x = |z| / sqrt(2), erfc(x) / 2 = e^{-x^2} R(x) is Phi(z) for z <= 0
-    and 1 - Phi(z) for z > 0.  R is the piecewise polynomial of
-    ``_phi_table``: each piece's coefficients are picked by one ``np.take``
-    each and summed by Horner's rule in place, so every step is a whole-array
-    pass.  The error is mostly the rounding of x x inside e^{-x^2}.
-    Phi(-inf) = 0, Phi(inf) = 1 and Phi(nan) = nan, and no step overflows or
-    underflows, so nothing raises under ``np.errstate(all="raise")``.
+    R is the piecewise polynomial of ``_phi_table``: each piece's
+    coefficients are picked by one ``np.take`` each and summed by Horner's
+    rule in place, so every step is a whole-array pass.  It is within
+    1.3e-14 relative of ``_half_erfcx`` up to x = 254, the last piece, and
+    within 3e-17 absolute beyond, where R < 1.2e-3 falls like
+    1 / (2 sqrt(pi) x) and the rounding of s = x / (x + 2) near 1 sets the
+    error (measured on a dense grid of x up to 2^52).  Past 2^52, s rounds
+    to 1.
     """
-    x = np.abs(z)
-    x *= math.sqrt(0.5)
-    tail = ~(x < _PHI_TAIL)   # NaN too: a NaN index is undefined
-    far = tail.any()
-    if far:
-        x[tail] = _PHI_TAIL
     v = x * (1.0 / _PHI_WIDTH)
     v += 2.0 / _PHI_WIDTH
     np.divide(x, v, out=v)    # _PHI_WIDTH s
@@ -730,6 +714,26 @@ def _normal_cdf(z: np.ndarray) -> np.ndarray:
     for row in coef[-2::-1]:
         half *= v
         half += np.take(row, j, out=term, mode="clip")
+    return half
+
+
+def _normal_cdf(z: np.ndarray) -> np.ndarray:
+    """Phi(z) for a float array, within 6e-14 relative of ``math.erfc`` where
+    Phi(z) >= 1e-300 (measured on a dense grid of z in [-37.5, 8.3]).
+
+    With x = |z| / sqrt(2), erfc(x) / 2 = e^{-x^2} R(x) is Phi(z) for z <= 0
+    and 1 - Phi(z) for z > 0, with R from ``_scaled_erfc``.  The error is
+    mostly the rounding of x x inside e^{-x^2}.
+    Phi(-inf) = 0, Phi(inf) = 1 and Phi(nan) = nan, and no step overflows or
+    underflows, so nothing raises under ``np.errstate(all="raise")``.
+    """
+    x = np.abs(z)
+    x *= math.sqrt(0.5)
+    tail = ~(x < _PHI_TAIL)   # NaN too: a NaN index is undefined
+    far = tail.any()
+    if far:
+        x[tail] = _PHI_TAIL
+    half = _scaled_erfc(x)
     x *= x
     np.negative(x, out=x)
     half *= np.exp(x, out=x)
@@ -738,130 +742,70 @@ def _normal_cdf(z: np.ndarray) -> np.ndarray:
     return np.subtract(1.0, half, out=half, where=z > 0.0)
 
 
-def _held_forever(params, cashflows, h, n, shifts):
-    """The mean of E[c(H_T)] / r, T ~ Exp(r), over each shift of an n-point lattice.
+def _strata(params, h, level):
+    """The strata (lo, hi) of q = e^{-rT} over which the lattice's times run.
+
+    One, (0, 1), unless the path without noise, log h + mu T, reaches the
+    threshold's log at T* > 0 with a crossing layer w = sigma sqrt(T*) / |mu|
+    such that 8 w < T* / 2.  Then E[rho_T | T] turns from the coupon's rate
+    to the payoff's within a few w of T*, close to a step, which a shifted
+    lattice resolves only at O(1 / n); so the times take three strata, split
+    at T* -+ 8 w, where Phi(-+8) is 0 or 1 to within 7e-16.  Splitting at T*
+    alone puts a stratum end inside the step, a kink that the tent does not
+    smooth.
+    """
+    if level is not None:
+        mu = params.r - params.delta - 0.5 * params.sigma**2
+        gap = math.log(level) - math.log(h)
+        if gap * mu > 0.0:
+            crossing = gap / mu
+            layer = 8.0 * params.sigma * math.sqrt(crossing) / abs(mu)
+            if layer < 0.5 * crossing:
+                lo, hi = math.exp(-params.r * (crossing + layer)), math.exp(-params.r * (crossing - layer))
+                return ((0.0, lo), (lo, hi), (hi, 1.0))
+    return ((0.0, 1.0),)
+
+
+def _lattice_means(params, cashflows, h, level, n, shifts, strata):
+    """The mean of E[rho_T | T] / r, T ~ Exp(r), over each shift of an
+    n-point lattice, stopped at ``level`` unless it is None.
 
     Shift s moves the points k / n to u = k / n + s mod 1, wrapped as
-    x - floor(x), and the tent q = |2 u - 1|, uniform like u, gives
-    T = -log(q) / r (``_tent_time``).  The tent makes the integrand's
-    periodic extension continuous, so the shifted rule converges at close
-    to O(n^-2) on it (Hickernell 2002).  The plain map T = -log(u) / r
-    jumps from the limit at T = inf back to c(h) at T = 0, and its SE on
-    the README contracts is 80 times larger or more.  q = 0, at u = 1/2, is
-    taken as 2^-53, so every time is finite; u = 0 gives T = 0, which pays
-    c(h).
+    x - floor(x).  In each stratum (lo, hi) of ``strata`` the tent
+    q = lo + (hi - lo) |2 u - 1|, uniform on (lo, hi) like u, gives
+    T = -log(q) / r (``_tent_time``), and the stratum's mean counts with its
+    width hi - lo.  The tent makes the integrand's periodic extension
+    continuous, so the shifted rule converges at close to O(n^-2) on it
+    (Hickernell 2002).  The plain map T = -log(u) / r jumps from the limit
+    at T = inf back to c(h) at T = 0, and its SE held forever on the README
+    contracts is 80 times larger or more.
     """
     u = np.arange(n) / n + shifts[:, None]
     u -= np.floor(u)
-    t = _tent_time(u, params.r)
-    return np.mean(_coupon_given_time(params, cashflows, h, t), axis=1) / params.r
+    means = 0.0
+    for lo, hi in strata:
+        t = _tent_time(u.copy(), params.r, lo, hi)
+        means += (hi - lo) * np.mean(_coupon_given_time(params, cashflows, h, t, level=level), axis=1)
+    return means / params.r
 
 
-def _tent_time(u, r):
+def _tent_time(u, r, lo, hi):
     """Overwrite u, points in [0, 1), with T = -log(q) / r of the tent
-    q = |2 u - 1|, and return it; q = 0, at u = 1/2, is taken as 2^-53.
+    q = lo + (hi - lo) |2 u - 1|, and return it; a q of 0, at u = 1/2 when
+    lo = 0, is taken as 2^-53.
 
-    q is uniform like u, so T ~ Exp(r).  Every T is finite; u = 0 gives
-    T = 0, and every u in [2^-53, 1) a positive T.
+    q is uniform on (lo, hi) like u on (0, 1), so with (0, 1) T ~ Exp(r).
+    Every T is finite; u = 0 gives q = hi, so T = 0 when hi = 1.
     """
     u *= 2.0
     u -= 1.0
     np.abs(u, out=u)
+    u *= hi - lo
+    u += lo
     np.maximum(u, 2.0**-53, out=u)
     np.log(u, out=u)
     u /= -r
     return u
-
-
-def _logistic(v, w, q):
-    """Overwrite v with L = log(v / (1 - v)) and w with the weight
-    w = phi(Z) / g(Z) = s phi(Z) / (v (1 - v)) of Z = s L, s = ``_LOGISTIC_SCALE``.
-
-    L is standard logistic for v uniform on (0, 1), and g is the density of
-    Z = s L, so E[w f(Z)] = E[f(N(0, 1))] for any f and E[w] = 1; w is the
-    same at v and 1 - v.  ``q`` is scratch of v's shape.  Every v in
-    [2^-53, 1 - 2^-53] gives a finite L and w without a warning.
-    """
-    np.subtract(1.0, v, out=q)
-    np.multiply(v, q, out=w)
-    np.log(np.divide(v, q, out=v), out=v)
-    np.square(v, out=q)
-    q *= -0.5 * _LOGISTIC_SCALE**2
-    np.divide(np.exp(q, out=q), w, out=w)
-    w *= _LOGISTIC_SCALE / math.sqrt(2.0 * math.pi)
-
-
-def _integral(params, cashflows, h, level, flat, n, g, shifts):
-    """The mean sample of each shift of the lattice, stopped at the threshold ``level``.
-
-    Shift (s_u, s_v) moves the n points (k / n, k g / n mod 1) to
-    (u, v) mod 1, each coordinate wrapped as x - floor(x); one that rounds
-    to 0 is taken as 2^-53, the shifts' spacing, so every time and normal
-    is finite.  A point gives t = -log(max(|2 u - 1|, 2^-53)) / r
-    (``_tent_time``), positive as u >= 2^-53, Z = s log(v / (1 - v)) and
-    its weight w (``_logistic``), and the two samples S(y^+-),
-    y^+- = x + mu t +- sigma sqrt(t) Z, x = log h, with
-    S(y) = c(e^y) + p (r f(L) - c(e^y)), p = exp(min(0, e)) the bridge's
-    crossing probability of the threshold L = e^l.  Its exponent
-    e = -2 (x - l)(y - l) / (sigma^2 t) is formed as
-    a ((x - l) / t + mu) +- a sigma Z / sqrt(t), with a = -2 (x - l) / sigma^2.
-    (x - l)(y - l) keeps its value when all three log-prices change sign,
-    so one expression serves an upper threshold as well as a lower one.
-    A shift's mean is sum w (S^+ + S^-) / (2 n r).
-
-    ``flat`` is the coupon when it is one constant c (see ``_flat_coupon``),
-    else None.  A flat coupon forms no e^y, and as E[w] = 1 its share is
-    taken exactly: a shift's mean is (c + (r f(L) - c) sum w (p^+ + p^-) / 2 n) / r.
-    Otherwise y = l + e t / a, before the clamp, and the coupon is
-    evaluated at e^y.
-
-    The shifts, a multiple of ``_SHIFT_SLAB`` of them, go ``_SHIFT_SLAB``
-    at a time, each pass in place over all their points, up and down
-    samples together as one (2, slab, n) stack.  The buffers are fixed
-    rows of one (8, slab, n) workspace: the times, the v coordinates, the
-    weights and one scratch buffer, then the exponents and the log-prices
-    of the stack.
-    """
-    sigma, r = params.sigma, params.r
-    mu = r - params.delta - 0.5 * sigma**2
-    ell = math.log(level)
-    dist = math.log(h) - ell                       # x - l
-    a = -2.0 * dist / sigma**2
-    stop = r * float(_evaluate(cashflows.payoff, level))
-    k = np.arange(n)
-    base = (k / n, k * g % n / n)
-    space = np.empty((8, _SHIFT_SLAB, n))
-    t, z, w, q, e, y = space[0], space[1], space[2], space[3], space[4:6], space[6:8]
-    means = np.empty(shifts.shape[1])
-    for s0 in range(0, len(means), _SHIFT_SLAB):
-        for i, out in enumerate((t, z)):
-            np.add(base[i], shifts[i, s0 : s0 + _SHIFT_SLAB, None], out=out)
-            out -= np.floor(out, out=q)
-            np.maximum(out, 2.0**-53, out=out)
-        _tent_time(t, r)
-        _logistic(z, w, q)
-        np.sqrt(t, out=q)
-        np.divide(a * sigma * _LOGISTIC_SCALE, q, out=q)
-        z *= q                                      # a sigma Z / sqrt(t)
-        np.divide(a * dist, t, out=e[1])
-        e[1] += a * mu                              # a ((x - l) / t + mu)
-        np.add(e[1], z, out=e[0])
-        e[1] -= z
-        if flat is None:
-            np.multiply(e, np.divide(t, a, out=q), out=y)
-            y += ell
-            c = _evaluate(cashflows.coupon, np.exp(y, out=y))
-            # The coupon may return its argument, y, so its sum comes first.
-            np.add(c[0], c[1], out=z)
-        np.minimum(e, 0.0, out=e)
-        p = np.exp(e, out=e)
-        if flat is None:
-            p = np.multiply(p, np.subtract(stop, c, out=y), out=y)   # p (stop - c)
-            z += np.add(p[0], p[1], out=p[0])
-        else:
-            np.add(p[0], p[1], out=z)
-        means[s0 : s0 + _SHIFT_SLAB] = np.sum(np.multiply(z, w, out=z), axis=1) / (2 * n * r)
-    return means if flat is None else flat / r + (stop - flat) * means
 
 
 # Gates of the oracle triangle; Monte Carlo passes within max(3 SE, MC_TOL_FLOOR).
@@ -881,7 +825,11 @@ class Verdict(NamedTuple):
 
 
 class Triangle(NamedTuple):
-    """Closed-form ``value`` and ``held`` (no prepayment) at h, the oracles' answers, and the verdicts."""
+    """Closed-form ``value`` and ``held`` (no prepayment) at h, the oracles' answers, and the verdicts.
+
+    ``mc_stop`` is the default boundary h1 at which the Monte Carlo estimate
+    stops, or None when it holds the contract forever.
+    """
 
     value: float
     grid: OracleResult
@@ -889,6 +837,7 @@ class Triangle(NamedTuple):
     held: float
     mc: McResult
     verdicts: tuple[Verdict, ...]
+    mc_stop: float | None
 
 
 def oracle_triangle(params: ModelParams, spec: ContractSpec, h: float, n_points: int, n_paths: int, seed: int,
@@ -916,9 +865,9 @@ def oracle_triangle(params: ModelParams, spec: ContractSpec, h: float, n_points:
     value = solved.value(h)
     verdicts.append(Verdict("threshold-policy gap", abs(policy - value), POLICY_TOL))
     nopp = solve_no_prepay(params, spec)
+    stop = nopp.boundaries.get("h1")
     # The horizon, 200 years, is validated but unused: no estimate is truncated.
-    mc = mc_cashflow_value(params, no_prepay_cashflows(spec, params), (nopp.boundaries.get("h1"), None),
-                           h, n_paths, 200.0, seed)
+    mc = mc_cashflow_value(params, no_prepay_cashflows(spec, params), (stop, None), h, n_paths, 200.0, seed)
     held = nopp.value(h)
     verdicts.append(Verdict("mc no-prepay gap", abs(mc.estimate - held), max(3.0 * mc.std_error, MC_TOL_FLOOR)))
-    return Triangle(value, grid, policy, held, mc, tuple(verdicts))
+    return Triangle(value, grid, policy, held, mc, tuple(verdicts), stop)

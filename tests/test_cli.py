@@ -356,6 +356,8 @@ class TestOracleCheck:
         assert code == 0, out
         assert out.count("ok") >= 3
         assert "mc std error" in out and "truncation" not in out
+        # The Monte Carlo line names its policy: the FRM defaults at h1.
+        assert "no-prepayment value at h=1 (stopped at h1=0.539227): closed-form" in out
 
     def test_abm_mc_tolerance_has_no_truncation_term(self, capsys):
         # No Monte Carlo estimate truncates anything, so the tolerance is
@@ -364,6 +366,8 @@ class TestOracleCheck:
         assert code == 0, out
         assert "truncation" not in out
         assert "(tol 5.000e-04) ok" in out
+        # The ABM has no default boundary, so its Monte Carlo never stops.
+        assert "no-prepayment value at h=1 (held forever): closed-form" in out
 
     def test_grid_window_without_stopping_above_par(self):
         # A payment-adjusted draw that only stops below par and has p1 = 1.78,

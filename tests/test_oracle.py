@@ -41,17 +41,6 @@ def identity(x):
     return np.asarray(x, dtype=float)
 
 
-def _lattice(n, g, shifts):
-    """The points (k / n, k g / n mod 1) moved mod 1 by each shift, one row
-    per shift, a coordinate at 0 taken as 2^-53."""
-    k = np.arange(n)
-    points = []
-    for base, shift in zip((k / n, k * g % n / n), shifts):
-        x = base + shift[:, None]
-        points.append(np.maximum(np.where(x >= 1.0, x - 1.0, x), 2.0**-53))
-    return points
-
-
 def _stencil(params, dx):
     """lower, diag, upper of the central-difference stencil of L_H - r in log price."""
     sig2 = params.sigma**2
@@ -477,9 +466,9 @@ class TestMonteCarlo:
         times = []
         given_time = oracle._coupon_given_time
         monkeypatch.setattr(oracle, "_coupon_given_time",
-                            lambda *args: times.append(args[-1].copy()) or given_time(*args))
+                            lambda *args, **kw: times.append(args[-1].copy()) or given_time(*args, **kw))
         abm = no_prepay_cashflows(ContractSpec(kind=ContractKind.ABM, m=M0), params_low_benefit)
-        means = oracle._held_forever(params_low_benefit, abm, B0, 8, np.array([0.0, 0.5]))
+        means = oracle._lattice_means(params_low_benefit, abm, B0, None, 8, np.array([0.0, 0.5]), ((0.0, 1.0),))
         (t,) = times
         assert np.isfinite(t).all() and np.isfinite(means).all()
         assert t[0, 0] == t[1, 4] == 0.0
@@ -503,6 +492,20 @@ class TestMonteCarlo:
         z = np.linspace(-8.0, 8.0, 160_001)
         assert np.max(np.abs(oracle._normal_cdf(z) + oracle._normal_cdf(-z) - 1.0)) <= 1e-15
         assert oracle._normal_cdf(np.zeros(3)).tolist() == [0.5, 0.5, 0.5]
+
+    def test_scaled_erfc_holds_past_the_normal_range(self):
+        # The image terms of a stopped estimate take R(x) = e^{x^2} erfc(x) / 2
+        # far beyond Phi's tail at x = 26.5: at sigma = 1e-6, x reaches 1e5
+        # near the crossing.  Relative accuracy holds up to the last piece,
+        # x = 254; beyond it R < 1.2e-3 and its error stays below 1e-16
+        # absolute, a small part of any term it multiplies.
+        x = np.concatenate((np.linspace(0.0, 254.0, 25_401), np.geomspace(254.0, 2.0**52, 10_001)))
+        reference = np.array([oracle._half_erfcx(v) for v in x.tolist()])
+        got = oracle._scaled_erfc(x.copy())
+        near = x <= 254.0
+        assert np.max(np.abs(got[near] / reference[near] - 1.0)) <= 2e-14
+        assert np.max(np.abs(got[~near] - reference[~near])) <= 1e-16
+        assert oracle._scaled_erfc(np.zeros(1)).tolist() == [0.5]
 
     def test_normal_cdf_edges_raise_nothing(self):
         z = np.array([[-np.inf, np.inf, np.nan], [-40.0, 40.0, -1e308]])
@@ -534,9 +537,9 @@ class TestMonteCarlo:
     def test_one_threshold_agrees_with_the_policy_oracle(self, params_low_benefit):
         # The FRM without prepayment stopped at its optimal default boundary
         # h1 and at a higher, suboptimal 0.8, and the ABM stopped on a rise to
-        # 1.5, against the exact value of the same policy.  Judging a stop by
-        # the end price alone, without the bridge term, misses the FRM by
-        # over 500 SE.
+        # 1.5, against the exact value of the same policy.  Dropping the
+        # image terms, which judges a stop by the end price alone, misses the
+        # FRM at h1 by 0.022, some 70 of that estimate's own SEs.
         frm = no_prepay_cashflows(ContractSpec(kind=ContractKind.FRM, m=M0), params_low_benefit)
         abm = perpetual_cashflows(ContractSpec(kind=ContractKind.ABM, m=M0), params_low_benefit)
         h1 = solve_no_prepay(params_low_benefit, ContractSpec(kind=ContractKind.FRM, m=M0)).boundaries["h1"]
@@ -547,162 +550,135 @@ class TestMonteCarlo:
                 gap = abs(result.estimate - exact)
                 assert gap <= 3.0 * result.std_error, (policy, seed, gap / result.std_error)
 
-    @pytest.mark.parametrize("n", [10946, 6765, 1024, 904, 784, 700, 8, 1])
-    def test_integral_matches_the_slab_loop_bit_for_bit(self, params_low_benefit, n):
-        # The in-place passes, a few shifts at a time, take the same points
-        # and the same operations per element as one (shifts, n) array per
-        # step of the loop below, so the shift means agree to the bit; both
-        # sides run on this CPU, whatever its SIMD kernels.  6 765 points are
-        # the lattice of 20 000 paths and 10 946 that of 32 000; the other
-        # sizes, with g = round(n / golden ratio), leave other remainders in
-        # numpy's pairwise sums.  The FRM's flat coupon takes the path
-        # without e^y, the ABM's kinked one the other.
-        p, h = params_low_benefit, 1.3
-        g = max(1, round(n * (math.sqrt(5.0) - 1.0) / 2.0))
-        shifts = np.random.default_rng(2024).random((2, oracle._SHIFTS))
-
-        def slab_loop(cashflows, level, flat):
-            mu, x = p.r - p.delta - 0.5 * p.sigma**2, math.log(h)
-            ell = math.log(level)
-            dist = x - ell
-            a = -2.0 * dist / p.sigma**2
-            stop = p.r * float(cashflows.payoff(level))
-            u, v = _lattice(n, g, shifts)
-            t = np.log(np.maximum(np.abs(2.0 * u - 1.0), 2.0**-53)) / -p.r
-            s = oracle._LOGISTIC_SCALE
-            logistic = np.log(v / (1.0 - v))
-            weight = np.exp(logistic * logistic * (-0.5 * s**2)) / (v * (1.0 - v)) * (s / math.sqrt(2.0 * math.pi))
-            z = logistic * (a * p.sigma * s / np.sqrt(t))
-            centre = a * dist / t + a * mu
-            e = np.stack((centre + z, centre - z))
-            if flat is None:
-                c = cashflows.coupon(np.exp(e * (t / a) + ell))
-            prob = np.exp(np.minimum(e, 0.0))
-            if flat is None:
-                pay = prob * (stop - c)
-                return np.sum((c[0] + c[1] + (pay[0] + pay[1])) * weight, axis=1) / (2 * n * p.r)
-            total = np.sum((prob[0] + prob[1]) * weight, axis=1) / (2 * n * p.r)
-            return flat / p.r + (stop - flat) * total
-
-        frm = ContractSpec(kind=ContractKind.FRM, m=M0)
-        abm = perpetual_cashflows(ContractSpec(kind=ContractKind.ABM, m=M0), p)
-        h1 = solve_no_prepay(p, frm).boundaries["h1"]
-        for cashflows, level in ((no_prepay_cashflows(frm, p), h1), (abm, 1.5)):
-            flat = oracle._flat_coupon(cashflows)
-            assert (flat is None) == (cashflows is abm)
-            got = oracle._integral(p, cashflows, h, level, flat, n, g, shifts)
-            want = slab_loop(cashflows, level, flat)
-            assert got.tobytes() == want.tobytes(), level
-
-    def test_integral_agrees_with_the_paper_form(self, params_low_benefit):
-        # At the same points, the shift means of the paper's form of each
-        # sample, c + p (stop - c) with p = exp(min(0, -2 (x - l)(y - l) / (sigma^2 t)))
-        # and y = x + mu t +- sigma sqrt(t) Z, weighted by
-        # w = s phi(Z) / (v (1 - v)) for Z = s log(v / (1 - v)), agree with
-        # the leg's to rounding.  A flat coupon's mean is taken exactly, as
-        # E[w] = 1, so only the stop's share of its sample is weighted.
-        p, h, n, g = params_low_benefit, 1.3, 6765, 4181
-        shifts = np.random.default_rng(11).random((2, oracle._SHIFTS))
-        s = oracle._LOGISTIC_SCALE
-
-        def paper_form(cashflows, level):
-            mu, x = p.r - p.delta - 0.5 * p.sigma**2, math.log(h)
-            ell, stop = math.log(level), p.r * float(cashflows.payoff(level))
-            held = oracle._flat_coupon(cashflows) or 0.0
-            u, v = _lattice(n, g, shifts)
-            t = -np.log(np.maximum(np.abs(2.0 * u - 1.0), 2.0**-53)) / p.r
-            normal = s * np.log(v / (1.0 - v))
-            weight = s * np.exp(-0.5 * normal**2) / math.sqrt(2.0 * math.pi) / (v * (1.0 - v))
-            spread = normal * (p.sigma * np.sqrt(t))
+    @pytest.mark.parametrize("coupon,side,delta", [("frm", "lower", None), ("frm", "upper", None),
+                                                   ("abm", "lower", None), ("abm", "upper", None),
+                                                   ("abm", "lower", 0.005)],
+                             ids=["frm-lower", "frm-upper", "abm-lower", "abm-upper", "abm-lower-rising"])
+    def test_value_given_time_agrees_with_the_bridge_form(self, params_low_benefit, coupon, side, delta):
+        # At fixed times T, E[rho_T | T] by the method of images against the
+        # paper's bridge form: given Z, y = x + mu T + sigma sqrt(T) Z, and the
+        # path crossed l = log L before T with p = exp(min(0, -2 (x - l)(y - l) / (sigma^2 T))),
+        # so rho_T = (1 - p) c(e^y) + p r f(L).  Z is integrated by 20-point
+        # Gauss-Legendre panels at most 1/4 wide on [-14, 14], with the
+        # threshold and each kink at a panel end.  The FRM's coupon is flat;
+        # the ABM's kinks at b0 = 0.9, which lies inside (L, h) for the fall
+        # to 0.8 and inside (0, h) for the rise to 1.5.  The README market
+        # drifts down, away from the rise; at delta = 0.005 it drifts up, away
+        # from the fall, and at 15 and 40 years the image's mean, under the
+        # drift of the F terms or of the others, lies between the threshold
+        # and the kink, so only one of them takes the K term.
+        p, h = params_low_benefit, 1.0
+        if delta is not None:
+            p = ModelParams(r=R0, delta=delta, sigma=SIGMA0, b0=B0)
+        spec = ContractSpec(kind=ContractKind.FRM if coupon == "frm" else ContractKind.ABM, m=M0)
+        cf = no_prepay_cashflows(spec, p) if coupon == "frm" else perpetual_cashflows(spec, p)
+        if side == "upper":
+            level = 1.5
+        else:
+            level = solve_no_prepay(p, spec).boundaries["h1"] if coupon == "frm" else 0.8
+        mu, x, ell = p.r - p.delta - 0.5 * p.sigma**2, math.log(h), math.log(level)
+        stop = p.r * float(cf.payoff(level))
+        nodes, weights = np.polynomial.legendre.leggauss(20)
+        times = np.array([0.5, 5.0, 15.0, 40.0])
+        want = []
+        for t in times:
+            s = p.sigma * math.sqrt(t)
+            cuts = {(math.log(k) - x - mu * t) / s for k in (level, *cf.kinks)}
+            ends = sorted({-14.0, 14.0} | {c for c in cuts if -14.0 < c < 14.0})
             total = 0.0
-            for y in (x + mu * t + spread, x + mu * t - spread):
-                c = cashflows.coupon(np.exp(y))
-                prob = np.exp(np.minimum(-2.0 * (x - ell) * (y - ell) / (p.sigma**2 * t), 0.0))
-                total += np.sum(held + weight * (c - held + prob * (stop - c)), axis=1)
-            return total / (2 * n * p.r)
+            for a, b in zip(ends, ends[1:]):
+                panels = np.linspace(a, b, max(1, math.ceil(4.0 * (b - a))) + 1)
+                mid, half = 0.5 * (panels[1:] + panels[:-1]), 0.5 * np.diff(panels)
+                z = (mid[:, None] + half[:, None] * nodes).ravel()
+                w = (half[:, None] * weights).ravel()
+                y = x + mu * t + s * z
+                prob = np.exp(np.minimum(0.0, -2.0 * (x - ell) * (y - ell) / (p.sigma**2 * t)))
+                rho = (1.0 - prob) * np.asarray(cf.coupon(np.exp(y)), dtype=float) + prob * stop
+                total += np.sum(w * rho * np.exp(-0.5 * z * z)) / math.sqrt(2.0 * math.pi)
+            want.append(total)
+        got = oracle._coupon_given_time(p, cf, h, times, level=level)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
+    @pytest.mark.parametrize("n", [1, 8, 157, 313, 700, 784, 904, 1024])
+    def test_lattice_means_match_the_times_written_out(self, params_low_benefit, n):
+        # Each shift's mean, against the tent's times written out with % and
+        # the closed form given T taken on them, stratum by stratum and
+        # weighted by each stratum's width.  157 and 313 points are the
+        # lattices of 10 000 and 20 000 paths; the near-deterministic fall
+        # of the exit-bookkeeping test below takes three strata, split at
+        # T* -+ 8 w with T* = 6 years and w = sigma sqrt(T*) / |mu|.
+        p = params_low_benefit
+        shifts = np.random.default_rng(2024).random(oracle._SHIFTS)
         frm = ContractSpec(kind=ContractKind.FRM, m=M0)
         abm = perpetual_cashflows(ContractSpec(kind=ContractKind.ABM, m=M0), p)
-        h1 = solve_no_prepay(p, frm).boundaries["h1"]
-        for cashflows, level in ((no_prepay_cashflows(frm, p), h1), (abm, 1.5)):
-            got = oracle._integral(p, cashflows, h, level, oracle._flat_coupon(cashflows), n, g, shifts)
-            want = paper_form(cashflows, level)
-            assert np.max(np.abs(got / want - 1.0)) <= 1e-14, level
+        sharp = ModelParams(r=0.02, delta=0.05, sigma=1e-6, b0=B0)
+        mu = sharp.r - sharp.delta - 0.5 * sharp.sigma**2
+        layer = 8.0 * sharp.sigma * math.sqrt(6.0) / abs(mu)
+        cuts = [0.0, math.exp(-sharp.r * (6.0 + layer)), math.exp(-sharp.r * (6.0 - layer)), 1.0]
+        linear = PerpetualCashflows(coupon=lambda h: 0.04 * np.asarray(h, dtype=float),
+                                    payoff=identity, prepay_amount=identity, kinks=())
+        cases = ((p, no_prepay_cashflows(frm, p), solve_no_prepay(p, frm).boundaries["h1"], [0.0, 1.0]),
+                 (p, abm, 1.5, [0.0, 1.0]), (sharp, linear, math.exp(6.0 * mu), cuts))
+        for params, cashflows, level, bounds in cases:
+            strata = oracle._strata(params, 1.0, level)
+            np.testing.assert_allclose(strata, list(zip(bounds, bounds[1:])), rtol=1e-13, atol=0.0)
+            u = (np.arange(n) / n + shifts[:, None]) % 1.0
+            want = 0.0
+            for lo, hi in strata:
+                t = -np.log(np.maximum(lo + (hi - lo) * np.abs(2.0 * u - 1.0), 2.0**-53)) / params.r
+                want += (hi - lo) * np.mean(oracle._coupon_given_time(params, cashflows, 1.0, t, level=level), axis=1)
+            got = oracle._lattice_means(params, cashflows, 1.0, level, n, shifts, strata)
+            np.testing.assert_allclose(got, want / params.r, rtol=1e-14, atol=0.0)
 
     @pytest.mark.filterwarnings("error")
     def test_lattice_points_at_zero_stay_finite(self, params_low_benefit):
-        # Shift (0, 0) puts the point k = 0 at u = v = 0, where t = 0 and
-        # Z = -inf; (0, s) and (s, 0) put one coordinate there.  Each such
-        # coordinate is taken as 2^-53, so every sample is finite, also
-        # for a coupon that grows without bound.
+        # Shift 0 puts the point k = 0 at u = 0, where T = 0 and the
+        # standardized log-prices read +-inf, and a point at u = 1/2, where
+        # q = 0 is taken as 2^-53.  Every mean is finite, also for a coupon
+        # that grows without bound, on either side of its threshold.
         p = params_low_benefit
-        shifts = np.random.default_rng(5).random((2, oracle._SHIFTS))
-        shifts[:, 0] = 0.0
-        shifts[0, 1] = shifts[1, 2] = 0.0
+        shifts = np.random.default_rng(5).random(oracle._SHIFTS)
+        shifts[0] = 0.0
         frm = ContractSpec(kind=ContractKind.FRM, m=M0)
         h1 = solve_no_prepay(p, frm).boundaries["h1"]
         linear = PerpetualCashflows(coupon=lambda h: 0.04 * np.asarray(h, dtype=float),
                                     payoff=identity, prepay_amount=identity, kinks=())
         for cashflows, level in ((no_prepay_cashflows(frm, p), h1), (linear, 0.5), (linear, 1.5)):
-            means = oracle._integral(p, cashflows, 1.0, level, oracle._flat_coupon(cashflows), 987, 610, shifts)
+            strata = oracle._strata(p, 1.0, level)
+            means = oracle._lattice_means(p, cashflows, 1.0, level, 988, shifts, strata)
             assert np.isfinite(means).all(), level
 
     @pytest.mark.filterwarnings("error")
     def test_stopped_lattice_ends_stay_finite(self, params_low_benefit, monkeypatch):
-        # With n even, time shift 0 puts point n / 2 at u = 1/2, where the
-        # tent gives q = 0, taken as 2^-53, so T = 53 log 2 / r; and point 0
-        # at u = 0, taken as 2^-53, where q = 1 - 2^-52 gives the least time,
-        # 2^-52 / r to rounding, never T = 0.  Time shift 1/2 swaps the two.
+        # With n even, shift 0 puts point n / 2 at u = 1/2, where the tent
+        # gives q = 0, taken as 2^-53, so T = 53 log 2 / r; and point 0 at
+        # u = 0, where T = 0 pays the coupon at h.  Shift 1/2 swaps the two.
+        # Stopped on a fall and on a rise, the ABM priced on its kink at b0.
         p = params_low_benefit
         times = []
-        tent_time = oracle._tent_time
-        monkeypatch.setattr(oracle, "_tent_time", lambda u, r: times.append(tent_time(u, r).copy()) or u)
-        shifts = np.random.default_rng(6).random((2, oracle._SHIFT_SLAB))
-        shifts[0, :2] = 0.0, 0.5
+        given_time = oracle._coupon_given_time
+        monkeypatch.setattr(oracle, "_coupon_given_time",
+                            lambda *args, **kw: times.append(args[-1].copy()) or given_time(*args, **kw))
         frm = ContractSpec(kind=ContractKind.FRM, m=M0)
         h1 = solve_no_prepay(p, frm).boundaries["h1"]
         abm = perpetual_cashflows(ContractSpec(kind=ContractKind.ABM, m=M0), p)
-        for cashflows, level in ((no_prepay_cashflows(frm, p), h1), (abm, 1.5)):
+        for cashflows, h, level in ((no_prepay_cashflows(frm, p), 1.0, h1), (abm, B0, 0.5), (abm, B0, 1.5)):
             times.clear()
-            means = oracle._integral(p, cashflows, 1.0, level, oracle._flat_coupon(cashflows), 8, 5, shifts)
+            means = oracle._lattice_means(p, cashflows, h, level, 8, np.array([0.0, 0.5]), ((0.0, 1.0),))
             (t,) = times
             assert np.isfinite(means).all(), level
-            assert np.isfinite(t).all() and (t > 0.0).all(), level
+            assert np.isfinite(t).all(), level
+            assert t[0, 0] == t[1, 4] == 0.0
             assert t[0, 4] == t[1, 0] == pytest.approx(53.0 * math.log(2.0) / R0, rel=1e-15)
-            assert t[0, 0] == t[1, 4] == pytest.approx(2.0**-52 / R0, rel=1e-12)
-
-    def test_logistic_weights_integrate_normal_moments(self):
-        # On every shift of the 10 946-point lattice's v coordinates (32 000
-        # paths), the weighted rule integrates 1, Z and Z^2 against N(0, 1).
-        # Over 200 seeds of shifts the gaps reach 1.1e-9, 5.4e-9 and 3.3e-8.
-        n, g = 10946, 6765
-        shifts = np.random.default_rng(2024).random((2, oracle._SHIFTS))
-        _, z = _lattice(n, g, shifts)
-        w, scratch = np.empty_like(z), np.empty_like(z)
-        oracle._logistic(z, w, scratch)
-        z *= oracle._LOGISTIC_SCALE
-        assert np.all(np.abs(np.mean(w, axis=1) - 1.0) <= 2e-9)
-        assert np.all(np.abs(np.mean(w * z, axis=1)) <= 1e-8)
-        assert np.all(np.abs(np.mean(w * z * z, axis=1) - 1.0) <= 6e-8)
-
-    @pytest.mark.filterwarnings("error")
-    def test_logistic_ends_are_finite(self):
-        # The lattice's coordinates lie in [2^-53, 1 - 2^-53]; both ends give
-        # a finite logistic, opposite, and the same tiny positive weight.
-        z = np.array([2.0**-53, 1.0 - 2.0**-53, 0.5])
-        w, scratch = np.empty(3), np.empty(3)
-        oracle._logistic(z, w, scratch)
-        assert np.isfinite(z).all() and np.isfinite(w).all()
-        assert z[0] == -z[1] < -36.0 and z[2] == 0.0
-        assert w[0] == w[1] and 0.0 < w[0] < 1e-80
+            assert means[0] == pytest.approx(means[1], rel=1e-15)
 
     def test_stopped_standard_error_stays_small(self, params_low_benefit):
         # The integrands of the policy-agreement test above: no change may
         # pass that test by widening its own error bar.  Each SE is held to
-        # 1.5 times the median, over 150 seeds at 20 000 paths, of Phi^{-1}
-        # normals without weights: 6.68e-6, 4.91e-6 and 7.64e-6.  The
-        # logistic-weighted leg's medians, with the tent's times on 6 765
-        # points, are 6.61e-6, 3.82e-6 and 8.69e-7.
+        # 1.5 times the median, over 150 seeds at 20 000 paths, of an earlier
+        # leg that sampled paths: 6.68e-6, 4.91e-6 and 7.64e-6.  Taken in
+        # closed form given T by the method of images, on the 313-point
+        # lattice, the medians over 60 seeds are 1.2e-12, 8.7e-8 and 1.0e-7.
         frm = no_prepay_cashflows(ContractSpec(kind=ContractKind.FRM, m=M0), params_low_benefit)
         abm = perpetual_cashflows(ContractSpec(kind=ContractKind.ABM, m=M0), params_low_benefit)
         h1 = solve_no_prepay(params_low_benefit, ContractSpec(kind=ContractKind.FRM, m=M0)).boundaries["h1"]
@@ -714,10 +690,9 @@ class TestMonteCarlo:
 
     def test_kinked_coupon_stopped_on_a_rise_has_a_small_standard_error(self, params_low_benefit):
         # The ABM's coupon kinks at its balance.  Stopped on a rise to 1.5,
-        # its leg's SE at 20 000 paths stays at most 2e-6 (median 8.7e-7 over
-        # 150 seeds; 8.6e-6 on 10 946 points under the plain map
-        # T = -log(1 - u) / r), and the estimate within 3 SE of the exact
-        # value of the policy.
+        # its leg's SE at 20 000 paths stays at most 2e-6 (median 1.0e-7 over
+        # 60 seeds), and the estimate within 3 SE of the exact value of the
+        # policy.
         abm = perpetual_cashflows(ContractSpec(kind=ContractKind.ABM, m=M0), params_low_benefit)
         exact = threshold_policy_value(params_low_benefit, abm, (None, 1.5), 1.0)
         for seed in (1, 2, 3):
@@ -772,9 +747,9 @@ class TestMonteCarlo:
     def test_band_never_left_agrees_with_the_integral(self, params_low_benefit):
         # With a threshold almost no path reaches and a zero payoff, the
         # policy estimate is the held-forever integral, less the coupons
-        # after the rare crossings.  The held-forever run samples times only
-        # and the stopped one paths, so the two are independent estimates
-        # and the gap is judged by both standard errors.
+        # after the rare crossings.  Both runs take the same times from the
+        # same seed, so the two estimates are not independent; the gap is
+        # still judged by both standard errors, as if they were.
         abm = perpetual_cashflows(ContractSpec(kind=ContractKind.ABM, m=M0), params_low_benefit)
         cf = PerpetualCashflows(
             coupon=abm.coupon, payoff=lambda h: np.zeros_like(np.asarray(h, dtype=float)),
@@ -789,11 +764,12 @@ class TestMonteCarlo:
     def test_exit_bookkeeping_on_a_near_deterministic_path(self):
         # log H_t = mu t + sigma W_t with sigma = 1e-6 falls to the lower
         # threshold at tau = 6 years, so the value is the coupon integral up
-        # to tau plus the payoff there, both discounted.  The lattice's times
-        # still move with its random shifts, and the normals' weights vary
-        # although the value hardly depends on Z, which leaves an SE of
-        # 1.3e-5 to 2.0e-5 over seeds 0-19 on the 4 181-point lattice of
-        # 10 000 paths; moving the exit by a week moves the value by 1.4e-4.
+        # to tau plus the payoff there, both discounted.  Given T the value is
+        # close to a step at tau, which the times resolve in three strata
+        # split at tau -+ 8 w, w = sigma sqrt(tau) / |mu| = 8.2e-5 years; on
+        # the 157-point lattice of 10 000 paths that leaves an SE of 6.5e-8
+        # to 9.3e-8 over seeds 0-39, and moving the exit by a week moves the
+        # value by 1.4e-4.
         params = ModelParams(r=0.02, delta=0.05, sigma=1e-6, b0=B0)
         mu = params.r - params.delta - 0.5 * params.sigma**2
         tau = 6.0
@@ -808,6 +784,48 @@ class TestMonteCarlo:
 
         assert 3.0 * result.std_error < abs(value(tau + 1.0 / 52.0) - value(tau))
         assert abs(result.estimate - value(tau)) <= 3.0 * result.std_error
+
+    def test_exit_bookkeeping_on_a_near_deterministic_rise(self):
+        # The mirror of the test above: log H_t rises at mu = 0.03 to the
+        # upper threshold at tau = 6 years, with the same bar.  Moving the
+        # exit by a week moves the value by 3.4e-4; the SE is 7.3e-8 to
+        # 1.0e-7 over seeds 0-39.
+        params = ModelParams(r=0.05, delta=0.02, sigma=1e-6, b0=B0)
+        mu = params.r - params.delta - 0.5 * params.sigma**2
+        tau = 6.0
+        upper = math.exp(mu * tau)
+        cf = PerpetualCashflows(coupon=lambda h: 0.04 * np.asarray(h, dtype=float),
+                                payoff=identity, prepay_amount=identity, kinks=())
+        result = mc_cashflow_value(params, cf, (None, upper), 1.0, 10_000, 200.0, 3)
+        assert result.n_paths == 3 * oracle._SHIFTS * 157
+
+        def value(exit_time):
+            growth = (mu - params.r) * exit_time
+            return 0.04 * -math.expm1(growth) / (params.r - mu) + math.exp(growth)
+
+        assert 3.0 * result.std_error < abs(value(tau + 1.0 / 52.0) - value(tau))
+        assert abs(result.estimate - value(tau)) <= 3.0 * result.std_error
+
+    @pytest.mark.parametrize("sigma", [1e-3, 3e-3, 5e-3, 1e-2])
+    def test_standard_error_is_calibrated_across_the_stratum_switch(self, sigma):
+        # The fall of the exit-bookkeeping test at larger sigma, against the
+        # exact value of the policy.  Below sigma = 4.6e-3 the crossing layer
+        # satisfies 8 w < tau / 2 and the times take three strata (median SE
+        # 6.3e-8 and 5.1e-8 at 10 000 paths); above it they take one (2.4e-6
+        # and 3.3e-6).  On both sides the gaps over 40 seeds, in SEs, spread
+        # as a standard normal's: 0.97 to 1.00 measured.
+        params = ModelParams(r=0.02, delta=0.05, sigma=sigma, b0=B0)
+        mu = params.r - params.delta - 0.5 * sigma**2
+        lower = math.exp(6.0 * mu)
+        cf = PerpetualCashflows(coupon=lambda h: 0.04 * np.asarray(h, dtype=float),
+                                payoff=identity, prepay_amount=identity, kinks=())
+        exact = threshold_policy_value(params, cf, (lower, None), 1.0)
+        z = []
+        for seed in range(40):
+            result = mc_cashflow_value(params, cf, (lower, None), 1.0, 10_000, 200.0, seed)
+            assert result.n_paths == oracle._SHIFTS * 157 * (3 if sigma < 4.6e-3 else 1)
+            z.append((result.estimate - exact) / result.std_error)
+        assert 0.7 <= np.std(z, ddof=1) <= 1.3
 
 
 @pytest.mark.filterwarnings("error")
