@@ -599,12 +599,13 @@ class TestMonteCarlo:
         got = oracle._coupon_given_time(p, cf, h, times, level=level)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
-    @pytest.mark.parametrize("n", [1, 8, 157, 313, 700, 784, 904, 1024])
+    @pytest.mark.parametrize("n", [1, 8, 157, 313, 700, 784, 904, 1024, 6765, 10946])
     def test_lattice_means_match_the_times_written_out(self, params_low_benefit, n):
         # Each shift's mean, against the tent's times written out with % and
         # the closed form given T taken on them, stratum by stratum and
         # weighted by each stratum's width.  157 and 313 points are the
-        # lattices of 10 000 and 20 000 paths; the near-deterministic fall
+        # lattices of 10 000 and 20 000 paths, 6 765 and 10 946 lattices
+        # larger than any path count in use; the near-deterministic fall
         # of the exit-bookkeeping test below takes three strata, split at
         # T* -+ 8 w with T* = 6 years and w = sigma sqrt(T*) / |mu|.
         p = params_low_benefit
